@@ -21,8 +21,23 @@ if TYPE_CHECKING:
 SCALE_EPS = 1e-8
 
 
+def _rebuild_error(cls, args: tuple, state: dict) -> "TsnormError":
+    exc = cls.__new__(cls)
+    exc.args = args
+    exc.__dict__.update(state)
+    return exc
+
+
 class TsnormError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Errors pickle by message and attributes rather than by constructor
+    arguments, so subclasses with their own ``__init__`` still cross a process
+    pool intact.
+    """
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args, self.__dict__)
 
 
 class NonFiniteError(TsnormError):

@@ -10,8 +10,12 @@ so channel count is free and every gradient is analytic.  Three heads:
   head over bin-center features emits per-step logits, so the loss never sees
   raw magnitudes.
 
-Training is plain SGD with a fixed learning rate and seeded shuffling;
-identical seeds give bitwise-identical weights.
+Training is plain SGD with a fixed learning rate and seeded shuffling.  Each
+step runs one array kernel for the model's loss family (point, Gaussian,
+token) on arrays prepared once per pool sample; the kernels call the same
+unchecked loss cores as the public, validating ``loss_*`` functions, so each
+loss formula is written once.  Every reduction runs in a fixed order, so
+identical seeds give bitwise-identical weights, losses and gradient norms.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ from __future__ import annotations
 import copy
 import csv
 import enum
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,12 +44,11 @@ from .core import (
 from .norm import (
     CLIP_THRESHOLD,
     clipped_instance_normalize,
-    denormalize_gaussian,
     fit_instance_stats,
     normalize,
 )
 
-LOG_2PI = float(np.log(2.0 * np.pi))
+HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 
 class LossKind(enum.Enum):
@@ -115,11 +120,16 @@ class BadBinIndexError(TsnormError):
 
 
 class DivergedError(TsnormError):
-    """Training loss became NaN/Inf; carries the offending step index."""
+    """Training loss became NaN/Inf.
+
+    ``step`` is the index of the offending SGD step and ``loss`` the
+    non-finite loss it produced.
+    """
 
     def __init__(self, step: int, loss: float):
         super().__init__(f"training diverged at step {step} (loss={loss})")
         self.step = step
+        self.loss = loss
 
 
 @dataclass(frozen=True)
@@ -313,18 +323,54 @@ def _check_pair(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
     return pred, target
 
 
+def _mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    diff = pred - target
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size, 2.0 * diff / diff.size
+
+
+def _mae(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    diff = pred - target
+    return (float(np.add.reduce(np.abs(diff), axis=None)) / diff.size,
+            np.sign(diff) / diff.size)
+
+
+def _gaussian_nll(
+    mean: np.ndarray,
+    std: np.ndarray,
+    target_raw: np.ndarray,
+    scale: np.ndarray,
+    shift: np.ndarray,
+) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    raw_std = std * scale
+    # scale is positive, so this also rejects a non-positive normalized std
+    if (raw_std <= 0).any():
+        raise NonPositiveSigmaError("predicted std must be positive")
+    z = (target_raw - (mean * scale + shift)) / raw_std
+    zz = z * z
+    nll_cells = HALF_LOG_2PI + np.log(raw_std) + 0.5 * zz
+    n = nll_cells.size
+    return float(np.add.reduce(nll_cells, axis=None)) / n, (-z / std / n, (1.0 - zz) / n)
+
+
+def _token_ce(logits: np.ndarray, target_bins: np.ndarray) -> tuple[float, np.ndarray]:
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+    h_idx, c_idx = np.indices(target_bins.shape)
+    loss = float(-log_probs[h_idx, c_idx, target_bins].mean())
+    grad = np.exp(log_probs)
+    grad[h_idx, c_idx, target_bins] -= 1.0
+    return loss, grad / target_bins.size
+
+
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over all cells; gradient 2 (pred - target) / N."""
-    pred, target = _check_pair(pred, target)
-    diff = pred - target
-    return float(np.mean(diff**2)), 2.0 * diff / diff.size
+    return _mse(*_check_pair(pred, target))
 
 
 def loss_mae(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error over all cells; subgradient sign(pred - target) / N."""
-    pred, target = _check_pair(pred, target)
-    diff = pred - target
-    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
+    return _mae(*_check_pair(pred, target))
 
 
 def loss_gaussian_nll(
@@ -339,20 +385,16 @@ def loss_gaussian_nll(
     """
     if f.kind is not ForecastKind.GAUSSIAN:
         raise KindMismatchError(f"expected a gaussian forecast, got {f.kind}")
-    if (f.gauss_std <= 0).any():
-        raise NonPositiveSigmaError("predicted std must be positive")
     target_raw = np.asarray(target_raw, dtype=np.float64)
     if target_raw.shape != f.gauss_mean.shape:
         raise ShapeMismatchError(
             f"target {target_raw.shape} vs mean {f.gauss_mean.shape}"
         )
-    denorm = denormalize_gaussian(f, stats)
-    z = (target_raw - denorm.gauss_mean) / denorm.gauss_std
-    nll_cells = 0.5 * LOG_2PI + np.log(denorm.gauss_std) + 0.5 * z**2
-    n = nll_cells.size
-    d_mean = -z / f.gauss_std / n
-    d_log_std = (1.0 - z**2) / n
-    return float(nll_cells.mean()), (d_mean, d_log_std)
+    if f.gauss_mean.ndim != 2 or f.gauss_mean.shape[1] != stats.channels:
+        raise ShapeMismatchError(
+            f"mean {f.gauss_mean.shape} does not match {stats.channels}-channel stats"
+        )
+    return _gaussian_nll(f.gauss_mean, f.gauss_std, target_raw, stats.scale, stats.shift)
 
 
 def loss_token_ce(
@@ -372,14 +414,7 @@ def loss_token_ce(
     num_bins = logits.shape[2]
     if target_bins.size and (target_bins.min() < 0 or target_bins.max() >= num_bins):
         raise BadBinIndexError(f"target bins must lie in [0, {num_bins})")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-    h_idx, c_idx = np.indices(target_bins.shape)
-    loss = float(-log_probs[h_idx, c_idx, target_bins].mean())
-    grad = np.exp(log_probs)
-    grad[h_idx, c_idx, target_bins] -= 1.0
-    return loss, grad / target_bins.size
+    return _token_ce(logits, target_bins)
 
 
 # ----------------------------------------------------------------------------
@@ -428,8 +463,8 @@ class TrainTrace:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
-            for step, (loss, norms) in enumerate(zip(self.losses, self.grad_norms)):
-                row = [step, repr(float(loss))] + [repr(float(v)) for v in norms]
+            for step, (loss, norms) in enumerate(zip(self.losses.tolist(), self.grad_norms)):
+                row = [step, repr(loss)] + [repr(v) for v in norms.tolist()]
                 row += [""] * (max_c - len(norms))
                 writer.writerow(row)
 
@@ -497,55 +532,66 @@ def prepare_training_pool(
     return samples, rejected
 
 
-def _per_channel_norms(inputs: np.ndarray, *output_grads: np.ndarray) -> np.ndarray:
-    """Norm of each channel's contribution to the context-weight gradient."""
-    in_norms = np.linalg.norm(inputs, axis=0)
-    total = np.zeros(inputs.shape[1])
-    for g in output_grads:
-        if g.ndim == 3:  # (H, C, B) token logits
-            g_norms = np.linalg.norm(g, axis=(0, 2))
-        else:
-            g_norms = np.linalg.norm(g, axis=0)
-        total += (g_norms * in_norms) ** 2
-    return np.sqrt(total)
+def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
+    """Euclidean norm of each channel of ``x``, reducing ``axis`` in a fixed order."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-def _sgd_step(
-    model: LinearForecaster, sample: TrainSample, lr: float
-) -> tuple[float, np.ndarray]:
-    """One SGD update in place; returns (loss, per-channel gradient norms)."""
-    ctx = sample.inputs
+# SGD kernels, one per loss family.  Each updates the weight arrays it is bound
+# to in place and returns (loss, per-channel gradient norms) for one pool
+# sample (inputs, target, scale, shift, input norms); scale/shift are None when
+# the loss runs directly on the target.  A channel's gradient norm is its output
+# gradient norm times its input norm, summed in quadrature over heads.
+
+
+def _point_step(core, weights, bias, lr, ctx, target, scale, shift, in_norms):
+    pred = weights @ ctx + bias[:, None]
+    if scale is None:
+        loss, g = core(pred, target)
+    else:
+        # prediction de-normalized with instance stats before the loss
+        loss, g = core(pred * scale + shift, target)
+        g = g * scale
+    p = _channel_norms(g) * in_norms
+    weights -= lr * (g @ ctx.T)
+    bias -= lr * g.sum(axis=1)
+    return loss, np.sqrt(p * p)
+
+
+def _gaussian_step(weights, bias, sigma_weights, sigma_bias, lr,
+                   ctx, target, scale, shift, in_norms):
+    mean = weights @ ctx + bias[:, None]
+    std = np.exp(sigma_weights @ ctx + sigma_bias[:, None])
+    loss, (d_mean, d_log_std) = _gaussian_nll(mean, std, target, scale, shift)
+    p_mean = _channel_norms(d_mean) * in_norms
+    p_std = _channel_norms(d_log_std) * in_norms
+    weights -= lr * (d_mean @ ctx.T)
+    bias -= lr * d_mean.sum(axis=1)
+    sigma_weights -= lr * (d_log_std @ ctx.T)
+    sigma_bias -= lr * d_log_std.sum(axis=1)
+    return loss, np.sqrt(p_mean * p_mean + p_std * p_std)
+
+
+def _token_step(token_weights, token_bias, lr, ctx, target, scale, shift, in_norms):
+    logits = np.einsum("hbl,lc->hcb", token_weights, ctx)
+    logits += token_bias[:, None, :]
+    loss, g = _token_ce(logits, target)
+    p = _channel_norms(g, axis=(0, 2)) * in_norms
+    token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
+    token_bias -= lr * g.sum(axis=1)
+    return loss, np.sqrt(p * p)
+
+
+def _bind_kernel(model: LinearForecaster, lr: float):
+    """The SGD kernel of ``model``'s loss family, bound to its weight arrays."""
     kind = model.loss_kind
     if kind.is_point:
-        pred = model.weights @ ctx + model.bias[:, None]
-        loss_fn = loss_mse if kind is LossKind.MSE else loss_mae
-        if sample.stats is not None:
-            # prediction de-normalized with instance stats before the loss
-            loss, g_raw = loss_fn(pred * sample.stats.scale + sample.stats.shift,
-                                  sample.target)
-            g = g_raw * sample.stats.scale
-        else:
-            loss, g = loss_fn(pred, sample.target)
-        norms = _per_channel_norms(ctx, g)
-        model.weights -= lr * (g @ ctx.T)
-        model.bias -= lr * g.sum(axis=1)
-        return loss, norms
+        core = _mse if kind is LossKind.MSE else _mae
+        return partial(_point_step, core, model.weights, model.bias, lr)
     if kind is LossKind.GAUSSIAN_NLL:
-        f = forecast(model, ctx)
-        loss, (d_mean, d_log_std) = loss_gaussian_nll(f, sample.target, sample.stats)
-        norms = _per_channel_norms(ctx, d_mean, d_log_std)
-        model.weights -= lr * (d_mean @ ctx.T)
-        model.bias -= lr * d_mean.sum(axis=1)
-        model.sigma_weights -= lr * (d_log_std @ ctx.T)
-        model.sigma_bias -= lr * d_log_std.sum(axis=1)
-        return loss, norms
-    logits = np.einsum("hbl,lc->hcb", model.token_weights, ctx)
-    logits += model.token_bias[:, None, :]
-    loss, g = loss_token_ce(logits, sample.target)
-    norms = _per_channel_norms(ctx, g)
-    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
-    model.token_bias -= lr * g.sum(axis=1)
-    return loss, norms
+        return partial(_gaussian_step, model.weights, model.bias,
+                       model.sigma_weights, model.sigma_bias, lr)
+    return partial(_token_step, model.token_weights, model.token_bias, lr)
 
 
 def train(
@@ -568,23 +614,29 @@ def train(
     samples, rejected = prepare_training_pool(instances, scheme, model, clip_threshold)
     if not samples:
         raise TsnormError("no admissible training instances after clipping")
+    step_fn = _bind_kernel(model, lr)
+    pool = [
+        (s.inputs, s.target,
+         *((None, None) if s.stats is None else (s.stats.scale, s.stats.shift)),
+         _channel_norms(s.inputs))
+        for s in samples
+    ]
     rng = np.random.default_rng(seed)
     losses = np.empty(steps)
     grad_norms: list[np.ndarray] = []
-    perm = rng.permutation(len(samples))
+    perm = rng.permutation(len(pool)).tolist()
     cursor = 0
-    for step in range(steps):
-        if cursor == len(perm):
-            perm = rng.permutation(len(samples))
-            cursor = 0
-        sample = samples[perm[cursor]]
-        cursor += 1
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, norms = _sgd_step(model, sample, lr)
-        if not np.isfinite(loss):
-            raise DivergedError(step, loss)
-        losses[step] = loss
-        grad_norms.append(norms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            if cursor == len(perm):
+                perm = rng.permutation(len(pool)).tolist()
+                cursor = 0
+            loss, norms = step_fn(*pool[perm[cursor]])
+            cursor += 1
+            if not math.isfinite(loss):
+                raise DivergedError(step, loss)
+            losses[step] = loss
+            grad_norms.append(norms)
     trace = TrainTrace(
         losses=losses,
         grad_norms=grad_norms,

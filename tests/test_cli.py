@@ -145,6 +145,14 @@ class TestRun:
         assert main(["run", "--plan", str(path), "--out", str(out)]) == 3
         assert not (out / "report.json").exists()
 
+    def test_divergence_in_worker_exits_3(self, tmp_path):
+        plan = dict(TINY_PLAN)
+        plan["lr"] = 100.0  # raw MSE diverges; the error crosses the process pool
+        path = write_plan(tmp_path, plan)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", "2"]) == 3
+        assert not (out / "report.json").exists()
+
     def test_missing_plan_file_exits_4(self, tmp_path):
         out = tmp_path / "out"
         assert main(["run", "--plan", str(tmp_path / "nope.json"), "--out", str(out)]) == 4

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from tsnorm import (
     validate_dataset,
 )
 from tsnorm.core import BadPeriodError, BadSplitError, KindMismatchError, NonFiniteError
+from tsnorm.data import ParseError
+from tsnorm.models import DivergedError
 
 from conftest import col
 
@@ -62,6 +66,23 @@ class TestDataset:
         d = Dataset("a", col(1, 2, 3, 4), "1h", 1, 3)
         assert d.train_values.shape == (3, 1)
         assert d.test_values.shape == (1, 1)
+
+
+class TestErrorPickling:
+    """Errors raised in a process-pool worker must unpickle in the parent."""
+
+    @pytest.mark.parametrize("exc", [
+        DivergedError(17, float("inf")),
+        NonFiniteError("a", 3, 1),
+        BadSplitError("a", 9, 4),
+        BadPeriodError("a", 5, 3),
+        ParseError("a.csv", 4, 2, "x"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_round_trip_keeps_message_and_attributes(self, exc):
+        again = pickle.loads(pickle.dumps(exc))
+        assert type(again) is type(exc)
+        assert str(again) == str(exc)
+        assert again.__dict__ == exc.__dict__
 
 
 class TestNormStats:

@@ -1,3 +1,6 @@
+import copy
+import csv
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from tsnorm import (
     train,
 )
 from tsnorm.core import ShapeMismatchError
+from tsnorm.norm import denormalize_gaussian
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
@@ -257,8 +261,10 @@ class TestTrain:
         rng = np.random.default_rng(53)
         inst = make_instance(rng, scale=1e3)
         model = LinearForecaster.create(LossKind.MSE, 32, 8, seed=4)
-        with pytest.raises(DivergedError):
+        with pytest.raises(DivergedError) as exc:
             train(model, [inst], Scheme.RAW, steps=200, lr=1.0, seed=0)
+        assert 0 < exc.value.step < 200 and not np.isfinite(exc.value.loss)
+        assert f"step {exc.value.step} " in str(exc.value)
 
     def test_clipped_pool_excludes_rejected(self):
         rng = np.random.default_rng(54)
@@ -364,3 +370,159 @@ class TestSerialization:
         step, loss, g0, g1 = lines[1].split(",")
         assert float(loss) == trace.losses[0]
         assert float(g0) == trace.grad_norms[0][0]
+
+    def test_trace_csv_bytes_match_reference_formatter(self, tmp_path):
+        rng = np.random.default_rng(13)
+        instances = [make_instance(rng, channels=c) for c in (1, 3, 2)]
+        model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8)
+        _, trace = train(model, instances, Scheme.REVIN, steps=30, lr=0.01, seed=0)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        # the per-element formatter the trace CSV has always been written with
+        max_c = max(len(g) for g in trace.grad_norms)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
+            for step, (loss, norms) in enumerate(zip(trace.losses, trace.grad_norms)):
+                row = [step, repr(float(loss))] + [repr(float(v)) for v in norms]
+                row += [""] * (max_c - len(norms))
+                writer.writerow(row)
+        assert max_c == 3 and path.read_bytes() == ref.read_bytes()
+
+
+# Reference SGD step: the per-step object path the array kernels replaced,
+# with its loss formulas.  The kernels must reproduce it bit for bit.
+
+def _ref_loss_point(kind, pred, target):
+    diff = pred - target
+    if kind is LossKind.MSE:
+        return float(np.mean(diff**2)), 2.0 * diff / diff.size
+    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
+
+
+def _ref_loss_gaussian_nll(f, target_raw, stats):
+    denorm = denormalize_gaussian(f, stats)
+    z = (target_raw - denorm.gauss_mean) / denorm.gauss_std
+    nll_cells = 0.5 * float(np.log(2.0 * np.pi)) + np.log(denorm.gauss_std) + 0.5 * z**2
+    n = nll_cells.size
+    return float(nll_cells.mean()), (-z / f.gauss_std / n, (1.0 - z**2) / n)
+
+
+def _ref_loss_token_ce(logits, target_bins):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+    h_idx, c_idx = np.indices(target_bins.shape)
+    loss = float(-log_probs[h_idx, c_idx, target_bins].mean())
+    grad = np.exp(log_probs)
+    grad[h_idx, c_idx, target_bins] -= 1.0
+    return loss, grad / target_bins.size
+
+
+def _per_channel_norms(inputs, *output_grads):
+    in_norms = np.linalg.norm(inputs, axis=0)
+    total = np.zeros(inputs.shape[1])
+    for g in output_grads:
+        if g.ndim == 3:  # (H, C, B) token logits
+            g_norms = np.linalg.norm(g, axis=(0, 2))
+        else:
+            g_norms = np.linalg.norm(g, axis=0)
+        total += (g_norms * in_norms) ** 2
+    return np.sqrt(total)
+
+
+def _sgd_step(model, sample, lr):
+    ctx = sample.inputs
+    kind = model.loss_kind
+    if kind.is_point:
+        pred = model.weights @ ctx + model.bias[:, None]
+        if sample.stats is not None:
+            loss, g_raw = _ref_loss_point(
+                kind, pred * sample.stats.scale + sample.stats.shift, sample.target)
+            g = g_raw * sample.stats.scale
+        else:
+            loss, g = _ref_loss_point(kind, pred, sample.target)
+        norms = _per_channel_norms(ctx, g)
+        model.weights -= lr * (g @ ctx.T)
+        model.bias -= lr * g.sum(axis=1)
+        return loss, norms
+    if kind is LossKind.GAUSSIAN_NLL:
+        f = forecast(model, ctx)
+        loss, (d_mean, d_log_std) = _ref_loss_gaussian_nll(f, sample.target, sample.stats)
+        norms = _per_channel_norms(ctx, d_mean, d_log_std)
+        model.weights -= lr * (d_mean @ ctx.T)
+        model.bias -= lr * d_mean.sum(axis=1)
+        model.sigma_weights -= lr * (d_log_std @ ctx.T)
+        model.sigma_bias -= lr * d_log_std.sum(axis=1)
+        return loss, norms
+    logits = np.einsum("hbl,lc->hcb", model.token_weights, ctx)
+    logits += model.token_bias[:, None, :]
+    loss, g = _ref_loss_token_ce(logits, sample.target)
+    norms = _per_channel_norms(ctx, g)
+    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
+    model.token_bias -= lr * g.sum(axis=1)
+    return loss, norms
+
+
+def _reference_train(model, instances, scheme, steps, lr, seed):
+    model = copy.deepcopy(model)
+    samples, rejected = prepare_training_pool(instances, scheme, model)
+    rng = np.random.default_rng(seed)
+    losses, grad_norms = np.empty(steps), []
+    perm = rng.permutation(len(samples))
+    cursor = 0
+    for step in range(steps):
+        if cursor == len(perm):
+            perm = rng.permutation(len(samples))
+            cursor = 0
+        sample = samples[perm[cursor]]
+        cursor += 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            losses[step], norms = _sgd_step(model, sample, lr)
+        grad_norms.append(norms)
+    return model, losses, grad_norms, rejected
+
+
+class TestKernelsMatchReference:
+    @staticmethod
+    def _pool(channels):
+        rng = np.random.default_rng(70)
+        pool = [
+            make_instance(rng, channels=channels[i % len(channels)],
+                          scale=10.0 ** rng.uniform(-1, 1), offset=rng.normal(0, 3))
+            for i in range(6)
+        ]
+        # a horizon spike far past the clip threshold once RevIN-normalized
+        spiked = make_instance(rng, channels=channels[0])
+        hor = spiked.horizon.copy()
+        hor[3] += 40.0
+        pool.append(Instance(context=spiked.context, horizon=hor, origin=spiked.origin))
+        return pool
+
+    @pytest.mark.parametrize("channels", [(2,), (1, 3)], ids=["C2", "C1+C3"])
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.RAW],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_bitwise_equal_weights_losses_and_grad_norms(self, kind, scheme, channels):
+        instances = self._pool(channels)
+        spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
+        model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
+        ref_model, ref_losses, ref_norms, ref_rejected = _reference_train(
+            model, instances, scheme, steps=40, lr=1e-3, seed=4)
+        trained, trace = train(model, instances, scheme, steps=40, lr=1e-3, seed=4)
+        assert np.isfinite(ref_losses).all()
+        if kind.is_point and scheme is Scheme.REVIN:
+            assert ref_rejected == 1
+        assert trace.rejected == ref_rejected
+        assert trace.losses.tobytes() == ref_losses.tobytes()
+        assert len(trace.grad_norms) == len(ref_norms)
+        for got, want in zip(trace.grad_norms, ref_norms):
+            assert got.tobytes() == want.tobytes()
+        for name in ("weights", "bias", "sigma_weights", "sigma_bias",
+                     "token_weights", "token_bias"):
+            want = getattr(ref_model, name)
+            got = getattr(trained, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), name
