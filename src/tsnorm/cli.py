@@ -42,10 +42,55 @@ def _read_json(path: Path) -> dict:
         return json.load(fh)
 
 
+def _json_chunks(o, level: int = 0):
+    """Yield the text ``json.dump(o, indent=2, sort_keys=True)`` writes for
+    ``o`` nested ``level`` deep, one innermost list at a time.
+
+    A list of finite floats is one join of ``float.__repr__``, which is what
+    the json encoder writes for each of them; every other leaf, and any
+    container that is not a plain list or str-keyed dict, goes through
+    ``json.dumps`` re-indented to its depth.
+    """
+    pad = "\n" + "  " * level
+    if type(o) is list and o:
+        if all(type(v) is float for v in o):
+            text = f",{pad}  ".join(map(float.__repr__, o))
+            if "n" not in text:  # nan and inf, which JSON spells NaN and Infinity
+                yield f"[{pad}  {text}{pad}]"
+                return
+        sep = "["
+        for v in o:
+            yield f"{sep}{pad}  "
+            yield from _json_chunks(v, level + 1)
+            sep = ","
+        yield pad + "]"
+    elif type(o) is dict and o and all(type(k) is str for k in o):
+        sep = "{"
+        for k, v in sorted(o.items()):
+            yield f"{sep}{pad}  {json.dumps(k)}: "
+            yield from _json_chunks(v, level + 1)
+            sep = ","
+        yield pad + "}"
+    else:
+        yield json.dumps(o, indent=2, sort_keys=True).replace("\n", pad)
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` as indented, key-sorted JSON plus a newline.
+
+    The text goes to a temporary file beside ``path`` that replaces it only
+    once complete, so a crash never leaves a half-written file at ``path``.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for chunk in _json_chunks(payload):
+                fh.write(chunk)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _prepare_out_dir(out: Path, force: bool) -> None:
@@ -163,6 +208,15 @@ def _rows_from_json(rows) -> list:
     ]
 
 
+def _load_variant_rows(path: Path) -> list | None:
+    """Rows of a persisted variant, or None if the file is unreadable or has none."""
+    try:
+        rows = _rows_from_json(_read_json(path)["rows"])
+    except (ValueError, KeyError, TypeError):
+        return None
+    return rows or None
+
+
 def _report_to_json(report, plan: ExperimentPlan) -> dict:
     aggregates: dict = {}
     for (model, method, setting), (mean, std) in sorted(report.aggregates.items()):
@@ -224,12 +278,17 @@ def cmd_run(args) -> int:
         key = variant_key(mk, sc, wh)
         path = variants_dir / _variant_filename(key)
         if path.exists():
-            completed[key] = _rows_from_json(_read_json(path)["rows"])
+            rows = _load_variant_rows(path)
+            if rows is None:
+                print(f"recomputing unreadable variant file {path}", file=sys.stderr)
+            else:
+                completed[key] = rows
 
     def collect(key, trained, trace, rows):
-        _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
+        # the variant file marks the variant done, so it is written last
         _write_json(checkpoints_dir / _variant_filename(key), trained.to_dict())
         trace.to_csv(traces_dir / (key.replace("|", "__") + ".csv"))
+        _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
 
     result = run_plan(plan, datasets, jobs=args.jobs, completed=completed, on_variant=collect)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -493,7 +494,9 @@ def run_plan(
     ``completed`` maps variant keys to previously computed row lists; those
     variants are skipped (resume support).  With jobs > 1 variants run in
     parallel processes; results are collected and ordered deterministically,
-    so the report is identical to a serial run.
+    so the report is identical to a serial run.  ``on_variant(key, model,
+    trace, rows)`` is called in plan order as each variant's result arrives,
+    so variants that finished before a failure have already been handed on.
     """
     problems = plan.validate_against(datasets)
     if problems:
@@ -507,24 +510,24 @@ def run_plan(
     models: dict = {}
     traces: dict = {}
     audit = AccessLog()
-    results = []
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = [(plan, datasets, sc, mk, wh) for mk, sc, wh in pending]
-            results = list(pool.map(_run_variant_worker, args))
-    else:
-        for mk, sc, wh in pending:
-            results.append(_run_variant_worker((plan, datasets, sc, mk, wh)))
     all_rows = []
-    for key, rows in completed.items():
+    for rows in completed.values():
         all_rows.extend(rows)
-    for key, trained, trace, rows, variant_audit in results:
-        models[key] = trained
-        traces[key] = trace
-        audit.extend(variant_audit)
-        all_rows.extend(rows)
-        if on_variant is not None:
-            on_variant(key, trained, trace, rows)
+    args = [(plan, datasets, sc, mk, wh) for mk, sc, wh in pending]
+    with ExitStack() as stack:
+        if jobs > 1 and len(pending) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_run_variant_worker, args)
+        else:
+            results = map(_run_variant_worker, args)
+        # each variant is handed on as it finishes, so a later failure keeps it
+        for key, trained, trace, rows, variant_audit in results:
+            models[key] = trained
+            traces[key] = trace
+            audit.extend(variant_audit)
+            all_rows.extend(rows)
+            if on_variant is not None:
+                on_variant(key, trained, trace, rows)
     audit.verify(datasets)
     return PlanResult(
         report=assemble_report(all_rows),

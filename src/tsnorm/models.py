@@ -16,6 +16,23 @@ token) on arrays prepared once per pool sample; the kernels call the same
 unchecked loss cores as the public, validating ``loss_*`` functions, so each
 loss formula is written once.  Every reduction runs in a fixed order, so
 identical seeds give bitwise-identical weights, losses and gradient norms.
+
+The token head is defined by two ``np.einsum`` contractions and computed
+without them where that gives the same bits:
+
+* forward, ``einsum("hbl,lc->hcb", W, x)``: for a C-contiguous (L, C) context
+  with C >= 2 it sums over ``l`` strictly in order, starting from 0.0, and
+  returns (H, C, B) logits stored in (H, B, C) memory order, i.e. strides
+  (B*C*8, 8, C*8).  The softmax reductions of the loss round by that layout,
+  so ``_token_logits`` writes into a buffer laid out the same way.  At C = 1
+  einsum takes a vectorized dot with another summation order, so a
+  one-channel context keeps einsum;
+* backward, ``einsum("hcb,lc->hbl", g, x)``: at C = 2 it computes
+  ``g0*x0 + g1*x1`` rounded in that order (at C = 3 it sums the lanes as
+  ``(p0+p2)+p1``).  Only a training pool whose every sample has exactly two
+  channels runs the array kernel, on an (L, H, B) working copy of the token
+  weights that is written back when training ends; any other pool runs the
+  einsum step unchanged.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ import copy
 import csv
 import enum
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -294,7 +312,11 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
         )
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
-    logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+    if feats.shape[1] < 2:
+        logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+    else:
+        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+        logits = _token_logits(wt, feats, *_token_buffers(wt, feats.shape[1]))
     logits += model.token_bias[:, None, :]
     return Forecast(
         kind=ForecastKind.TOKEN,
@@ -582,16 +604,82 @@ def _token_step(token_weights, token_bias, lr, ctx, target, scale, shift, in_nor
     return loss, np.sqrt(p * p)
 
 
-def _bind_kernel(model: LinearForecaster, lr: float):
-    """The SGD kernel of ``model``'s loss family, bound to its weight arrays."""
+# l-rows per chunk of the token kernels: large enough to amortize the per-call
+# cost of a ufunc, small enough that a chunk's (K, C, H, B) products stay in
+# cache at the default 24 x 128 head.
+_TOKEN_CHUNK = 16
+
+
+def _token_buffers(wt: np.ndarray, channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Scratch for ``_token_logits``: the summation stack and the logits buffer."""
+    _, horizon, bins = wt.shape
+    return (np.empty((_TOKEN_CHUNK + 1, channels, horizon, bins)),
+            np.empty((horizon, bins, channels)))
+
+
+def _token_logits(wt, x, stack, out):
+    """Token logits (H, C, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
+
+    Bitwise equal to ``einsum("hbl,lc->hcb")`` on the (H, B, L) weights for
+    C >= 2, strides included: each chunk's products land in ``stack[1:]`` and
+    one reduction over the leading axis adds them, in order, onto the running
+    sum in ``stack[0]``, which starts at 0.0 as einsum's does.  The result is
+    a view of ``out``, an (H, B, C) buffer.
+    """
+    stack[0] = 0.0
+    for l0 in range(0, len(wt), _TOKEN_CHUNK):
+        k = min(_TOKEN_CHUNK, len(wt) - l0)
+        np.multiply(wt[l0:l0 + k, None], x[l0:l0 + k, :, None, None], out=stack[1:k + 1])
+        np.add.reduce(stack[:k + 1], axis=0, out=stack[0])
+    out.transpose(2, 0, 1)[...] = stack[0]
+    return out.transpose(0, 2, 1)
+
+
+def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1,
+                   ctx, target, scale, shift, in_norms):
+    """``_token_step`` for a two-channel sample on (L, H, B) working weights."""
+    logits = _token_logits(wt, ctx, stack, out)
+    logits += token_bias[:, None, :]
+    loss, g = _token_ce(logits, target)
+    p = _channel_norms(g, axis=(0, 2)) * in_norms
+    g0, g1 = g[:, 0], g[:, 1]
+    for l0 in range(0, len(wt), _TOKEN_CHUNK):
+        k = min(_TOKEN_CHUNK, len(wt) - l0)
+        # lr * (g0*x0 + g1*x1), rounded in einsum's order
+        a, b = prod0[:k], prod1[:k]
+        np.multiply(ctx[l0:l0 + k, 0, None, None], g0, out=a)
+        np.multiply(ctx[l0:l0 + k, 1, None, None], g1, out=b)
+        a += b
+        a *= lr
+        wt[l0:l0 + k] -= a
+    token_bias -= lr * g.sum(axis=1)
+    return loss, np.sqrt(p * p)
+
+
+@contextmanager
+def _bound_kernel(model: LinearForecaster, lr: float, channels: set):
+    """The SGD kernel of ``model``'s loss family, bound to its weight arrays.
+
+    ``channels`` holds the channel counts of the training pool.  A token model
+    trained on two-channel samples only gets the array kernel, whose working
+    weights are written back to ``model`` when the block exits normally.
+    """
     kind = model.loss_kind
     if kind.is_point:
         core = _mse if kind is LossKind.MSE else _mae
-        return partial(_point_step, core, model.weights, model.bias, lr)
-    if kind is LossKind.GAUSSIAN_NLL:
-        return partial(_gaussian_step, model.weights, model.bias,
-                       model.sigma_weights, model.sigma_bias, lr)
-    return partial(_token_step, model.token_weights, model.token_bias, lr)
+        yield partial(_point_step, core, model.weights, model.bias, lr)
+    elif kind is LossKind.GAUSSIAN_NLL:
+        yield partial(_gaussian_step, model.weights, model.bias,
+                      model.sigma_weights, model.sigma_bias, lr)
+    elif channels != {2}:
+        yield partial(_token_step, model.token_weights, model.token_bias, lr)
+    else:
+        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+        stack, out = _token_buffers(wt, 2)
+        # the update reuses the forward's product rows, free once it has summed
+        products = stack[1:].reshape((2, _TOKEN_CHUNK) + wt.shape[1:])
+        yield partial(_token_step_c2, wt, model.token_bias, lr, stack, out, *products)
+        model.token_weights[...] = wt.transpose(1, 2, 0)
 
 
 def train(
@@ -614,7 +702,6 @@ def train(
     samples, rejected = prepare_training_pool(instances, scheme, model, clip_threshold)
     if not samples:
         raise TsnormError("no admissible training instances after clipping")
-    step_fn = _bind_kernel(model, lr)
     pool = [
         (s.inputs, s.target,
          *((None, None) if s.stats is None else (s.stats.scale, s.stats.shift)),
@@ -626,7 +713,9 @@ def train(
     grad_norms: list[np.ndarray] = []
     perm = rng.permutation(len(pool)).tolist()
     cursor = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    channels = {s.inputs.shape[1] for s in samples}
+    with _bound_kernel(model, lr, channels) as step_fn, \
+            np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             if cursor == len(perm):
                 perm = rng.permutation(len(pool)).tolist()

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
-from tsnorm.cli import main
+import tsnorm.harness as harness
+from tsnorm import LinearForecaster, LossKind
+from tsnorm.cli import _write_json, main
 
 TINY_SYNTH = {
     "n_datasets": 3,
@@ -117,6 +120,49 @@ class TestRun:
         assert main(["run", "--plan", str(path), "--out", str(partial)]) == 0
         assert (partial / "report.json").read_bytes() == (full / "report.json").read_bytes()
 
+    def test_resume_recomputes_unreadable_variant_files(self, tmp_path, capsys):
+        path = write_plan(tmp_path)
+        full, partial = tmp_path / "full", tmp_path / "partial"
+        assert main(["run", "--plan", str(path), "--out", str(full)]) == 0
+        assert main(["run", "--plan", str(path), "--out", str(partial)]) == 0
+        (partial / "report.json").unlink()
+        truncated, empty = sorted((partial / "variants").glob("*.json"))[:2]
+        truncated.write_bytes(truncated.read_bytes()[:40])
+        empty.write_text('{"rows": []}\n')
+        capsys.readouterr()
+        assert main(["run", "--plan", str(path), "--out", str(partial)]) == 0
+        captured = capsys.readouterr()
+        assert str(truncated) in captured.err and str(empty) in captured.err
+        assert "completed 2 runs (resumed past 2)" in captured.out
+        assert (partial / "report.json").read_bytes() == (full / "report.json").read_bytes()
+        for f in (truncated, empty):
+            assert f.read_bytes() == (full / "variants" / f.name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_late_divergence_keeps_finished_variants(self, tmp_path, monkeypatch, jobs):
+        # raw MSE at this rate diverges only when trained on both synth0 and
+        # synth1, i.e. in the last variant, withheld synth2
+        plan = dict(TINY_PLAN, lr=10.0, schemes=["raw"],
+                    withheld=["synth0", "synth1", "synth2"])
+        path = write_plan(tmp_path, plan)
+        out = tmp_path / "out"
+        argv = ["run", "--plan", str(path), "--out", str(out), "--jobs", jobs]
+        assert main(argv) == 3
+        assert sorted(p.name for p in (out / "variants").glob("*.json")) == [
+            "point_mse__raw__synth0.json", "point_mse__raw__synth1.json"]
+        assert len(list((out / "checkpoints").glob("*.json"))) == 2
+        trained = []
+        run_variant = harness.run_variant
+
+        def counting(*args, **kwargs):
+            trained.append(args[4])
+            return run_variant(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_variant", counting)
+        assert main(argv) == 3
+        assert trained == ["synth2"]
+        assert not (out / "report.json").exists()
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         path = write_plan(tmp_path)
         a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
@@ -223,3 +269,66 @@ class TestReport:
         out = tmp_path / "table.md"
         assert main(["report", "--in", str(report_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("| model |")
+
+
+def _json_dump_bytes(payload) -> bytes:
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=2, sort_keys=True)
+    buf.write("\n")
+    return buf.getvalue().encode()
+
+
+EDGE_PAYLOAD = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 0.1],
+    "finite": [-0.0, 5e-324, 1e16, 1.5, -2.25e-300],
+    "nan_only": [float("nan")],
+    "text": ["ünïcödé", "☃ \U0001f600", 'quote " back \\ newline \n tab \t', ""],
+    "non-ascii key ∑": {"z": 1, "a": [1.0, float("nan"), 2]},
+    "flags": [True, False, None],
+    "ints": [0, -3, 2**70],
+    "mixed": [1, 2.5, "x", None, [], {}, [[]], {"a": {}}, [1.0, 2.0]],
+    "empty_list": [],
+    "empty_dict": {},
+    "nested_empty": [[], [[]], {}, [{}], {"k": []}],
+    "int_keys": {2: "b", 1: "a"},
+    "tuple": (1.0, (2.0, 3.0)),
+    "numpy_float": np.float64(0.1),
+    "scalars": {"nan": float("nan"), "neg_zero": -0.0, "none": None, "yes": True},
+}
+
+
+class TestWriteJson:
+    def _check(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        _write_json(path, payload)
+        assert path.read_bytes() == _json_dump_bytes(payload)
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_checkpoint_bytes_match_json_dump(self, tmp_path, kind):
+        model = LinearForecaster.create(kind, 24, 6, seed=3)
+        self._check(tmp_path, model.to_dict())
+
+    def test_edge_leaves_match_json_dump(self, tmp_path):
+        self._check(tmp_path, EDGE_PAYLOAD)
+        for top in ({}, [], [[]], [1.0, float("inf")], "s", None, 0.5):
+            self._check(tmp_path, top)
+
+    def test_run_payloads_match_json_dump(self, tmp_path):
+        path = write_plan(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        files = [out / "report.json", out / "manifest.json",
+                 *sorted((out / "variants").glob("*.json")),
+                 *sorted((out / "checkpoints").glob("*.json"))]
+        for f in files:
+            assert f.read_bytes() == _json_dump_bytes(json.loads(f.read_text())), f.name
+
+    def test_failed_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        _write_json(path, {"a": [1.0]})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            _write_json(path, {"a": [1.0], "b": object()})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

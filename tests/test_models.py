@@ -31,6 +31,8 @@ from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
     NonPositiveSigmaError,
+    _token_buffers,
+    _token_logits,
     prepare_training_pool,
     token_point_forecast,
 )
@@ -526,3 +528,70 @@ class TestKernelsMatchReference:
             assert (got is None) == (want is None), name
             if want is not None:
                 assert got.tobytes() == want.tobytes(), name
+
+
+class TestTokenKernel:
+    """The einsum-free token kernel at the production head: H=24, B=128, L=96."""
+
+    @staticmethod
+    def _pool(length=96):
+        rng = np.random.default_rng(71)
+        return [
+            make_instance(rng, length=length, horizon=24, channels=2,
+                          scale=10.0 ** rng.uniform(-2, 1), offset=rng.normal(0, 3))
+            for _ in range(8)
+        ]
+
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.MEANABS],
+                             ids=lambda s: s.value)
+    def test_production_shape_matches_einsum_reference(self, scheme, monkeypatch):
+        import tsnorm.models as models
+
+        def no_einsum_step(*args):
+            raise AssertionError("a two-channel pool must not take the einsum step")
+
+        monkeypatch.setattr(models, "_token_step", no_einsum_step)
+        instances = self._pool()
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        ref_model, ref_losses, ref_norms, _ = _reference_train(
+            model, instances, scheme, steps=60, lr=6e-4, seed=5)
+        trained, trace = train(model, instances, scheme, steps=60, lr=6e-4, seed=5)
+        assert np.isfinite(ref_losses).all()
+        assert trace.losses.tobytes() == ref_losses.tobytes()
+        for got, want in zip(trace.grad_norms, ref_norms, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert not np.array_equal(trained.token_weights, model.token_weights)
+        assert trained.token_weights.flags.c_contiguous
+        assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
+        assert trained.token_bias.tobytes() == ref_model.token_bias.tobytes()
+
+    def test_context_not_a_multiple_of_the_chunk(self):
+        instances = self._pool(length=37)
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 37, 24, seed=9)
+        ref_model, ref_losses, _, _ = _reference_train(
+            model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
+        trained, trace = train(model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
+        assert trace.losses.tobytes() == ref_losses.tobytes()
+        assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_forecast_logits_match_einsum_values_and_strides(self, channels):
+        rng = np.random.default_rng(72)
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=10)
+        model.token_bias = rng.normal(0.0, 0.1, model.token_bias.shape)
+        ctx = rng.normal(0.0, 2.0, (96, channels))
+        feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
+        logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+        if channels > 1:
+            # the kernel's own output keeps einsum's (H, B, C) memory order
+            wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+            raw = _token_logits(wt, feats, *_token_buffers(wt, channels))
+            assert raw.strides == logits.strides
+            assert raw.tobytes(order="A") == logits.tobytes(order="A")
+        logits += model.token_bias[:, None, :]
+        want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
+                        token_spec=model.tokenizer).token_logits
+        got = forecast(model, ctx).token_logits
+        assert got.shape == want.shape == (24, channels, 128)
+        assert got.strides == want.strides
+        assert got.tobytes(order="A") == want.tobytes(order="A")
