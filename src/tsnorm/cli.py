@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import Setting, TsnormError
+from .core import Setting, TsnormError, atomic_open
 from .data import SyntheticSpec, export_csv, generate_synthetic, load_csv
 from .harness import (
     AVERAGE_ID,
@@ -81,16 +81,10 @@ def _write_json(path: Path, payload: dict) -> None:
     The text goes to a temporary file beside ``path`` that replaces it only
     once complete, so a crash never leaves a half-written file at ``path``.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            for chunk in _json_chunks(payload):
-                fh.write(chunk)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path) as fh:
+        for chunk in _json_chunks(payload):
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def _prepare_out_dir(out: Path, force: bool) -> None:
@@ -284,11 +278,26 @@ def cmd_run(args) -> int:
             else:
                 completed[key] = rows
 
+    total = len(plan.variants())
+    finished = 0
+
+    def progress(key: str, what: str) -> None:
+        nonlocal finished
+        finished += 1
+        print(f"[{finished}/{total}] {key}: {what}", file=sys.stderr, flush=True)
+
+    for key in completed:
+        progress(key, "resumed")
+
     def collect(key, trained, trace, rows):
         # the variant file marks the variant done, so it is written last
         _write_json(checkpoints_dir / _variant_filename(key), trained.to_dict())
         trace.to_csv(traces_dir / (key.replace("|", "__") + ".csv"))
         _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
+        losses = trace.losses
+        loss = f"{losses[0]:.6g} -> {losses[-1]:.6g}" if len(losses) else "none"
+        progress(key, f"computed, pool {trace.pool_size}, rejected {trace.rejected}, "
+                      f"loss {loss}")
 
     result = run_plan(plan, datasets, jobs=args.jobs, completed=completed, on_variant=collect)
 

@@ -2,13 +2,17 @@
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; nothing partially valid escapes this module.  Matrices are
-row-major ``(time, channel)`` float64 arrays throughout.
+row-major ``(time, channel)`` float64 arrays throughout.  ``atomic_open`` is
+the one way an artifact file is written.
 """
 
 from __future__ import annotations
 
 import enum
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -26,6 +30,25 @@ def _rebuild_error(cls, args: tuple, state: dict) -> "TsnormError":
     exc.args = args
     exc.__dict__.update(state)
     return exc
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open ``path`` for writing text through a temporary file beside it.
+
+    The file is ``<name>.tmp`` in the same directory; it replaces ``path``
+    only once the block exits normally, and is deleted if the block raises,
+    so a crash never leaves a half-written file at ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class TsnormError(Exception):
@@ -163,7 +186,12 @@ def validate_dataset(d: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Channel-wise shift/scale vectors plus the scope and method that fitted them."""
+    """Channel-wise shift/scale vectors plus the scope and method that fitted them.
+
+    ``shift`` and ``scale`` are (C,) vectors for one series or window, or
+    (N, C) matrices holding the statistics of a block of N windows, row n
+    for window n; either way they are validated once, on construction.
+    """
 
     shift: np.ndarray
     scale: np.ndarray
@@ -173,22 +201,26 @@ class NormStats:
     def __post_init__(self):
         object.__setattr__(self, "shift", _as_readonly(self.shift))
         object.__setattr__(self, "scale", _as_readonly(self.scale))
-        if self.shift.ndim != 1 or self.scale.ndim != 1 or self.shift.shape != self.scale.shape:
+        if self.shift.ndim not in (1, 2) or self.shift.shape != self.scale.shape:
             raise ShapeMismatchError(
-                f"shift/scale must be equal-length vectors, got {self.shift.shape} and {self.scale.shape}"
+                "shift/scale must be equal-shape (C,) vectors or (N, C) matrices, "
+                f"got {self.shift.shape} and {self.scale.shape}"
             )
         if not (np.isfinite(self.shift).all() and np.isfinite(self.scale).all()):
             raise NonFiniteError("normstats", -1, -1)
         if (self.scale < SCALE_EPS).any():
-            c = int(np.argmax(self.scale < SCALE_EPS))
-            raise TsnormError(f"scale[{c}] = {self.scale[c]} below epsilon guard {SCALE_EPS}")
+            at = tuple(int(i) for i in np.argwhere(self.scale < SCALE_EPS)[0])
+            raise TsnormError(
+                f"scale[{', '.join(map(str, at))}] = {self.scale[at]} "
+                f"below epsilon guard {SCALE_EPS}"
+            )
         if self.method is Method.RAW:
             if (self.shift != 0).any() or (self.scale != 1).any():
                 raise TsnormError("raw stats must be shift=0, scale=1")
 
     @property
     def channels(self) -> int:
-        return self.shift.shape[0]
+        return self.shift.shape[-1]
 
     def to_dict(self) -> dict:
         return {

@@ -17,6 +17,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     Dataset,
@@ -38,7 +39,7 @@ from .models import (
     token_point_forecast,
     train,
 )
-from .norm import denormalize, denormalize_gaussian, fit_dataset_stats, fit_inference_stats, normalize
+from .norm import WINDOW_BLOCK, denormalize, fit_dataset_stats, fit_inference_stats, normalize
 
 SCHEME_ORDER = (
     Scheme.REVIN,
@@ -96,7 +97,9 @@ class AccessLog:
 
     Events are (variant_key, kind, dataset, row_lo, row_hi) with kind one of
     "fit_stats" / "sample" (training side) or "evaluate".  Row bounds are
-    half-open absolute dataset row indices.
+    half-open absolute dataset row indices.  A "sample" event covers all the
+    instances a variant drew from one dataset: from the first row of the
+    lowest draw to the end of the highest.
     """
 
     events: list = field(default_factory=list)
@@ -272,6 +275,9 @@ def evaluate(
     scheme's statistic family is fitted on the raw context, the context is
     normalized, the model forecast is de-normalized with the same statistics,
     and MASE is computed in raw scale against the context's naive MAE.
+    Statistics, (de-)normalization and naive MAE run block-wise, on a strided
+    view of up to ``WINDOW_BLOCK`` windows at a time, with the same bits as
+    window by window; ``forecast`` and ``mase`` run once per window.
     Returns [(offset, mase), ...].
     """
     if horizon > model.horizon:
@@ -285,27 +291,37 @@ def evaluate(
             f"{dataset.name}: {test.shape[0]} test rows < one window of {window}"
         )
     lag = naive_lag or dataset.seasonal_period
+    # windows[i] is test rows [i*H, i*H + window), a (window, C) view
+    windows = sliding_window_view(test, window, axis=0)[::horizon].transpose(0, 2, 1)
     scores = []
-    for offset in range(0, test.shape[0] - window + 1, horizon):
-        ctx = test[offset : offset + context_len]
-        actual = test[offset + context_len : offset + window]
+    for lo in range(0, len(windows), WINDOW_BLOCK):
+        block = windows[lo : lo + WINDOW_BLOCK]
+        offsets = range(lo * horizon, (lo + len(block)) * horizon, horizon)
         if audit is not None:
-            audit.record(
-                variant,
-                "evaluate",
-                dataset.name,
-                dataset.split_index + offset,
-                dataset.split_index + offset + window,
-            )
-        stats = fit_inference_stats(ctx, scheme.inference_method)
-        f = forecast(model, normalize(ctx, stats))
-        if f.kind is ForecastKind.POINT:
-            pred = denormalize(f.point[:horizon], stats)
-        elif f.kind is ForecastKind.GAUSSIAN:
-            pred = denormalize_gaussian(f, stats).gauss_mean[:horizon]
-        else:
-            pred = denormalize(token_point_forecast(f)[:horizon], stats)
-        scores.append((offset, mase(pred, actual, naive_mae(ctx, lag))))
+            for offset in offsets:
+                audit.record(
+                    variant,
+                    "evaluate",
+                    dataset.name,
+                    dataset.split_index + offset,
+                    dataset.split_index + offset + window,
+                )
+        contexts = block[:, :context_len]
+        stats = fit_inference_stats(contexts, scheme.inference_method)
+        preds = []
+        for ctx in normalize(contexts, stats):
+            f = forecast(model, ctx)
+            if f.kind is ForecastKind.POINT:
+                pred = f.point
+            elif f.kind is ForecastKind.GAUSSIAN:
+                pred = f.gauss_mean
+            else:
+                pred = token_point_forecast(f)
+            preds.append(pred[:horizon])
+        preds = denormalize(np.stack(preds), stats)
+        naive = naive_mae(contexts, lag)
+        for i, offset in enumerate(offsets):
+            scores.append((offset, mase(preds[i], block[i, context_len:], naive[i])))
     return scores
 
 
@@ -354,10 +370,12 @@ def run_variant(
         drawn = sample_instances(
             d, plan.context_len, plan.train_horizon, plan.instances_per_dataset, seed + i
         )
-        if audit is not None:
+        if audit is not None and drawn:
+            # one event spanning every draw: it crosses the split or touches
+            # the withheld dataset exactly when one of the draws does
+            starts = [inst.origin[1] for inst in drawn]
             span = plan.context_len + plan.train_horizon
-            for inst in drawn:
-                audit.record(variant, "sample", name, inst.origin[1], inst.origin[1] + span)
+            audit.record(variant, "sample", name, min(starts), max(starts) + span)
         instances.extend(drawn)
 
     model = LinearForecaster.create(

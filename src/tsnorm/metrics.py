@@ -27,18 +27,23 @@ def naive_mae(context: np.ndarray, seasonal_period: int) -> np.ndarray:
     """Per-channel MAE of the seasonal-naive forecast over the context.
 
     For each channel: mean over t in [m, L) of |context[t] - context[t-m]|,
-    floored at NAIVE_EPS.  Returns a length-C vector.
+    floored at NAIVE_EPS.  Returns a length-C vector for one (L, C) window,
+    or an (N, C) matrix for an (N, L, C) block, row n bitwise equal to
+    window n's own vector.
     """
     context = np.asarray(context, dtype=np.float64)
-    if context.ndim != 2:
-        raise ShapeMismatchError("context must be 2-D (time, channel)")
-    m = int(seasonal_period)
-    if m < 1 or context.shape[0] <= m:
-        raise WindowTooShortError(
-            f"context length {context.shape[0]} must exceed naive lag {m} >= 1"
+    if context.ndim not in (2, 3):
+        raise ShapeMismatchError(
+            "context must be 2-D (time, channel) or an (N, time, channel) block"
         )
-    diffs = np.abs(context[m:] - context[:-m])
-    return np.maximum(diffs.mean(axis=0), NAIVE_EPS)
+    m = int(seasonal_period)
+    length = context.shape[-2]
+    if m < 1 or length <= m:
+        raise WindowTooShortError(
+            f"context length {length} must exceed naive lag {m} >= 1"
+        )
+    diffs = np.abs(context[..., m:, :] - context[..., :-m, :])
+    return np.maximum(diffs.mean(axis=-2), NAIVE_EPS)
 
 
 def mase(forecast: np.ndarray, actual: np.ndarray, naive: np.ndarray) -> float:

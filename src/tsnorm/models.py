@@ -16,6 +16,10 @@ token) on arrays prepared once per pool sample; the kernels call the same
 unchecked loss cores as the public, validating ``loss_*`` functions, so each
 loss formula is written once.  Every reduction runs in a fixed order, so
 identical seeds give bitwise-identical weights, losses and gradient norms.
+Those per-sample arrays come from ``prepare_training_pool``, which stacks
+instances of one channel count a block at a time and computes their
+statistics, clip decisions and input norms in a few array operations, with
+the bits each instance alone would give.
 
 The token head is defined by two ``np.einsum`` contractions and computed
 without them where that gives the same bits:
@@ -41,10 +45,12 @@ import copy
 import csv
 import enum
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Optional
 
 import numpy as np
 
@@ -55,14 +61,17 @@ from .core import (
     KindMismatchError,
     Method,
     NormStats,
+    Scope,
     ShapeMismatchError,
     TsnormError,
+    atomic_open,
     raw_stats,
 )
 from .norm import (
     CLIP_THRESHOLD,
-    clipped_instance_normalize,
+    WINDOW_BLOCK,
     fit_instance_stats,
+    instance_max_abs,
     normalize,
 )
 
@@ -412,9 +421,9 @@ def loss_gaussian_nll(
         raise ShapeMismatchError(
             f"target {target_raw.shape} vs mean {f.gauss_mean.shape}"
         )
-    if f.gauss_mean.ndim != 2 or f.gauss_mean.shape[1] != stats.channels:
+    if f.gauss_mean.ndim != 2 or stats.shift.ndim != 1 or f.gauss_mean.shape[1] != stats.channels:
         raise ShapeMismatchError(
-            f"mean {f.gauss_mean.shape} does not match {stats.channels}-channel stats"
+            f"mean {f.gauss_mean.shape} does not match the statistics {stats.shift.shape}"
         )
     return _gaussian_nll(f.gauss_mean, f.gauss_std, target_raw, stats.scale, stats.shift)
 
@@ -481,8 +490,10 @@ class TrainTrace:
         return self.rejected / total if total else 0.0
 
     def to_csv(self, path) -> None:
+        """Write one row per step; the file at ``path`` is replaced only once
+        complete (see ``atomic_open``)."""
         max_c = max((len(g) for g in self.grad_norms), default=0)
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
             for step, (loss, norms) in enumerate(zip(self.losses.tolist(), self.grad_norms)):
@@ -491,12 +502,43 @@ class TrainTrace:
                 writer.writerow(row)
 
 
+class TrainingPool(Sequence):
+    """The admitted samples of a training pool, in instance order.
+
+    ``rows[i]`` is sample i as the SGD kernels take it: (inputs, target,
+    scale, shift, input norms), scale and shift being None when the loss runs
+    directly on the target.  Its arrays are rows of the pool's normalized
+    blocks, or the instances' own arrays where the scheme adds no instance
+    step.  Indexing the pool gives a ``TrainSample`` view of one sample, its
+    statistics of family ``method``.
+    """
+
+    def __init__(self, rows: list, method: Method):
+        self.rows = rows
+        self.method = method
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> TrainSample:
+        inputs, target, scale, shift, _ = self.rows[i]
+        if scale is None:
+            return TrainSample(inputs, target)
+        stats = NormStats(shift=shift, scale=scale, scope=Scope.INSTANCE, method=self.method)
+        return TrainSample(inputs, target, stats)
+
+    @property
+    def channels(self) -> set:
+        """The channel counts of the samples."""
+        return {row[0].shape[1] for row in self.rows}
+
+
 def prepare_training_pool(
     instances: Sequence[Instance],
     scheme: Scheme,
     model: LinearForecaster,
     clip_threshold: float = CLIP_THRESHOLD,
-) -> tuple[list[TrainSample], int]:
+) -> tuple[TrainingPool, int]:
     """Apply a scheme's train-time normalization placement to raw instances.
 
     Returns (admissible samples, number of clip-rejected instances).  Point
@@ -506,52 +548,68 @@ def prepare_training_pool(
     always de-normalizes its distribution; token models quantize after the
     instance step.  Dataset-level schemes expect the corpus to be
     pre-normalized upstream and add no instance step here.
+
+    The work is block-wise: instances are grouped by channel count and
+    stacked ``WINDOW_BLOCK`` at a time, and each block's statistics, clip
+    decisions and input norms take a few array operations.  Every sample is
+    bitwise equal to what the same steps give on its instance alone, and the
+    pool keeps the instances' order.
     """
-    samples: list[TrainSample] = []
-    rejected = 0
-    kind = model.loss_kind
     for inst in instances:
         if inst.context_len != model.context_len or inst.horizon_len != model.horizon:
             raise ShapeMismatchError(
                 f"instance ({inst.context_len}, {inst.horizon_len}) does not match "
                 f"model ({model.context_len}, {model.horizon})"
             )
-        inst_method = scheme.instance_method
-        if kind.is_point:
-            if scheme in (Scheme.REVIN, Scheme.MEANABS):
-                out = clipped_instance_normalize(inst, inst_method, clip_threshold)
-                if out.rejected:
-                    rejected += 1
-                    continue
-                samples.append(
-                    TrainSample(out.normalized.context, out.normalized.horizon)
-                )
-            elif scheme is Scheme.HYBRID:
-                stats = fit_instance_stats(inst.context, Method.REVIN)
-                samples.append(
-                    TrainSample(normalize(inst.context, stats), inst.horizon, stats)
-                )
-            else:
-                samples.append(TrainSample(inst.context, inst.horizon))
-        elif kind is LossKind.GAUSSIAN_NLL:
-            if inst_method is not None:
-                stats = fit_instance_stats(inst.context, inst_method)
-                ctx = normalize(inst.context, stats)
-            else:
-                stats = raw_stats(inst.channels)
-                ctx = inst.context
-            samples.append(TrainSample(ctx, inst.horizon, stats))
-        else:  # TOKEN_CE
-            spec = model.tokenizer
-            if inst_method is not None:
-                stats = fit_instance_stats(inst.context, inst_method)
-                ctx = normalize(inst.context, stats)
-                hor = normalize(inst.horizon, stats)
-            else:
-                ctx, hor = inst.context, inst.horizon
-            feats = detokenize(tokenize(ctx, spec), spec)
-            samples.append(TrainSample(feats, tokenize(hor, spec)))
-    return samples, rejected
+    by_channels: dict = {}
+    for i, inst in enumerate(instances):
+        by_channels.setdefault(inst.channels, []).append(i)
+    rows = [None] * len(instances)
+    for ids in by_channels.values():
+        for lo in range(0, len(ids), WINDOW_BLOCK):
+            part = ids[lo:lo + WINDOW_BLOCK]
+            chunk = [instances[i] for i in part]
+            for i, row in zip(part, _pool_rows(chunk, scheme, model, clip_threshold)):
+                rows[i] = row
+    admitted = [row for row in rows if row is not None]
+    pool = TrainingPool(admitted, scheme.instance_method or Method.RAW)
+    return pool, len(rows) - len(admitted)
+
+
+def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster,
+               clip_threshold: float) -> list:
+    """Pool rows of instances that share a channel count; None marks an
+    instance rejected by clipping."""
+    kind, method = model.loss_kind, scheme.instance_method
+    contexts = np.stack([inst.context for inst in chunk])
+    if method is not None:
+        stats = fit_instance_stats(contexts, method)
+        contexts = normalize(contexts, stats)
+    none = repeat(None)
+    if kind is LossKind.TOKEN_CE:
+        spec = model.tokenizer
+        horizons = np.stack([inst.horizon for inst in chunk])
+        if method is not None:
+            horizons = normalize(horizons, stats)
+        inputs = detokenize(tokenize(contexts, spec), spec)
+        return list(zip(inputs, tokenize(horizons, spec), none, none,
+                        _channel_norms(inputs, axis=-2)))
+    norms = _channel_norms(contexts, axis=-2)
+    if method is None:
+        # the instances' own arrays, as the stacked copies would cost memory
+        scale = shift = none
+        if kind is LossKind.GAUSSIAN_NLL:
+            identity = raw_stats(contexts.shape[-1])
+            scale, shift = repeat(identity.scale), repeat(identity.shift)
+        return list(zip((inst.context for inst in chunk), (inst.horizon for inst in chunk),
+                        scale, shift, norms))
+    if kind.is_point and scheme is not Scheme.HYBRID:
+        horizons = normalize(np.stack([inst.horizon for inst in chunk]), stats)
+        rejected = instance_max_abs(contexts, horizons) > clip_threshold
+        return [None if out else row for out, row in
+                zip(rejected.tolist(), zip(contexts, horizons, none, none, norms))]
+    # hybrid point models and the Gaussian head de-normalize with the instance stats
+    return list(zip(contexts, (inst.horizon for inst in chunk), stats.scale, stats.shift, norms))
 
 
 def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
@@ -699,28 +757,22 @@ def train(
     The input model is not mutated.
     """
     model = copy.deepcopy(model)
-    samples, rejected = prepare_training_pool(instances, scheme, model, clip_threshold)
-    if not samples:
+    pool, rejected = prepare_training_pool(instances, scheme, model, clip_threshold)
+    if not pool:
         raise TsnormError("no admissible training instances after clipping")
-    pool = [
-        (s.inputs, s.target,
-         *((None, None) if s.stats is None else (s.stats.scale, s.stats.shift)),
-         _channel_norms(s.inputs))
-        for s in samples
-    ]
+    rows = pool.rows
     rng = np.random.default_rng(seed)
     losses = np.empty(steps)
     grad_norms: list[np.ndarray] = []
-    perm = rng.permutation(len(pool)).tolist()
+    perm = rng.permutation(len(rows)).tolist()
     cursor = 0
-    channels = {s.inputs.shape[1] for s in samples}
-    with _bound_kernel(model, lr, channels) as step_fn, \
+    with _bound_kernel(model, lr, pool.channels) as step_fn, \
             np.errstate(over="ignore", invalid="ignore"):
         for step in range(steps):
             if cursor == len(perm):
-                perm = rng.permutation(len(pool)).tolist()
+                perm = rng.permutation(len(rows)).tolist()
                 cursor = 0
-            loss, norms = step_fn(*pool[perm[cursor]])
+            loss, norms = step_fn(*rows[perm[cursor]])
             cursor += 1
             if not math.isfinite(loss):
                 raise DivergedError(step, loss)
@@ -730,7 +782,7 @@ def train(
         losses=losses,
         grad_norms=grad_norms,
         rejected=rejected,
-        pool_size=len(samples),
+        pool_size=len(pool),
         seed=seed,
         lr=lr,
     )

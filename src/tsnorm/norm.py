@@ -4,6 +4,13 @@ Fitting and applying are separate pure operations so that inference-time
 statistic substitution (fit on the context, apply anywhere) stays expressible.
 Every fitted scale vector passes through the epsilon guard, keeping all
 transforms invertible even on constant channels.
+
+Window statistics are block-wise: every reduction runs over axis -2, so the
+same code fits one (L, C) window or an (N, L, C) block of windows, and
+``normalize``/``denormalize`` apply (N, C) block statistics row by row.  Row n
+of a block's statistics and normalized windows is bitwise equal to what
+window n alone gives, because each channel's rows are still summed in the
+same order.  A block is validated once, as one ``NormStats``.
 """
 
 from __future__ import annotations
@@ -25,12 +32,16 @@ from .core import (
     Scope,
     ShapeMismatchError,
     TsnormError,
-    raw_stats,
 )
 
 # Largest allowed |normalized value| before an instance is discarded from
 # training; guards against near-constant contexts blowing up the horizon.
 CLIP_THRESHOLD = 10.0
+
+# Windows per block of block-wise statistics: large enough to amortize the
+# per-call cost of numpy, small enough that one block's temporaries stay at a
+# few MB (256 x 96 x 8 float64 windows are 1.5 MB).
+WINDOW_BLOCK = 256
 
 DATASET_METHODS = (Method.STANDARDIZATION, Method.MINMAX, Method.MAXABS)
 INSTANCE_METHODS = (Method.REVIN, Method.MEANABS)
@@ -56,18 +67,23 @@ def _guard_scale(scale: np.ndarray, where: str) -> np.ndarray:
 
 
 def _channel_stats(x: np.ndarray, method: Method) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel (shift, scale) of one statistic family over rows of ``x``."""
+    """Per-channel (shift, scale) of one statistic family over the rows of ``x``.
+
+    Rows are axis -2: a (T, C) matrix gives (C,) vectors, an (N, L, C) block
+    of windows gives (N, C) matrices.
+    """
     if method is Method.STANDARDIZATION or method is Method.REVIN:
-        return x.mean(axis=0), x.std(axis=0)  # population std
+        return x.mean(axis=-2), x.std(axis=-2)  # population std
     if method is Method.MINMAX:
-        lo = x.min(axis=0)
-        return lo, x.max(axis=0) - lo
+        lo = x.min(axis=-2)
+        return lo, x.max(axis=-2) - lo
+    width = x.shape[:-2] + x.shape[-1:]
     if method is Method.MAXABS:
-        return np.zeros(x.shape[1]), np.abs(x).max(axis=0)
+        return np.zeros(width), np.abs(x).max(axis=-2)
     if method is Method.MEANABS:
-        return np.zeros(x.shape[1]), np.abs(x).mean(axis=0)
+        return np.zeros(width), np.abs(x).mean(axis=-2)
     if method is Method.RAW:
-        return np.zeros(x.shape[1]), np.ones(x.shape[1])
+        return np.zeros(width), np.ones(width)
     raise WrongMethodError(f"unknown method {method}")
 
 
@@ -86,19 +102,15 @@ def fit_dataset_stats(d: Dataset, method: Method) -> NormStats:
 
 
 def fit_instance_stats(context: np.ndarray, method: Method) -> NormStats:
-    """Fit instance-level statistics on a context window (L, C).
+    """Fit instance-level statistics on a context window (L, C), or on each
+    window of an (N, L, C) block.
 
     RevIN: shift=mean, scale=population std.  MeanAbs: shift=0, scale=mean|.|.
     Constant windows degrade to scale=eps rather than failing.
     """
     if method not in INSTANCE_METHODS:
         raise WrongMethodError(f"{method} is not an instance-level method")
-    context = np.asarray(context, dtype=np.float64)
-    if context.ndim != 2 or context.shape[0] < 1:
-        raise ShapeMismatchError("context must be a non-empty (L, C) matrix")
-    shift, scale = _channel_stats(context, method)
-    scale = np.maximum(scale, SCALE_EPS)
-    return NormStats(shift=shift, scale=scale, scope=Scope.INSTANCE, method=method)
+    return fit_inference_stats(context, method)
 
 
 def fit_inference_stats(context: np.ndarray, method: Method) -> NormStats:
@@ -107,39 +119,45 @@ def fit_inference_stats(context: np.ndarray, method: Method) -> NormStats:
     At inference, dataset-level statistics are unavailable and every method
     falls back to its family computed on the input context (test-time MinMax
     uses the context min/range, MaxAbs the context max|.|, and so on).
-    Raw yields identity statistics.
+    Raw yields identity statistics.  ``context`` is one (L, C) window, giving
+    (C,) statistics, or an (N, L, C) block, giving (N, C) statistics.
     """
     context = np.asarray(context, dtype=np.float64)
-    if context.ndim != 2 or context.shape[0] < 1:
-        raise ShapeMismatchError("context must be a non-empty (L, C) matrix")
-    if method is Method.RAW:
-        return raw_stats(context.shape[1])
+    if context.ndim not in (2, 3) or context.shape[-2] < 1:
+        raise ShapeMismatchError(
+            "context must be a non-empty (L, C) window or (N, L, C) block"
+        )
     shift, scale = _channel_stats(context, method)
-    scale = np.maximum(scale, SCALE_EPS)
-    return NormStats(shift=shift, scale=scale, scope=Scope.INSTANCE, method=method)
+    return NormStats(
+        shift=shift, scale=np.maximum(scale, SCALE_EPS), scope=Scope.INSTANCE, method=method
+    )
 
 
 def _check_width(x: np.ndarray, stats: NormStats, op: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"{op}: input must be 2-D (time, channel)")
-    if x.shape[1] != stats.channels:
+    block = stats.shift.shape[:-1]
+    if x.ndim != len(block) + 2 or x.shape[:-2] != block:
         raise ShapeMismatchError(
-            f"{op}: input has {x.shape[1]} channels, stats have {stats.channels}"
+            f"{op}: input must be 2-D (time, channel), or (N, time, channel) "
+            f"for statistics of N windows; got {x.shape} for {stats.shift.shape}"
+        )
+    if x.shape[-1] != stats.channels:
+        raise ShapeMismatchError(
+            f"{op}: input has {x.shape[-1]} channels, stats have {stats.channels}"
         )
     return x
 
 
 def normalize(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Apply (x - shift) / scale per channel."""
+    """Apply (x - shift) / scale per channel (and per window, for block stats)."""
     x = _check_width(x, stats, "normalize")
-    return (x - stats.shift) / stats.scale
+    return (x - stats.shift[..., None, :]) / stats.scale[..., None, :]
 
 
 def denormalize(x_norm: np.ndarray, stats: NormStats) -> np.ndarray:
     """Invert ``normalize``: x_norm * scale + shift per channel."""
     x_norm = _check_width(x_norm, stats, "denormalize")
-    return x_norm * stats.scale + stats.shift
+    return x_norm * stats.scale[..., None, :] + stats.shift[..., None, :]
 
 
 def denormalize_gaussian(f: Forecast, stats: NormStats) -> Forecast:
@@ -178,6 +196,17 @@ class ClipOutcome:
             raise TsnormError("rejected flag inconsistent with max_abs vs threshold")
 
 
+def instance_max_abs(ctx_norm: np.ndarray, hor_norm: np.ndarray) -> np.ndarray:
+    """Largest |normalized value| of an instance over its context and horizon.
+
+    For (N, L, C) and (N, H, C) blocks, one value per instance.  Rounds like
+    Python's ``max(context_max, horizon_max)``, NaN included.
+    """
+    ctx_max = np.abs(ctx_norm).max(axis=(-2, -1))
+    hor_max = np.abs(hor_norm).max(axis=(-2, -1))
+    return np.where(hor_max > ctx_max, hor_max, ctx_max)
+
+
 def clipped_instance_normalize(
     inst: Instance, method: Method, clip_threshold: float = CLIP_THRESHOLD
 ) -> ClipOutcome:
@@ -190,7 +219,7 @@ def clipped_instance_normalize(
     stats = fit_instance_stats(inst.context, method)
     ctx = normalize(inst.context, stats)
     hor = normalize(inst.horizon, stats)
-    max_abs = float(max(np.abs(ctx).max(), np.abs(hor).max()))
+    max_abs = float(instance_max_abs(ctx, hor))
     return ClipOutcome(
         normalized=Instance(context=ctx, horizon=hor, origin=inst.origin),
         rejected=max_abs > clip_threshold,

@@ -138,6 +138,30 @@ class TestRun:
         for f in (truncated, empty):
             assert f.read_bytes() == (full / "variants" / f.name).read_bytes()
 
+    def test_progress_line_per_finished_variant(self, tmp_path, capsys):
+        path = write_plan(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        keys = ["point_mse|revin|synth0", "point_mse|revin|synth2",
+                "point_mse|raw|synth0", "point_mse|raw|synth2"]
+        assert [line.split(": ", 1)[0] for line in lines] == [
+            f"[{i}/4] {key}" for i, key in enumerate(keys, 1)]
+        trace = (out / "traces" / "point_mse__revin__synth0.csv").read_text().splitlines()
+        first, last = float(trace[1].split(",")[1]), float(trace[-1].split(",")[1])
+        # 2 training datasets x 24 draws, all admitted
+        assert lines[0].endswith(
+            f": computed, pool 48, rejected 0, loss {first:.6g} -> {last:.6g}")
+
+        (out / "report.json").unlink()
+        (out / "variants" / "point_mse__raw__synth0.json").unlink()
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:3] == [f"[{i}/4] {key}: resumed"
+                             for i, key in enumerate(keys[:2] + keys[3:], 1)]
+        assert lines[3].startswith(f"[4/4] {keys[2]}: computed, pool 48, rejected 0, loss ")
+        assert len(lines) == 4
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_late_divergence_keeps_finished_variants(self, tmp_path, monkeypatch, jobs):
         # raw MSE at this rate diverges only when trained on both synth0 and

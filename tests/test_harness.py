@@ -1,20 +1,29 @@
 import numpy as np
 import pytest
 
+import tsnorm.harness as harness
 from tsnorm import (
+    Dataset,
     EvalEntry,
     ExperimentPlan,
+    ForecastKind,
+    Instance,
     LinearForecaster,
     LossKind,
     Scheme,
     Setting,
     SyntheticSpec,
     assemble_report,
+    denormalize,
+    denormalize_gaussian,
     evaluate,
+    fit_inference_stats,
+    forecast,
     generate_synthetic,
     horizon_for_frequency,
     naive_mae,
     mase,
+    normalize,
     run_plan,
     run_variant,
 )
@@ -27,6 +36,7 @@ from tsnorm.harness import (
     MissingDatasetError,
     variant_seed,
 )
+from tsnorm.models import token_point_forecast
 
 
 def small_corpus(seed=13):
@@ -154,6 +164,49 @@ class TestEvaluate:
         assert len(scores) == 3
 
 
+def _reference_evaluate(model, scheme, dataset, context_len, horizon, naive_lag=None):
+    """The window-by-window evaluation that block-wise evaluation replaced."""
+    test = dataset.test_values
+    window = context_len + horizon
+    lag = naive_lag or dataset.seasonal_period
+    scores = []
+    for offset in range(0, test.shape[0] - window + 1, horizon):
+        ctx = test[offset : offset + context_len]
+        actual = test[offset + context_len : offset + window]
+        stats = fit_inference_stats(ctx, scheme.inference_method)
+        f = forecast(model, normalize(ctx, stats))
+        if f.kind is ForecastKind.POINT:
+            pred = denormalize(f.point[:horizon], stats)
+        elif f.kind is ForecastKind.GAUSSIAN:
+            pred = denormalize_gaussian(f, stats).gauss_mean[:horizon]
+        else:
+            pred = denormalize(token_point_forecast(f)[:horizon], stats)
+        scores.append((offset, mase(pred, actual, naive_mae(ctx, lag))))
+    return scores
+
+
+class TestEvaluateMatchesReference:
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_bitwise_equal_scores(self, kind, scheme, channels):
+        rng = np.random.default_rng(81)
+        values = np.cumsum(rng.normal(0.0, 1.0, (1500, channels)), axis=0)
+        values *= 10.0 ** rng.uniform(-3, 3, channels)
+        values[900:960, 0] = 4.0  # constant contexts: the eps guards
+        d = Dataset(name="d", values=values, frequency="1h", seasonal_period=24,
+                    split_index=450)
+        model = LinearForecaster.create(kind, 37, 5, seed=6, init_scale=0.05)
+        if kind is LossKind.GAUSSIAN_NLL:
+            model.sigma_weights = rng.normal(0.0, 0.01, model.sigma_weights.shape)
+        # 337 windows of horizon 3: more than one block of windows
+        got = evaluate(model, scheme, d, 37, 3)
+        want = _reference_evaluate(model, scheme, d, 37, 3)
+        assert len(got) == 337
+        assert [o for o, _ in got] == [o for o, _ in want]
+        assert np.array([m for _, m in got]).tobytes() == np.array([m for _, m in want]).tobytes()
+
+
 class TestRunVariant:
     def test_zs_and_id_row_sets(self):
         datasets = small_corpus()
@@ -177,6 +230,32 @@ class TestRunVariant:
         # the withheld dataset is only ever touched by evaluation
         touched = {(k, n) for _, k, n, *_ in audit.events if n == "synth2"}
         assert touched == {("evaluate", "synth2")}
+
+    def test_one_sample_event_per_dataset_still_catches_one_bad_draw(self, monkeypatch):
+        datasets = small_corpus()
+        plan = small_plan(datasets)
+        audit = AccessLog()
+        run_variant(plan, datasets, Scheme.RAW, LossKind.MSE, "synth2", audit)
+        assert sorted(n for _, k, n, *_ in audit.events if k == "sample") == ["synth0", "synth1"]
+        audit.verify(datasets)
+
+        sample_instances = harness.sample_instances
+        window = plan.context_len + plan.train_horizon
+
+        def one_draw_crosses_the_split(d, context_len, horizon, count, seed):
+            drawn = sample_instances(d, context_len, horizon, count, seed)
+            if d.name == "synth1":
+                start = d.split_index - window + 1  # its last row is the first test row
+                rows = d.values[start : start + window]
+                drawn[7] = Instance(context=rows[:context_len], horizon=rows[context_len:],
+                                    origin=(d.name, start))
+            return drawn
+
+        monkeypatch.setattr(harness, "sample_instances", one_draw_crosses_the_split)
+        audit = AccessLog()
+        run_variant(plan, datasets, Scheme.RAW, LossKind.MSE, "synth2", audit)
+        with pytest.raises(LeakageError, match="synth1"):
+            audit.verify(datasets)
 
     def test_leakage_detector_fires(self):
         datasets = small_corpus()

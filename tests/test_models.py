@@ -1,5 +1,6 @@
 import copy
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,12 +26,15 @@ from tsnorm import (
     tokenize,
     train,
 )
-from tsnorm.core import ShapeMismatchError
-from tsnorm.norm import denormalize_gaussian
+import tsnorm.models as models
+from tsnorm.core import SCALE_EPS, ShapeMismatchError
+from tsnorm.norm import WINDOW_BLOCK, denormalize_gaussian
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
     NonPositiveSigmaError,
+    TrainSample,
+    TrainTrace,
     _token_buffers,
     _token_logits,
     prepare_training_pool,
@@ -207,6 +211,13 @@ class TestGaussianNll:
         object.__setattr__(f, "gauss_std", np.zeros((1, 1)))
         with pytest.raises(NonPositiveSigmaError):
             loss_gaussian_nll(f, np.zeros((1, 1)), raw_stats(1))
+
+    def test_block_statistics_rejected(self):
+        f = Forecast(kind=ForecastKind.GAUSSIAN,
+                     gauss_mean=np.zeros((3, 2)), gauss_std=np.ones((3, 2)))
+        block = NormStats(np.zeros((3, 2)), np.ones((3, 2)), Scope.INSTANCE, Method.REVIN)
+        with pytest.raises(ShapeMismatchError):
+            loss_gaussian_nll(f, np.zeros((3, 2)), block)
 
 
 class TestTokenCrossEntropy:
@@ -392,6 +403,21 @@ class TestSerialization:
                 writer.writerow(row)
         assert max_c == 3 and path.read_bytes() == ref.read_bytes()
 
+    def test_failed_trace_write_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        good = TrainTrace(losses=np.array([1.0, 0.5]), grad_norms=[np.ones(2)] * 2,
+                          rejected=0, pool_size=2, seed=0, lr=0.1)
+        good.to_csv(path)
+        before = path.read_bytes()
+        # the third row has no tolist(): the write fails after two rows
+        bad = TrainTrace(losses=np.array([1.0, 0.5, 0.25]),
+                         grad_norms=[np.ones(2), np.ones(2), [1.0, 1.0]],
+                         rejected=0, pool_size=3, seed=0, lr=0.1)
+        with pytest.raises(AttributeError):
+            bad.to_csv(path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
 
 # Reference SGD step: the per-step object path the array kernels replaced,
 # with its loss formulas.  The kernels must reproduce it bit for bit.
@@ -467,9 +493,63 @@ def _sgd_step(model, sample, lr):
     return loss, norms
 
 
+# Reference pool: the per-instance pool preparation that block-wise pools
+# replaced, one instance at a time with its own statistics.  The block-wise
+# pool must reproduce it bit for bit.
+
+def _ref_instance_stats(context, method):
+    if method is Method.REVIN:
+        shift, scale = context.mean(axis=0), context.std(axis=0)
+    else:
+        shift, scale = np.zeros(context.shape[1]), np.abs(context).mean(axis=0)
+    return NormStats(shift=shift, scale=np.maximum(scale, SCALE_EPS),
+                     scope=Scope.INSTANCE, method=method)
+
+
+def _ref_normalize(x, stats):
+    return (x - stats.shift) / stats.scale
+
+
+def _reference_pool(instances, scheme, model, clip_threshold=10.0):
+    samples, rejected = [], 0
+    kind = model.loss_kind
+    inst_method = scheme.instance_method
+    for inst in instances:
+        if kind.is_point:
+            if scheme in (Scheme.REVIN, Scheme.MEANABS):
+                stats = _ref_instance_stats(inst.context, inst_method)
+                ctx = _ref_normalize(inst.context, stats)
+                hor = _ref_normalize(inst.horizon, stats)
+                if max(np.abs(ctx).max(), np.abs(hor).max()) > clip_threshold:
+                    rejected += 1
+                    continue
+                samples.append(TrainSample(ctx, hor))
+            elif scheme is Scheme.HYBRID:
+                stats = _ref_instance_stats(inst.context, Method.REVIN)
+                samples.append(
+                    TrainSample(_ref_normalize(inst.context, stats), inst.horizon, stats))
+            else:
+                samples.append(TrainSample(inst.context, inst.horizon))
+        elif kind is LossKind.GAUSSIAN_NLL:
+            if inst_method is not None:
+                stats = _ref_instance_stats(inst.context, inst_method)
+                ctx = _ref_normalize(inst.context, stats)
+            else:
+                stats, ctx = raw_stats(inst.channels), inst.context
+            samples.append(TrainSample(ctx, inst.horizon, stats))
+        else:
+            spec = model.tokenizer
+            ctx, hor = inst.context, inst.horizon
+            if inst_method is not None:
+                stats = _ref_instance_stats(ctx, inst_method)
+                ctx, hor = _ref_normalize(ctx, stats), _ref_normalize(hor, stats)
+            samples.append(TrainSample(detokenize(tokenize(ctx, spec), spec), tokenize(hor, spec)))
+    return samples, rejected
+
+
 def _reference_train(model, instances, scheme, steps, lr, seed):
     model = copy.deepcopy(model)
-    samples, rejected = prepare_training_pool(instances, scheme, model)
+    samples, rejected = _reference_pool(instances, scheme, model)
     rng = np.random.default_rng(seed)
     losses, grad_norms = np.empty(steps), []
     perm = rng.permutation(len(samples))
@@ -595,3 +675,100 @@ class TestTokenKernel:
         assert got.shape == want.shape == (24, channels, 128)
         assert got.strides == want.strides
         assert got.tobytes(order="A") == want.tobytes(order="A")
+
+
+class TestPoolMatchesReference:
+    """Block-wise pools equal the per-instance reference pool, bit for bit."""
+
+    @staticmethod
+    def _instances(channels, length=37, horizon=8):
+        rng = np.random.default_rng(73)
+        pool = [
+            make_instance(rng, length=length, horizon=horizon, channels=channels[i % len(channels)],
+                          scale=10.0 ** rng.uniform(-3, 2), offset=rng.normal(0, 5))
+            for i in range(24)
+        ]
+        c = channels[0]
+        # channel 0 constant over context and horizon: the eps guard, admitted
+        flat = make_instance(rng, length=length, horizon=horizon, channels=c)
+        ctx, hor = flat.context.copy(), flat.horizon.copy()
+        ctx[:, 0] = hor[:, 0] = 3.0
+        pool.insert(5, Instance(context=ctx, horizon=hor, origin=("t", 0)))
+        # a constant context under a moving horizon, and a horizon spike:
+        # both far past the clip threshold once RevIN-normalized
+        pool.insert(9, Instance(context=np.full((length, c), 2.0),
+                                horizon=np.full((horizon, c), 2.5), origin=("t", 0)))
+        spiked = make_instance(rng, length=length, horizon=horizon, channels=c)
+        hor = spiked.horizon.copy()
+        hor[3] += 40.0
+        pool.append(Instance(context=spiked.context, horizon=hor, origin=("t", 0)))
+        return pool
+
+    @pytest.mark.parametrize("channels", [(1,), (2,), (3,), (8,), (1, 3)],
+                             ids=["C1", "C2", "C3", "C8", "C1+C3"])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_bitwise_equal_samples_norms_and_rejections(self, kind, scheme, channels,
+                                                        monkeypatch):
+        instances = self._instances(channels)
+        model = LinearForecaster.create(kind, 37, 8, seed=8)
+        ref, ref_rejected = _reference_pool(instances, scheme, model)
+        if kind.is_point and scheme in (Scheme.REVIN, Scheme.MEANABS):
+            assert ref_rejected >= 1
+        # one block per channel count, then blocks of 4 that split each group
+        for block in (WINDOW_BLOCK, 4):
+            monkeypatch.setattr(models, "WINDOW_BLOCK", block)
+            pool, rejected = prepare_training_pool(instances, scheme, model)
+            assert rejected == ref_rejected
+            assert len(pool) == len(ref) == len(pool.rows)
+            for got, want, row in zip(pool, ref, pool.rows):
+                for name in ("inputs", "target"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and a.dtype == b.dtype, name
+                    assert a.tobytes() == b.tobytes(), name
+                assert (got.stats is None) == (want.stats is None)
+                if want.stats is not None:
+                    assert got.stats.method is want.stats.method
+                    assert got.stats.scope is want.stats.scope
+                    assert got.stats.scale.tobytes() == want.stats.scale.tobytes()
+                    assert got.stats.shift.tobytes() == want.stats.shift.tobytes()
+                # the input norms train used to compute per sample
+                in_norms = np.sqrt(np.add.reduce(want.inputs * want.inputs, axis=0))
+                assert row[4].tobytes() == in_norms.tobytes()
+
+    def test_shape_mismatch_rejected_before_any_work(self):
+        rng = np.random.default_rng(75)
+        model = LinearForecaster.create(LossKind.MSE, 32, 8)
+        instances = [make_instance(rng), make_instance(rng, length=31)]
+        with pytest.raises(ShapeMismatchError):
+            prepare_training_pool(instances, Scheme.REVIN, model)
+
+
+class TestPoolMemory:
+    """A pool allocates its output and one block of temporaries, not a stack
+    of every context: 5,120 x 96 x 8 windows, as one withheld set of a wide
+    eight-channel corpus trains on."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.RAW], ids=lambda s: s.value)
+    def test_peak_is_output_plus_a_bounded_block(self, scheme):
+        length, horizon, channels, count = 96, 24, 8, 5120
+        rng = np.random.default_rng(74)
+        values = rng.normal(0.0, 1.0, (6000, channels))
+        starts = rng.integers(0, 6000 - length - horizon, count)
+        instances = [Instance(context=values[s:s + length],
+                              horizon=values[s + length:s + length + horizon],
+                              origin=("t", int(s))) for s in starts]
+        model = LinearForecaster.create(LossKind.MAE, length, horizon)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pool, _ = prepare_training_pool(instances, scheme, model)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        window_bytes = (length + horizon) * channels * 8
+        # RevIN's normalized contexts and horizons are new arrays; raw keeps
+        # the instances' own and adds only the input norms
+        output = count * window_bytes if scheme is Scheme.REVIN else 0
+        assert len(pool) == count
+        assert peak <= output + 4 * WINDOW_BLOCK * window_bytes + 512 * count

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tsnorm import (
     Dataset,
@@ -17,8 +18,16 @@ from tsnorm import (
     normalize,
     raw_stats,
 )
-from tsnorm.core import SCALE_EPS, Forecast, ForecastKind, KindMismatchError, ShapeMismatchError
-from tsnorm.norm import DegenerateChannelWarning, WrongMethodError
+from tsnorm.core import (
+    SCALE_EPS,
+    Forecast,
+    ForecastKind,
+    KindMismatchError,
+    NonFiniteError,
+    ShapeMismatchError,
+)
+from tsnorm.metrics import naive_mae
+from tsnorm.norm import INSTANCE_METHODS, DegenerateChannelWarning, WrongMethodError
 
 from conftest import col
 
@@ -294,3 +303,56 @@ class TestInferenceStats:
         np.testing.assert_allclose(std.shift, [4.0], atol=1e-12)
         raw = fit_inference_stats(ctx, Method.RAW)
         assert raw.method is Method.RAW
+
+
+class TestBlockWindowStats:
+    """Statistics of an (N, L, C) block of windows equal each window's own,
+    bit for bit."""
+
+    @staticmethod
+    def _windows(channels, length=37, stride=5):
+        rng = np.random.default_rng(80)
+        series = (rng.normal(0.0, 1.0, (400, channels)) * 10.0 ** rng.uniform(-3, 3, channels)
+                  + rng.normal(0.0, 50.0, channels))
+        series[100:180, 0] = 7.0  # some windows hold a constant channel: the eps guard
+        # overlapping windows as a strided view, the way evaluation takes them
+        return sliding_window_view(series, length, axis=0)[::stride].transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_block_equals_per_window(self, method, channels):
+        block = self._windows(channels)
+        stats = fit_inference_stats(block, method)
+        assert stats.shift.shape == stats.scale.shape == (len(block), channels)
+        assert stats.channels == channels
+        normed = normalize(block, stats)
+        back = denormalize(normed, stats)
+        for i, window in enumerate(block):
+            one = fit_inference_stats(window, method)
+            assert stats.shift[i].tobytes() == one.shift.tobytes()
+            assert stats.scale[i].tobytes() == one.scale.tobytes()
+            assert normed[i].tobytes() == normalize(window, one).tobytes()
+            assert back[i].tobytes() == denormalize(normalize(window, one), one).tobytes()
+        if method in INSTANCE_METHODS:
+            inst = fit_instance_stats(block, method)
+            assert inst.shift.tobytes() == stats.shift.tobytes()
+            assert inst.scale.tobytes() == stats.scale.tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    def test_naive_mae_block_equals_per_window(self, channels):
+        block = self._windows(channels)
+        naive = naive_mae(block, 24)
+        assert naive.shape == (len(block), channels)
+        for i, window in enumerate(block):
+            assert naive[i].tobytes() == naive_mae(window, 24).tobytes()
+
+    def test_block_is_validated_with_the_per_window_errors(self):
+        block = self._windows(2).copy()
+        block[3, 5, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            fit_inference_stats(block, Method.REVIN)
+        stats = fit_inference_stats(block[4:], Method.REVIN)
+        with pytest.raises(ShapeMismatchError):
+            normalize(block[:2], stats)  # statistics of another number of windows
+        with pytest.raises(ShapeMismatchError):
+            normalize(block[4], stats)  # one window against block statistics
