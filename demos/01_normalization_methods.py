@@ -14,7 +14,6 @@ from tsnorm import (
     denormalize,
     fit_dataset_stats,
     fit_inference_stats,
-    fit_instance_stats,
     normalize,
     raw_stats,
 )
@@ -44,7 +43,7 @@ for method in (Method.STANDARDIZATION, Method.MINMAX, Method.MAXABS):
 print("\ninstance-level methods (fitted on a single 96-step window):")
 window = d.values[100:196]
 for method in (Method.REVIN, Method.MEANABS):
-    stats = fit_instance_stats(window, method)
+    stats = fit_inference_stats(window, method)
     z = normalize(window, stats)
     print(f"  {method.value:16s} shift={stats.shift.round(3)} scale={stats.scale.round(3)}"
           f"  -> window mean {z.mean(axis=0).round(6)} std {z.std(axis=0).round(6)}")

@@ -1,11 +1,13 @@
-"""Clipped instance normalization and the hybrid (standardize-then-window) pipeline.
+"""Clipping and the hybrid (standardize-then-window) pipeline, as scheme placements.
 
 Point-forecast models train directly in normalized space, which breaks down
 when a context is nearly constant: the fitted scale collapses and the
-normalized horizon explodes.  Clipping discards such instances instead of
-letting them wreck the gradients.  The hybrid pipeline standardizes each
-dataset offline and then applies window normalization during training, keeping
-only the window component at inference.
+normalized horizon explodes.  Under the window schemes (revin, meanabs) the
+training pool discards such instances instead of letting them wreck the
+gradients.  The hybrid scheme standardizes each dataset offline and then
+applies window normalization during training, keeping only the window
+component at inference.  Both are placements in the scheme table, not
+separate transforms: the steps below are the ones the pool runs.
 """
 
 import numpy as np
@@ -15,14 +17,15 @@ from tsnorm import (
     Instance,
     LinearForecaster,
     LossKind,
-    Method,
     Scheme,
-    clipped_instance_normalize,
     fit_dataset_stats,
-    hybrid_normalize,
+    fit_inference_stats,
+    normalize,
     sample_instances,
     train,
 )
+from tsnorm.models import prepare_training_pool
+from tsnorm.norm import instance_max_abs
 
 rng = np.random.default_rng(2)
 
@@ -36,12 +39,16 @@ inside = Instance(context=plateau.values[100:196], horizon=plateau.values[196:22
 straddle = Instance(context=plateau.values[200:296], horizon=plateau.values[296:320],
                     origin=("plateau", 200))  # context flat, horizon crosses 5 -> 50
 
+model = LinearForecaster.create(LossKind.MSE, 96, 24, seed=5)
 for label, inst in (("inside a plateau    ", inside), ("horizon crosses jump", straddle)):
-    out = clipped_instance_normalize(inst, Method.REVIN, clip_threshold=10.0)
-    print(f"{label}: max |normalized| = {out.max_abs:11.4g}  rejected = {out.rejected}")
+    # the whole instance is rescaled with the statistics of its context
+    stats = fit_inference_stats(inst.context, Scheme.REVIN.instance_method)
+    ctx, hor = normalize(inst.context, stats), normalize(inst.horizon, stats)
+    max_abs = float(instance_max_abs(ctx, hor))
+    _, rejected = prepare_training_pool([inst], Scheme.REVIN, model)
+    print(f"{label}: max |normalized| = {max_abs:11.4g}  rejected = {rejected == 1}")
 
 instances = sample_instances(plateau, 96, 24, 400, seed=1)
-model = LinearForecaster.create(LossKind.MSE, 96, 24, seed=5)
 _, trace = train(model, instances, Scheme.REVIN, steps=100, lr=1e-3, seed=0)
 print(f"\ntraining pool: {trace.pool_size} accepted, {trace.rejected} rejected "
       f"(rate {trace.rejection_rate:.1%}); no |normalized value| > 10 ever "
@@ -55,9 +62,11 @@ series = np.column_stack([
 ])
 d = Dataset("hybrid-demo", series, frequency="1h", seasonal_period=24, split_index=320)
 
-ds_stats = fit_dataset_stats(d, Method.STANDARDIZATION)
+ds_stats = fit_dataset_stats(d, Scheme.HYBRID.dataset_method)
 window = d.values[50:146]
-doubly_normalized, window_stats = hybrid_normalize(window, ds_stats)
+standardized = normalize(window, ds_stats)
+window_stats = fit_inference_stats(standardized, Scheme.HYBRID.instance_method)
+doubly_normalized = normalize(standardized, window_stats)
 print("\nhybrid pipeline on a 96-step window:")
 print("  dataset stats  shift:", ds_stats.shift.round(3), "scale:", ds_stats.scale.round(3))
 print("  window stats   shift:", window_stats.shift.round(3), "scale:", window_stats.scale.round(3))

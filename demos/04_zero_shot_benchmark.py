@@ -18,7 +18,7 @@ from tsnorm import (
     generate_synthetic,
     run_plan,
 )
-from tsnorm.harness import AVERAGE_ID, SCHEME_ORDER
+from tsnorm.harness import AVERAGE_ID
 
 spec = SyntheticSpec(seed=11)
 datasets = {d.name: d for d in generate_synthetic(spec)}
@@ -39,7 +39,7 @@ plan = ExperimentPlan.from_datasets(
 print(f"\nrunning {len(plan.variants())} pretraining variants ...")
 result = run_plan(plan, datasets)
 
-methods = [s.value for s in SCHEME_ORDER]
+methods = [s.value for s in Scheme]
 print(f"\n{'':14s}" + "".join(f"{m:>17s}" for m in methods))
 for setting in ("zs", "id"):
     cells = []

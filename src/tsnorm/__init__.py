@@ -2,9 +2,11 @@
 
 The library provides
 
-* six channel-wise normalization methods at dataset and instance scope, with
-  clipped and hybrid variants (`tsnorm.norm`),
-* linear toy forecasters for the three loss families whose scale behavior
+* six channel-wise normalization methods, fitted on a dataset's train rows
+  or on a context window (`tsnorm.norm`),
+* seven normalization schemes, each a placement of those methods (dataset
+  step, instance step, or both for hybrid) with the clip decision it implies,
+  and linear toy forecasters for the three loss families whose scale behavior
   differs (point MSE/MAE, Gaussian NLL, token cross-entropy) with analytic
   gradients and a deterministic SGD trainer (`tsnorm.models`),
 * MASE scoring against a seasonal-naive baseline (`tsnorm.metrics`),
@@ -55,23 +57,12 @@ from .models import (
     tokenize,
     train,
 )
-from .norm import (
-    ClipOutcome,
-    clipped_instance_normalize,
-    denormalize,
-    denormalize_gaussian,
-    fit_dataset_stats,
-    fit_inference_stats,
-    fit_instance_stats,
-    hybrid_normalize,
-    normalize,
-)
+from .norm import denormalize, fit_dataset_stats, fit_inference_stats, normalize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccessLog",
-    "ClipOutcome",
     "Dataset",
     "EvalEntry",
     "EvalReport",
@@ -91,19 +82,15 @@ __all__ = [
     "TrainTrace",
     "TsnormError",
     "assemble_report",
-    "clipped_instance_normalize",
     "denormalize",
-    "denormalize_gaussian",
     "detokenize",
     "evaluate",
     "export_csv",
     "fit_dataset_stats",
     "fit_inference_stats",
-    "fit_instance_stats",
     "forecast",
     "generate_synthetic",
     "horizon_for_frequency",
-    "hybrid_normalize",
     "improvement",
     "load_csv",
     "loss_gaussian_nll",

@@ -21,7 +21,6 @@ from .core import Setting, TsnormError, atomic_open
 from .data import SyntheticSpec, export_csv, generate_synthetic, load_csv
 from .harness import (
     AVERAGE_ID,
-    SCHEME_ORDER,
     ExperimentPlan,
     run_plan,
     variant_key,
@@ -326,7 +325,7 @@ def _format_mase(mean: float, std: float) -> str:
 
 def _render_markdown(doc: dict) -> str:
     aggregates = doc["aggregates"]
-    methods = [s.value for s in SCHEME_ORDER if any(s.value in by_m for by_m in aggregates.values())]
+    methods = [s.value for s in Scheme if any(s.value in by_m for by_m in aggregates.values())]
     non_raw = [m for m in methods if m != "raw"]
     columns = non_raw + (["raw"] if "raw" in methods else [])
     models = [m for m in sorted(aggregates) if m != AVERAGE_ID]
@@ -406,7 +405,8 @@ def cmd_report(args) -> int:
         )
     rendered = _render_markdown(doc) if args.format == "md" else _render_csv(doc)
     if args.out:
-        Path(args.out).write_text(rendered)
+        with atomic_open(args.out) as fh:
+            fh.write(rendered)
     else:
         sys.stdout.write(rendered)
     return 0

@@ -300,9 +300,8 @@ class ForecastKind(enum.Enum):
 class Forecast:
     """Model output over a horizon: point values, Gaussian parameters, or token logits.
 
-    Exactly one payload is present, selected by ``kind``.  ``denorm_stats``
-    records the statistics required to map the forecast back to raw scale
-    (or the ones already applied, once de-normalized).
+    Exactly one payload is present, selected by ``kind``.  Payloads are in
+    the normalized space of the context the model was run on.
     """
 
     kind: ForecastKind
@@ -311,7 +310,6 @@ class Forecast:
     gauss_std: Optional[np.ndarray] = None
     token_logits: Optional[np.ndarray] = None
     token_spec: Optional["TokenizerSpec"] = None
-    denorm_stats: Optional[NormStats] = None
 
     def __post_init__(self):
         for name in ("point", "gauss_mean", "gauss_std", "token_logits"):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Instance, TsnormError
+from .core import Dataset, Instance, TsnormError, atomic_open
 
 
 class ParseError(TsnormError):
@@ -85,8 +85,9 @@ def export_csv(d: Dataset, path) -> None:
     """Write a dataset's values as CSV with generic channel headers.
 
     Floats are written with ``repr`` so a reload reproduces them exactly.
+    The file at ``path`` is replaced only once complete (see ``atomic_open``).
     """
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"c{c}" for c in range(d.channels)])
         for row in d.values:

@@ -41,16 +41,6 @@ from .models import (
 )
 from .norm import WINDOW_BLOCK, denormalize, fit_dataset_stats, fit_inference_stats, normalize
 
-SCHEME_ORDER = (
-    Scheme.REVIN,
-    Scheme.MEANABS,
-    Scheme.HYBRID,
-    Scheme.STANDARDIZATION,
-    Scheme.MINMAX,
-    Scheme.MAXABS,
-    Scheme.RAW,
-)
-
 AVERAGE_ID = "average"
 
 
@@ -99,7 +89,8 @@ class AccessLog:
     "fit_stats" / "sample" (training side) or "evaluate".  Row bounds are
     half-open absolute dataset row indices.  A "sample" event covers all the
     instances a variant drew from one dataset: from the first row of the
-    lowest draw to the end of the highest.
+    lowest draw to the end of the highest; an "evaluate" event covers all the
+    windows a variant scored on one dataset.
     """
 
     events: list = field(default_factory=list)
@@ -137,7 +128,7 @@ class ExperimentPlan:
     (a consistent wall-clock span when frequencies differ); models are trained
     with the longest horizon and truncated per dataset at evaluation.
     ``naive_lag`` overrides the per-dataset seasonal period for the MASE
-    denominator when set.
+    denominator when set; it must be at least 1.
     """
 
     corpus: tuple
@@ -173,6 +164,8 @@ class ExperimentPlan:
                 raise TsnormError(f"no horizon configured for dataset {name!r}")
         if self.context_len < 1 or self.steps < 0 or self.instances_per_dataset < 1:
             raise TsnormError("context_len, steps, instances_per_dataset out of range")
+        if self.naive_lag is not None and self.naive_lag < 1:
+            raise TsnormError(f"naive_lag must be at least 1 when set, got {self.naive_lag}")
 
     @property
     def train_horizon(self) -> int:
@@ -294,18 +287,14 @@ def evaluate(
     # windows[i] is test rows [i*H, i*H + window), a (window, C) view
     windows = sliding_window_view(test, window, axis=0)[::horizon].transpose(0, 2, 1)
     scores = []
+    if audit is not None:
+        # one event from the first window's first row to the last window's end
+        start = dataset.split_index
+        audit.record(variant, "evaluate", dataset.name,
+                     start, start + (len(windows) - 1) * horizon + window)
     for lo in range(0, len(windows), WINDOW_BLOCK):
         block = windows[lo : lo + WINDOW_BLOCK]
         offsets = range(lo * horizon, (lo + len(block)) * horizon, horizon)
-        if audit is not None:
-            for offset in offsets:
-                audit.record(
-                    variant,
-                    "evaluate",
-                    dataset.name,
-                    dataset.split_index + offset,
-                    dataset.split_index + offset + window,
-                )
         contexts = block[:, :context_len]
         stats = fit_inference_stats(contexts, scheme.inference_method)
         preds = []
@@ -433,7 +422,7 @@ def assemble_report(rows) -> EvalReport:
         sorted(rows, key=lambda e: (e.model_id, e.method, e.setting.value, e.dataset, e.withheld))
     )
     models = sorted({e.model_id for e in entries})
-    methods = [s.value for s in SCHEME_ORDER if s.value in {e.method for e in entries}]
+    methods = [s.value for s in Scheme if s.value in {e.method for e in entries}]
 
     aggregates = {}
     for model in models:

@@ -70,7 +70,7 @@ from .core import (
 from .norm import (
     CLIP_THRESHOLD,
     WINDOW_BLOCK,
-    fit_instance_stats,
+    fit_inference_stats,
     instance_max_abs,
     normalize,
 )
@@ -103,21 +103,12 @@ class Scheme(enum.Enum):
     @property
     def dataset_method(self) -> Optional[Method]:
         """Offline per-dataset pre-normalization method, if the scheme has one."""
-        return {
-            Scheme.STANDARDIZATION: Method.STANDARDIZATION,
-            Scheme.MINMAX: Method.MINMAX,
-            Scheme.MAXABS: Method.MAXABS,
-            Scheme.HYBRID: Method.STANDARDIZATION,
-        }.get(self)
+        return _SCHEME_METHODS[self][0]
 
     @property
     def instance_method(self) -> Optional[Method]:
         """Train-time instance statistic family, if the scheme has one."""
-        return {
-            Scheme.REVIN: Method.REVIN,
-            Scheme.MEANABS: Method.MEANABS,
-            Scheme.HYBRID: Method.REVIN,
-        }.get(self)
+        return _SCHEME_METHODS[self][1]
 
     @property
     def inference_method(self) -> Method:
@@ -127,15 +118,26 @@ class Scheme(enum.Enum):
         schemes fall back to the same family computed on the context; the
         hybrid scheme keeps only its instance component.
         """
-        return {
-            Scheme.REVIN: Method.REVIN,
-            Scheme.MEANABS: Method.MEANABS,
-            Scheme.HYBRID: Method.REVIN,
-            Scheme.STANDARDIZATION: Method.STANDARDIZATION,
-            Scheme.MINMAX: Method.MINMAX,
-            Scheme.MAXABS: Method.MAXABS,
-            Scheme.RAW: Method.RAW,
-        }[self]
+        return self.instance_method or self.dataset_method or Method.RAW
+
+    @property
+    def clips(self) -> bool:
+        """Whether point models train in normalized space and discard instances
+        beyond ``CLIP_THRESHOLD``: an instance step and no dataset step."""
+        return self.instance_method is not None and self.dataset_method is None
+
+
+# Each scheme's placement, (dataset method, instance method): statistics fitted
+# offline on each dataset's train rows, then per window on the context.
+_SCHEME_METHODS = {
+    Scheme.REVIN: (None, Method.REVIN),
+    Scheme.MEANABS: (None, Method.MEANABS),
+    Scheme.HYBRID: (Method.STANDARDIZATION, Method.REVIN),
+    Scheme.STANDARDIZATION: (Method.STANDARDIZATION, None),
+    Scheme.MINMAX: (Method.MINMAX, None),
+    Scheme.MAXABS: (Method.MAXABS, None),
+    Scheme.RAW: (None, None),
+}
 
 
 class NonPositiveSigmaError(TsnormError):
@@ -537,16 +539,16 @@ def prepare_training_pool(
     instances: Sequence[Instance],
     scheme: Scheme,
     model: LinearForecaster,
-    clip_threshold: float = CLIP_THRESHOLD,
 ) -> tuple[TrainingPool, int]:
     """Apply a scheme's train-time normalization placement to raw instances.
 
     Returns (admissible samples, number of clip-rejected instances).  Point
-    models under instance-level schemes go through clipped normalization and
-    keep the loss in normalized space; the hybrid scheme de-normalizes the
-    prediction with the instance statistics before the loss; the Gaussian head
-    always de-normalizes its distribution; token models quantize after the
-    instance step.  Dataset-level schemes expect the corpus to be
+    models under a scheme that ``clips`` normalize context and horizon with
+    the context's statistics, keep the loss in normalized space and discard
+    instances beyond ``CLIP_THRESHOLD``; under hybrid they de-normalize the
+    prediction with the instance statistics before the loss.  The Gaussian
+    head always de-normalizes its distribution; token models quantize after
+    the instance step.  Dataset-level schemes expect the corpus to be
     pre-normalized upstream and add no instance step here.
 
     The work is block-wise: instances are grouped by channel count and
@@ -569,21 +571,20 @@ def prepare_training_pool(
         for lo in range(0, len(ids), WINDOW_BLOCK):
             part = ids[lo:lo + WINDOW_BLOCK]
             chunk = [instances[i] for i in part]
-            for i, row in zip(part, _pool_rows(chunk, scheme, model, clip_threshold)):
+            for i, row in zip(part, _pool_rows(chunk, scheme, model)):
                 rows[i] = row
     admitted = [row for row in rows if row is not None]
     pool = TrainingPool(admitted, scheme.instance_method or Method.RAW)
     return pool, len(rows) - len(admitted)
 
 
-def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster,
-               clip_threshold: float) -> list:
+def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster) -> list:
     """Pool rows of instances that share a channel count; None marks an
     instance rejected by clipping."""
     kind, method = model.loss_kind, scheme.instance_method
     contexts = np.stack([inst.context for inst in chunk])
     if method is not None:
-        stats = fit_instance_stats(contexts, method)
+        stats = fit_inference_stats(contexts, method)
         contexts = normalize(contexts, stats)
     none = repeat(None)
     if kind is LossKind.TOKEN_CE:
@@ -603,9 +604,9 @@ def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster,
             scale, shift = repeat(identity.scale), repeat(identity.shift)
         return list(zip((inst.context for inst in chunk), (inst.horizon for inst in chunk),
                         scale, shift, norms))
-    if kind.is_point and scheme is not Scheme.HYBRID:
+    if kind.is_point and scheme.clips:
         horizons = normalize(np.stack([inst.horizon for inst in chunk]), stats)
-        rejected = instance_max_abs(contexts, horizons) > clip_threshold
+        rejected = instance_max_abs(contexts, horizons) > CLIP_THRESHOLD
         return [None if out else row for out, row in
                 zip(rejected.tolist(), zip(contexts, horizons, none, none, norms))]
     # hybrid point models and the Gaussian head de-normalize with the instance stats
@@ -747,7 +748,6 @@ def train(
     steps: int,
     lr: float,
     seed: int,
-    clip_threshold: float = CLIP_THRESHOLD,
 ) -> tuple[LinearForecaster, TrainTrace]:
     """SGD-train a copy of ``model`` on the scheme-normalized instance pool.
 
@@ -757,7 +757,7 @@ def train(
     The input model is not mutated.
     """
     model = copy.deepcopy(model)
-    pool, rejected = prepare_training_pool(instances, scheme, model, clip_threshold)
+    pool, rejected = prepare_training_pool(instances, scheme, model)
     if not pool:
         raise TsnormError("no admissible training instances after clipping")
     rows = pool.rows

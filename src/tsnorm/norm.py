@@ -1,9 +1,13 @@
-"""Normalization transforms: dataset-level, instance-level, clipped, and hybrid.
+"""Normalization transforms: statistics fitted on a dataset's train rows or on
+a context window, and the affine map they define.
 
 Fitting and applying are separate pure operations so that inference-time
 statistic substitution (fit on the context, apply anywhere) stays expressible.
 Every fitted scale vector passes through the epsilon guard, keeping all
 transforms invertible even on constant channels.
+
+The scheme table of ``tsnorm.models`` says where each step runs, the clip
+decision and the hybrid dataset-then-instance pipeline included.
 
 Window statistics are block-wise: every reduction runs over axis -2, so the
 same code fits one (L, C) window or an (N, L, C) block of windows, and
@@ -16,17 +20,12 @@ same order.  A block is validated once, as one ``NormStats``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     SCALE_EPS,
     Dataset,
-    Forecast,
-    ForecastKind,
-    Instance,
-    KindMismatchError,
     Method,
     NormStats,
     Scope,
@@ -44,7 +43,6 @@ CLIP_THRESHOLD = 10.0
 WINDOW_BLOCK = 256
 
 DATASET_METHODS = (Method.STANDARDIZATION, Method.MINMAX, Method.MAXABS)
-INSTANCE_METHODS = (Method.REVIN, Method.MEANABS)
 
 
 class WrongMethodError(TsnormError):
@@ -101,26 +99,17 @@ def fit_dataset_stats(d: Dataset, method: Method) -> NormStats:
     return NormStats(shift=shift, scale=scale, scope=Scope.DATASET, method=method)
 
 
-def fit_instance_stats(context: np.ndarray, method: Method) -> NormStats:
-    """Fit instance-level statistics on a context window (L, C), or on each
-    window of an (N, L, C) block.
-
-    RevIN: shift=mean, scale=population std.  MeanAbs: shift=0, scale=mean|.|.
-    Constant windows degrade to scale=eps rather than failing.
-    """
-    if method not in INSTANCE_METHODS:
-        raise WrongMethodError(f"{method} is not an instance-level method")
-    return fit_inference_stats(context, method)
-
-
 def fit_inference_stats(context: np.ndarray, method: Method) -> NormStats:
     """Fit context-window statistics of any statistic family.
 
-    At inference, dataset-level statistics are unavailable and every method
-    falls back to its family computed on the input context (test-time MinMax
-    uses the context min/range, MaxAbs the context max|.|, and so on).
-    Raw yields identity statistics.  ``context`` is one (L, C) window, giving
-    (C,) statistics, or an (N, L, C) block, giving (N, C) statistics.
+    RevIN: shift=mean, scale=population std.  MeanAbs: shift=0, scale=mean|.|.
+    These are the instance step of training.  At inference, dataset-level
+    statistics are unavailable and every method falls back to its family
+    computed on the input context (test-time MinMax uses the context
+    min/range, MaxAbs the context max|.|, and so on).  Raw yields identity
+    statistics.  Constant windows degrade to scale=eps rather than failing.
+    ``context`` is one (L, C) window, giving (C,) statistics, or an
+    (N, L, C) block, giving (N, C) statistics.
     """
     context = np.asarray(context, dtype=np.float64)
     if context.ndim not in (2, 3) or context.shape[-2] < 1:
@@ -160,42 +149,6 @@ def denormalize(x_norm: np.ndarray, stats: NormStats) -> np.ndarray:
     return x_norm * stats.scale[..., None, :] + stats.shift[..., None, :]
 
 
-def denormalize_gaussian(f: Forecast, stats: NormStats) -> Forecast:
-    """Map a Gaussian forecast from normalized to raw space.
-
-    mean' = scale * mean + shift, std' = scale * std, per channel.
-    """
-    if f.kind is not ForecastKind.GAUSSIAN:
-        raise KindMismatchError(f"expected a gaussian forecast, got {f.kind}")
-    mean = _check_width(f.gauss_mean, stats, "denormalize_gaussian")
-    return Forecast(
-        kind=ForecastKind.GAUSSIAN,
-        gauss_mean=mean * stats.scale + stats.shift,
-        gauss_std=f.gauss_std * stats.scale,
-        denorm_stats=stats,
-    )
-
-
-@dataclass(frozen=True)
-class ClipOutcome:
-    """Result of clipped instance normalization.
-
-    ``rejected`` is true iff ``max_abs`` (largest |normalized value| over the
-    context and horizon) exceeds ``clip_threshold``; rejected instances must
-    not enter training batches.
-    """
-
-    normalized: Instance
-    rejected: bool
-    max_abs: float
-    clip_threshold: float
-    stats: NormStats
-
-    def __post_init__(self):
-        if self.rejected != (self.max_abs > self.clip_threshold):
-            raise TsnormError("rejected flag inconsistent with max_abs vs threshold")
-
-
 def instance_max_abs(ctx_norm: np.ndarray, hor_norm: np.ndarray) -> np.ndarray:
     """Largest |normalized value| of an instance over its context and horizon.
 
@@ -206,41 +159,3 @@ def instance_max_abs(ctx_norm: np.ndarray, hor_norm: np.ndarray) -> np.ndarray:
     hor_max = np.abs(hor_norm).max(axis=(-2, -1))
     return np.where(hor_max > ctx_max, hor_max, ctx_max)
 
-
-def clipped_instance_normalize(
-    inst: Instance, method: Method, clip_threshold: float = CLIP_THRESHOLD
-) -> ClipOutcome:
-    """Normalize context AND horizon with statistics fitted on the context only.
-
-    The whole instance is rescaled with the context's shift/scale; if any
-    normalized value (context or horizon) exceeds ``clip_threshold`` in
-    magnitude the instance is flagged rejected instead of being clamped.
-    """
-    stats = fit_instance_stats(inst.context, method)
-    ctx = normalize(inst.context, stats)
-    hor = normalize(inst.horizon, stats)
-    max_abs = float(instance_max_abs(ctx, hor))
-    return ClipOutcome(
-        normalized=Instance(context=ctx, horizon=hor, origin=inst.origin),
-        rejected=max_abs > clip_threshold,
-        max_abs=max_abs,
-        clip_threshold=clip_threshold,
-        stats=stats,
-    )
-
-
-def hybrid_normalize(
-    x: np.ndarray, ds: NormStats, inst_method: Method = Method.REVIN
-) -> tuple[np.ndarray, NormStats]:
-    """Dataset-level standardization followed by instance normalization.
-
-    Returns the doubly normalized window and the instance statistics fitted on
-    the standardized window.  De-normalization for losses and metrics uses
-    ONLY the returned instance statistics; at test time the dataset step is
-    dropped entirely and the pipeline degrades to plain instance RevIN.
-    """
-    if ds.scope is not Scope.DATASET or ds.method is not Method.STANDARDIZATION:
-        raise WrongMethodError("hybrid requires dataset-level standardization stats")
-    standardized = normalize(x, ds)
-    inst = fit_instance_stats(standardized, inst_method)
-    return normalize(standardized, inst), inst

@@ -24,7 +24,7 @@ from tsnorm import (
     SyntheticSpec,
     TokenizerSpec,
     fit_dataset_stats,
-    fit_instance_stats,
+    fit_inference_stats,
     generate_synthetic,
     loss_gaussian_nll,
     loss_mae,
@@ -119,8 +119,8 @@ def test_criterion_1_normalization_correctness():
             Method.STANDARDIZATION: fit_dataset_stats(d, Method.STANDARDIZATION),
             Method.MINMAX: fit_dataset_stats(d, Method.MINMAX),
             Method.MAXABS: fit_dataset_stats(d, Method.MAXABS),
-            Method.REVIN: fit_instance_stats(x, Method.REVIN),
-            Method.MEANABS: fit_instance_stats(x, Method.MEANABS),
+            Method.REVIN: fit_inference_stats(x, Method.REVIN),
+            Method.MEANABS: fit_inference_stats(x, Method.MEANABS),
             Method.RAW: raw_stats(3),
         }
         for stats in stats_by_method.values():

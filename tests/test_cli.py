@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import tsnorm.cli as cli
 import tsnorm.harness as harness
 from tsnorm import LinearForecaster, LossKind
 from tsnorm.cli import _write_json, main
@@ -206,6 +207,14 @@ class TestRun:
         assert main(["run", "--plan", str(path), "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("lag", [0, -1])
+    def test_naive_lag_below_1_exits_2_before_training(self, tmp_path, capsys, lag):
+        path = write_plan(tmp_path, dict(TINY_PLAN, naive_lag=lag))
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 2
+        assert "naive_lag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_3(self, tmp_path):
         plan = dict(TINY_PLAN)
         plan["lr"] = 100.0  # way past the stability bound for raw MSE
@@ -293,6 +302,17 @@ class TestReport:
         out = tmp_path / "table.md"
         assert main(["report", "--in", str(report_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("| model |")
+
+    def test_failed_write_to_file_leaves_previous_file(self, report_path, tmp_path,
+                                                       monkeypatch):
+        out = tmp_path / "table.md"
+        assert main(["report", "--in", str(report_path), "--out", str(out)]) == 0
+        before = out.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails
+        monkeypatch.setattr(cli, "_render_markdown", lambda doc: "| model |\n\ud800\n")
+        assert main(["report", "--in", str(report_path), "--out", str(out)]) == 2
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.glob("table*")) == ["table.md"]
 
 
 def _json_dump_bytes(payload) -> bytes:

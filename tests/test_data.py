@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,20 @@ class TestLoadCsv:
         export_csv(original, path)
         again = load_csv(path, "r", "1h", 2, split_index=40)
         np.testing.assert_array_equal(again.values, original.values)
+
+    def test_failed_export_leaves_previous_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        export_csv(Dataset("r", np.ones((4, 2)), "1h", 1, 3), path)
+        before = path.read_bytes()
+
+        def rows():
+            yield np.array([1.0, 2.0])
+            raise OSError("disk full")  # the write fails after one row
+
+        with pytest.raises(OSError, match="disk full"):
+            export_csv(SimpleNamespace(channels=2, values=rows()), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestGenerateSynthetic:

@@ -15,7 +15,6 @@ from tsnorm import (
     SyntheticSpec,
     assemble_report,
     denormalize,
-    denormalize_gaussian,
     evaluate,
     fit_inference_stats,
     forecast,
@@ -178,7 +177,7 @@ def _reference_evaluate(model, scheme, dataset, context_len, horizon, naive_lag=
         if f.kind is ForecastKind.POINT:
             pred = denormalize(f.point[:horizon], stats)
         elif f.kind is ForecastKind.GAUSSIAN:
-            pred = denormalize_gaussian(f, stats).gauss_mean[:horizon]
+            pred = (f.gauss_mean * stats.scale + stats.shift)[:horizon]
         else:
             pred = denormalize(token_point_forecast(f)[:horizon], stats)
         scores.append((offset, mase(pred, actual, naive_mae(ctx, lag))))
@@ -230,6 +229,22 @@ class TestRunVariant:
         # the withheld dataset is only ever touched by evaluation
         touched = {(k, n) for _, k, n, *_ in audit.events if n == "synth2"}
         assert touched == {("evaluate", "synth2")}
+
+    def test_one_evaluate_event_per_dataset_spans_every_window(self):
+        datasets = small_corpus()
+        plan = small_plan(datasets)
+        audit = AccessLog()
+        run_variant(plan, datasets, Scheme.REVIN, LossKind.MSE, "synth2", audit)
+        events = [e for e in audit.events if e[1] == "evaluate"]
+        assert sorted(n for _, _, n, _, _ in events) == ["synth0", "synth1", "synth2"]
+        for variant, _, name, lo, hi in events:
+            d, h = datasets[name], plan.horizons[name]
+            window = plan.context_len + h
+            n = (d.length - d.split_index - window) // h + 1  # windows at 0, H, 2H, ...
+            assert n > 1
+            assert variant == "point_mse|revin|synth2"
+            assert (lo, hi) == (d.split_index, d.split_index + (n - 1) * h + window)
+        audit.verify(datasets)
 
     def test_one_sample_event_per_dataset_still_catches_one_bad_draw(self, monkeypatch):
         datasets = small_corpus()

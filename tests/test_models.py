@@ -28,7 +28,7 @@ from tsnorm import (
 )
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError
-from tsnorm.norm import WINDOW_BLOCK, denormalize_gaussian
+from tsnorm.norm import WINDOW_BLOCK
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
@@ -52,6 +52,29 @@ def make_instance(rng, length=32, horizon=8, channels=1, scale=1.0, offset=0.0):
     noise = rng.normal(0, 0.1, (length + horizon, channels))
     series = scale * (base + noise) + offset
     return Instance(context=series[:length], horizon=series[length:], origin=("t", 0))
+
+
+class TestSchemeTable:
+    # (dataset method, instance method, inference method, clips) per scheme
+    EXPECTED = {
+        Scheme.REVIN: (None, Method.REVIN, Method.REVIN, True),
+        Scheme.MEANABS: (None, Method.MEANABS, Method.MEANABS, True),
+        Scheme.HYBRID: (Method.STANDARDIZATION, Method.REVIN, Method.REVIN, False),
+        Scheme.STANDARDIZATION: (Method.STANDARDIZATION, None, Method.STANDARDIZATION, False),
+        Scheme.MINMAX: (Method.MINMAX, None, Method.MINMAX, False),
+        Scheme.MAXABS: (Method.MAXABS, None, Method.MAXABS, False),
+        Scheme.RAW: (None, None, Method.RAW, False),
+    }
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_placement(self, scheme):
+        got = (scheme.dataset_method, scheme.instance_method, scheme.inference_method,
+               scheme.clips)
+        assert got == self.EXPECTED[scheme]
+
+    def test_every_scheme_is_pinned(self):
+        # in declaration order, which is the report's method order
+        assert list(self.EXPECTED) == list(Scheme)
 
 
 class TestTokenizer:
@@ -430,9 +453,10 @@ def _ref_loss_point(kind, pred, target):
 
 
 def _ref_loss_gaussian_nll(f, target_raw, stats):
-    denorm = denormalize_gaussian(f, stats)
-    z = (target_raw - denorm.gauss_mean) / denorm.gauss_std
-    nll_cells = 0.5 * float(np.log(2.0 * np.pi)) + np.log(denorm.gauss_std) + 0.5 * z**2
+    mean = f.gauss_mean * stats.scale + stats.shift
+    std = f.gauss_std * stats.scale
+    z = (target_raw - mean) / std
+    nll_cells = 0.5 * float(np.log(2.0 * np.pi)) + np.log(std) + 0.5 * z**2
     n = nll_cells.size
     return float(nll_cells.mean()), (-z / f.gauss_std / n, (1.0 - z**2) / n)
 

@@ -5,16 +5,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tsnorm import (
     Dataset,
     Instance,
+    LinearForecaster,
+    LossKind,
     Method,
     NormStats,
+    Scheme,
     Scope,
-    clipped_instance_normalize,
     denormalize,
-    denormalize_gaussian,
     fit_dataset_stats,
     fit_inference_stats,
-    fit_instance_stats,
-    hybrid_normalize,
+    loss_gaussian_nll,
     normalize,
     raw_stats,
 )
@@ -27,9 +27,12 @@ from tsnorm.core import (
     ShapeMismatchError,
 )
 from tsnorm.metrics import naive_mae
-from tsnorm.norm import INSTANCE_METHODS, DegenerateChannelWarning, WrongMethodError
+from tsnorm.models import prepare_training_pool
+from tsnorm.norm import DegenerateChannelWarning, WrongMethodError
 
 from conftest import col
+
+HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
 
 def dataset_from(values, split=None):
@@ -79,23 +82,19 @@ class TestFitDatasetStats:
 
 class TestFitInstanceStats:
     def test_revin_population_sigma(self):
-        s = fit_instance_stats(col(10, 12, 14), Method.REVIN)
+        s = fit_inference_stats(col(10, 12, 14), Method.REVIN)
         assert s.scope is Scope.INSTANCE
         np.testing.assert_allclose(s.shift, [12.0], atol=1e-12)
         np.testing.assert_allclose(s.scale, [1.632993161855452], atol=1e-12)
 
     def test_meanabs(self):
-        s = fit_instance_stats(col(-2, 4), Method.MEANABS)
+        s = fit_inference_stats(col(-2, 4), Method.MEANABS)
         np.testing.assert_array_equal(s.shift, [0.0])
         np.testing.assert_array_equal(s.scale, [3.0])
 
     def test_constant_window_eps_guard(self):
-        s = fit_instance_stats(col(5, 5, 5), Method.REVIN)
+        s = fit_inference_stats(col(5, 5, 5), Method.REVIN)
         assert s.shift[0] == 5.0 and s.scale[0] == SCALE_EPS
-
-    def test_dataset_method_rejected(self):
-        with pytest.raises(WrongMethodError):
-            fit_instance_stats(col(1, 2), Method.MINMAX)
 
 
 class TestNormalizeDenormalize:
@@ -111,7 +110,7 @@ class TestNormalizeDenormalize:
         np.testing.assert_array_equal(denormalize(x, raw_stats(1)), x)
 
     def test_revin_forward(self):
-        stats = fit_instance_stats(col(10, 12, 14), Method.REVIN)
+        stats = fit_inference_stats(col(10, 12, 14), Method.REVIN)
         np.testing.assert_allclose(
             normalize(col(10, 12, 14), stats),
             col(-1.224744871391589, 0.0, 1.224744871391589),
@@ -133,7 +132,7 @@ class TestNormalizeDenormalize:
             back = denormalize(normalize(x, stats), stats)
             np.testing.assert_allclose(back, x, rtol=1e-9)
         for method in (Method.REVIN, Method.MEANABS):
-            stats = fit_instance_stats(x, method)
+            stats = fit_inference_stats(x, method)
             back = denormalize(normalize(x, stats), stats)
             np.testing.assert_allclose(back, x, rtol=1e-9)
 
@@ -174,7 +173,7 @@ class TestMomentProperties:
     def test_revin_window_moments(self):
         rng = np.random.default_rng(10)
         ctx = rng.normal(100.0, 17.0, (96, 4))
-        z = normalize(ctx, fit_instance_stats(ctx, Method.REVIN))
+        z = normalize(ctx, fit_inference_stats(ctx, Method.REVIN))
         assert np.abs(z.mean(axis=0)).max() <= 1e-9
         assert np.abs(z.std(axis=0) - 1.0).max() <= 1e-9
 
@@ -205,90 +204,123 @@ class TestMomentProperties:
 
 
 class TestDenormalizeGaussian:
+    """A Gaussian forecast in normalized space is scored as N(scale * mean +
+    shift, scale * std): the mean maps through ``denormalize`` and the std
+    through the scale, which the value of ``loss_gaussian_nll`` shows."""
+
+    @staticmethod
+    def _gaussian(mean, std):
+        return Forecast(kind=ForecastKind.GAUSSIAN,
+                        gauss_mean=np.full((1, 1), mean), gauss_std=np.full((1, 1), std))
+
     def test_affine_transform(self):
-        f = Forecast(kind=ForecastKind.GAUSSIAN,
-                     gauss_mean=np.zeros((1, 1)), gauss_std=np.ones((1, 1)))
+        f = self._gaussian(0.0, 1.0)
         stats = NormStats([12.0], [2.0], Scope.INSTANCE, Method.REVIN)
-        out = denormalize_gaussian(f, stats)
-        assert out.gauss_mean[0, 0] == 12.0 and out.gauss_std[0, 0] == 2.0
+        assert denormalize(f.gauss_mean, stats)[0, 0] == 12.0
+        # N(12, 2): log 2 at the mean, plus z^2 / 2 = 0.5 one std away
+        at_mean, _ = loss_gaussian_nll(f, np.full((1, 1), 12.0), stats)
+        one_std, _ = loss_gaussian_nll(f, np.full((1, 1), 14.0), stats)
+        assert at_mean == pytest.approx(HALF_LOG_2PI + np.log(2.0), abs=1e-15)
+        assert one_std == pytest.approx(HALF_LOG_2PI + np.log(2.0) + 0.5, abs=1e-15)
 
     def test_scale_multiplies_std(self):
-        f = Forecast(kind=ForecastKind.GAUSSIAN,
-                     gauss_mean=np.zeros((1, 1)), gauss_std=np.full((1, 1), 0.5))
+        f = self._gaussian(0.0, 0.5)
         stats = NormStats([0.0], [4.0], Scope.INSTANCE, Method.REVIN)
-        assert denormalize_gaussian(f, stats).gauss_std[0, 0] == 2.0
+        loss, _ = loss_gaussian_nll(f, np.zeros((1, 1)), stats)
+        assert loss == pytest.approx(HALF_LOG_2PI + np.log(2.0), abs=1e-15)
 
     def test_raw_identity(self):
         f = Forecast(kind=ForecastKind.GAUSSIAN,
                      gauss_mean=np.full((2, 1), 3.0), gauss_std=np.full((2, 1), 1.5))
-        out = denormalize_gaussian(f, raw_stats(1))
-        np.testing.assert_array_equal(out.gauss_mean, f.gauss_mean)
-        np.testing.assert_array_equal(out.gauss_std, f.gauss_std)
+        np.testing.assert_array_equal(denormalize(f.gauss_mean, raw_stats(1)), f.gauss_mean)
+        target = np.array([[3.0], [6.0]])
+        z = (target - 3.0) / 1.5
+        loss, _ = loss_gaussian_nll(f, target, raw_stats(1))
+        assert loss == pytest.approx(np.mean(HALF_LOG_2PI + np.log(1.5) + 0.5 * z * z),
+                                     abs=1e-15)
 
     def test_kind_mismatch(self):
         f = Forecast(kind=ForecastKind.POINT, point=np.zeros((2, 1)))
         with pytest.raises(KindMismatchError):
-            denormalize_gaussian(f, raw_stats(1))
+            loss_gaussian_nll(f, np.zeros((2, 1)), raw_stats(1))
+
+
+def _point_pool(inst, scheme):
+    """(pool, rejected) of one instance under ``scheme`` for a point model."""
+    model = LinearForecaster.create(LossKind.MSE, inst.context_len, inst.horizon_len)
+    return prepare_training_pool([inst], scheme, model)
 
 
 class TestClippedInstanceNormalize:
+    """Point models under revin normalize context and horizon with the
+    context's statistics and reject an instance beyond the clip threshold."""
+
     def test_near_constant_context_rejected(self):
         inst = Instance(context=col(0, 0, 0), horizon=col(100), origin=("d", 0))
-        out = clipped_instance_normalize(inst, Method.REVIN)
-        assert out.rejected
-        assert out.max_abs > 1e9  # 100 / eps
+        pool, rejected = _point_pool(inst, Scheme.REVIN)
+        assert rejected == 1 and len(pool) == 0  # 100 / eps is far beyond 10
 
     def test_plain_window_accepted(self):
         inst = Instance(context=col(10, 12, 14), horizon=col(12), origin=("d", 0))
-        out = clipped_instance_normalize(inst, Method.REVIN)
-        assert not out.rejected
-        assert abs(out.normalized.horizon[0, 0]) < 1e-12
+        pool, rejected = _point_pool(inst, Scheme.REVIN)
+        assert rejected == 0
+        assert abs(pool[0].target[0, 0]) < 1e-12
 
     def test_threshold_boundary(self):
-        inst = Instance(context=col(10, 12, 14), horizon=col(12), origin=("d", 0))
-        out = clipped_instance_normalize(inst, Method.REVIN, clip_threshold=10.0)
-        assert out.max_abs <= 10.0 and not out.rejected
+        # the context has mean 0 and std 1, so the horizon keeps its value
+        at = Instance(context=col(-1, 1), horizon=col(10.0), origin=("d", 0))
+        above = Instance(context=col(-1, 1), horizon=col(10.000001), origin=("d", 0))
+        assert _point_pool(at, Scheme.REVIN)[1] == 0
+        assert _point_pool(above, Scheme.REVIN)[1] == 1
 
     def test_any_channel_violation_rejects(self):
         ctx = np.column_stack([[10.0, 12.0, 14.0], [0.0, 0.0, 0.0]])
         hor = np.array([[12.0, 100.0]])
-        out = clipped_instance_normalize(
-            Instance(context=ctx, horizon=hor, origin=("d", 0)), Method.REVIN
-        )
-        assert out.rejected
+        inst = Instance(context=ctx, horizon=hor, origin=("d", 0))
+        assert _point_pool(inst, Scheme.REVIN)[1] == 1
 
 
 class TestHybridNormalize:
+    """The hybrid pool row of an instance cut from a standardized dataset is
+    RevIN on the standardized context; its target stays standardized, for the
+    loss to compare with the de-normalized prediction."""
+
+    @staticmethod
+    def _by_hand(window, ds):
+        standardized = normalize(window, ds)
+        ctx, hor = standardized[:-1], standardized[-1:]
+        stats = fit_inference_stats(ctx, Method.REVIN)
+        pool, rejected = _point_pool(Instance(context=ctx, horizon=hor, origin=("d", 0)),
+                                     Scheme.HYBRID)
+        assert rejected == 0
+        return pool[0], normalize(ctx, stats), stats, hor
+
     def test_identity_dataset_step_matches_plain_revin(self):
-        ctx = col(10, 12, 14)
+        window = col(10, 12, 14, 13)
         ds = NormStats([0.0], [1.0], Scope.DATASET, Method.STANDARDIZATION)
-        hybrid_out, inst = hybrid_normalize(ctx, ds)
-        plain = normalize(ctx, fit_instance_stats(ctx, Method.REVIN))
-        np.testing.assert_array_equal(hybrid_out, plain)
-        assert inst.method is Method.REVIN
+        sample, _, _, _ = self._by_hand(window, ds)
+        plain, _ = _point_pool(Instance(context=window[:-1], horizon=window[-1:],
+                                        origin=("d", 0)), Scheme.REVIN)
+        assert sample.inputs.tobytes() == plain[0].inputs.tobytes()
+        assert sample.stats.method is Method.REVIN
 
     def test_composition(self):
-        ctx = col(100, 104, 108)
+        window = col(100, 104, 108, 112)
         ds = NormStats([100.0], [4.0], Scope.DATASET, Method.STANDARDIZATION)
-        out, inst = hybrid_normalize(ctx, ds)
+        sample, inputs, stats, hor = self._by_hand(window, ds)
         np.testing.assert_allclose(
-            out, col(-1.224744871391589, 0.0, 1.224744871391589), atol=1e-12
+            sample.inputs, col(-1.224744871391589, 0.0, 1.224744871391589), atol=1e-12
         )
-        np.testing.assert_allclose(inst.shift, [1.0], atol=1e-12)
+        np.testing.assert_allclose(sample.stats.shift, [1.0], atol=1e-12)
+        assert sample.inputs.tobytes() == inputs.tobytes()
+        assert sample.stats.shift.tobytes() == stats.shift.tobytes()
+        assert sample.stats.scale.tobytes() == stats.scale.tobytes()
+        assert sample.target.tobytes() == hor.tobytes()
 
     def test_constant_standardized_context_guard(self):
-        ctx = col(7, 7, 7)
         ds = NormStats([0.0], [1.0], Scope.DATASET, Method.STANDARDIZATION)
-        _, inst = hybrid_normalize(ctx, ds)
-        assert inst.scale[0] == SCALE_EPS
-
-    def test_wrong_method_rejected(self):
-        ds = NormStats([0.0], [1.0], Scope.DATASET, Method.MINMAX)
-        with pytest.raises(WrongMethodError):
-            hybrid_normalize(col(1, 2), ds)
-        inst_scoped = NormStats([0.0], [1.0], Scope.INSTANCE, Method.STANDARDIZATION)
-        with pytest.raises(WrongMethodError):
-            hybrid_normalize(col(1, 2), inst_scoped)
+        sample, _, _, _ = self._by_hand(col(7, 7, 7, 7), ds)
+        assert sample.stats.scale[0] == SCALE_EPS
 
 
 class TestInferenceStats:
@@ -333,10 +365,6 @@ class TestBlockWindowStats:
             assert stats.scale[i].tobytes() == one.scale.tobytes()
             assert normed[i].tobytes() == normalize(window, one).tobytes()
             assert back[i].tobytes() == denormalize(normalize(window, one), one).tobytes()
-        if method in INSTANCE_METHODS:
-            inst = fit_instance_stats(block, method)
-            assert inst.shift.tobytes() == stats.shift.tobytes()
-            assert inst.scale.tobytes() == stats.scale.tobytes()
 
     @pytest.mark.parametrize("channels", [1, 2, 3, 8])
     def test_naive_mae_block_equals_per_window(self, channels):
