@@ -119,10 +119,9 @@ def cmd_synth(args) -> int:
 
 
 def _load_plan_file(path: Path, seed_override: int | None):
-    """Resolve a plan JSON file into (ExperimentPlan, datasets, raw dict)."""
+    """Resolve a plan JSON file into (ExperimentPlan, datasets by name)."""
     raw = _read_json(path)
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
-    raw["seed"] = seed
     if "synthetic" in raw:
         datasets = generate_synthetic(SyntheticSpec.from_dict(raw["synthetic"]))
     elif "datasets" in raw:
@@ -154,7 +153,7 @@ def _load_plan_file(path: Path, seed_override: int | None):
         naive_lag=raw.get("naive_lag"),
         horizon_overrides=raw.get("horizon_overrides"),
     )
-    return plan, {d.name: d for d in datasets}, raw
+    return plan, {d.name: d for d in datasets}
 
 
 def _plan_to_dict(plan: ExperimentPlan) -> dict:
@@ -233,8 +232,9 @@ def _report_to_json(report, plan: ExperimentPlan) -> dict:
     }
 
 
-def _variant_filename(key: str) -> str:
-    return key.replace("|", "__") + ".json"
+def _variant_filename(key: str, suffix: str = ".json") -> str:
+    """File name of a variant's checkpoint, trace or rows: its key with "|" as "__"."""
+    return key.replace("|", "__") + suffix
 
 
 def cmd_run(args) -> int:
@@ -244,7 +244,7 @@ def cmd_run(args) -> int:
         seed_override = int(env_seed)
     if args.seed is not None:
         seed_override = args.seed
-    plan, datasets, _raw = _load_plan_file(Path(args.plan), seed_override)
+    plan, datasets = _load_plan_file(Path(args.plan), seed_override)
 
     problems = plan.validate_against(datasets)
     if problems:
@@ -291,7 +291,7 @@ def cmd_run(args) -> int:
     def collect(key, trained, trace, rows):
         # the variant file marks the variant done, so it is written last
         _write_json(checkpoints_dir / _variant_filename(key), trained.to_dict())
-        trace.to_csv(traces_dir / (key.replace("|", "__") + ".csv"))
+        trace.to_csv(traces_dir / _variant_filename(key, ".csv"))
         _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
         losses = trace.losses
         loss = f"{losses[0]:.6g} -> {losses[-1]:.6g}" if len(losses) else "none"

@@ -11,6 +11,8 @@ auditable entry points so leakage assertions can be checked after the fact.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 import re
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -128,7 +130,8 @@ class ExperimentPlan:
     (a consistent wall-clock span when frequencies differ); models are trained
     with the longest horizon and truncated per dataset at evaluation.
     ``naive_lag`` overrides the per-dataset seasonal period for the MASE
-    denominator when set; it must be at least 1.
+    denominator when set; it must be at least 1.  The integer fields take
+    Python or numpy integers (not ``bool``) and ``lr`` a finite real number.
     """
 
     corpus: tuple
@@ -162,6 +165,16 @@ class ExperimentPlan:
         for name in self.corpus:
             if name not in self.horizons:
                 raise TsnormError(f"no horizon configured for dataset {name!r}")
+        for name in ("context_len", "steps", "seed", "instances_per_dataset", "naive_lag"):
+            value = getattr(self, name)
+            if value is None and name == "naive_lag":
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TsnormError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        lr = self.lr
+        if not isinstance(lr, numbers.Real) or isinstance(lr, bool) or not math.isfinite(lr):
+            raise TsnormError(f"lr must be a finite real number, got {lr!r}")
         if self.context_len < 1 or self.steps < 0 or self.instances_per_dataset < 1:
             raise TsnormError("context_len, steps, instances_per_dataset out of range")
         if self.naive_lag is not None and self.naive_lag < 1:
@@ -483,9 +496,9 @@ def _run_variant_worker(args):
 
 @dataclass
 class PlanResult:
+    """A plan's report and audit log; models and traces go to ``on_variant``."""
+
     report: EvalReport
-    models: dict
-    traces: dict
     audit: AccessLog
 
 
@@ -504,6 +517,8 @@ def run_plan(
     so the report is identical to a serial run.  ``on_variant(key, model,
     trace, rows)`` is called in plan order as each variant's result arrives,
     so variants that finished before a failure have already been handed on.
+    It is the only place a trained model and its trace come out: the result
+    keeps neither, so a caller that wants them collects them there.
     """
     problems = plan.validate_against(datasets)
     if problems:
@@ -514,8 +529,6 @@ def run_plan(
         for mk, sc, wh in plan.variants()
         if variant_key(mk, sc, wh) not in completed
     ]
-    models: dict = {}
-    traces: dict = {}
     audit = AccessLog()
     all_rows = []
     for rows in completed.values():
@@ -529,16 +542,10 @@ def run_plan(
             results = map(_run_variant_worker, args)
         # each variant is handed on as it finishes, so a later failure keeps it
         for key, trained, trace, rows, variant_audit in results:
-            models[key] = trained
-            traces[key] = trace
             audit.extend(variant_audit)
             all_rows.extend(rows)
             if on_variant is not None:
                 on_variant(key, trained, trace, rows)
+            del trained, trace  # not kept while the next variant trains
     audit.verify(datasets)
-    return PlanResult(
-        report=assemble_report(all_rows),
-        models=models,
-        traces=traces,
-        audit=audit,
-    )
+    return PlanResult(report=assemble_report(all_rows), audit=audit)

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The benchmark criteria share one full 7-scheme x 3-withheld x 2-model plan on
 the seeded synthetic multi-scale corpus (42 training runs); it executes once
-per session through the CLI and once in-process for the audit log.
+per session through the CLI and once in-process for the audit log, and the
+two reports must match byte for byte.
 """
 
 import json
@@ -38,7 +39,7 @@ from tsnorm import (
     sample_instances,
     train,
 )
-from tsnorm.cli import main
+from tsnorm.cli import _report_to_json, _write_json, main
 from tsnorm.core import Forecast, ForecastKind, Scope
 from tsnorm.harness import AVERAGE_ID, run_plan
 from tsnorm.models import prepare_training_pool
@@ -87,12 +88,12 @@ def bench_run(tmp_path_factory):
     assert main(["run", "--plan", str(plan_path), "--out", str(out)]) == 0
     elapsed = time.perf_counter() - started
     report = json.loads((out / "report.json").read_text())
-    return plan_path, out, report, elapsed
+    return out, report, elapsed
 
 
 @pytest.fixture(scope="session")
 def bench_result():
-    """The same benchmark in-process, for the audit log and model handles."""
+    """The same benchmark in-process, for the audit log and the report."""
     datasets = {d.name: d for d in generate_synthetic(SyntheticSpec.from_dict(BENCH_SYNTH))}
     plan = ExperimentPlan.from_datasets(
         list(datasets.values()),
@@ -312,7 +313,7 @@ def test_criterion_7_mase_oracle():
 
 
 def test_criterion_8_directional_reproduction(bench_run):
-    _, out, report, elapsed = bench_run
+    out, report, elapsed = bench_run
     assert elapsed < 600.0
     agg = report["aggregates"][AVERAGE_ID]
     zs = {method: agg[method]["zs"]["mean"] for method in agg}
@@ -344,12 +345,14 @@ def test_criterion_9_protocol_hygiene(bench_run, bench_result, tmp_path):
         assert hi <= datasets[name].split_index, "training access crossed the split"
     result.audit.verify(datasets)
 
-    plan_path, out, _, _ = bench_run
-    rerun = tmp_path / "rerun"
-    assert main(["run", "--plan", str(plan_path), "--out", str(rerun)]) == 0
+    # the in-process run, written the way the CLI writes its report, must
+    # equal the CLI run's report.json byte for byte
+    out, _, _ = bench_run
+    in_process = tmp_path / "report.json"
+    _write_json(in_process, _report_to_json(result.report, plan))
     first = (out / "report.json").read_bytes()
-    second = (rerun / "report.json").read_bytes()
+    second = in_process.read_bytes()
     assert first == second
     ok(f"criterion 9: {len(training_side)} training-side accesses all inside "
        f"train rows and never on the withheld dataset; identical seeds gave "
-       f"byte-identical report.json twice ({len(first)} bytes)")
+       f"byte-identical report.json from the CLI and in-process ({len(first)} bytes)")

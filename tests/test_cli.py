@@ -215,6 +215,18 @@ class TestRun:
         assert "naive_lag" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("context_len", 96.0), ("instances_per_dataset", 8.5), ("lr", "0.1"),
+        ("naive_lag", 2.5), ("naive_lag", True), ("seed", 1.5),
+    ])
+    def test_mistyped_plan_field_exits_2_before_training(self, tmp_path, capsys, field, value):
+        plan = dict(TINY_PLAN, schemes=["raw"], withheld=["synth0"], **{field: value})
+        path = write_plan(tmp_path, plan)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_3(self, tmp_path):
         plan = dict(TINY_PLAN)
         plan["lr"] = 100.0  # way past the stability bound for raw MSE

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +100,25 @@ class TestPlan:
         )
         problems = long_plan.validate_against(datasets)
         assert problems and any("test rows" in p for p in problems)
+
+    def test_integer_fields_take_python_and_numpy_ints(self):
+        datasets = small_corpus()
+        plan = small_plan(datasets, steps=np.int64(5), seed=np.int32(3))
+        assert type(plan.steps) is int and plan.steps == 5
+        assert type(plan.seed) is int and plan.seed == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("context_len", 48.0), ("steps", True), ("seed", "3"), ("naive_lag", np.float64(2)),
+        ("instances_per_dataset", np.bool_(True)), ("lr", float("nan")), ("lr", False),
+        ("lr", "1e-4"),
+    ])
+    def test_field_types_checked(self, field, value):
+        datasets = small_corpus()
+        fields = dict(schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,), context_len=48,
+                      withheld=("synth0",), steps=1, lr=0.1, seed=0)
+        fields[field] = value
+        with pytest.raises(TsnormError, match=field):
+            ExperimentPlan.from_datasets(list(datasets.values()), **fields)
 
     def test_variant_seed_stable_and_distinct(self):
         a = variant_seed(7, LossKind.MSE, Scheme.REVIN, "x")
@@ -342,27 +364,53 @@ class TestAssembleReport:
         assert report.aggregates[("average", "revin", "zs")][0] == 2.0
 
 
+def _collecting(handed):
+    """An ``on_variant`` that records each key it is handed, in order."""
+    def on_variant(key, trained, trace, rows):
+        handed.append(key)
+    return on_variant
+
+
 class TestRunPlan:
     def test_full_small_plan(self):
         datasets = small_corpus()
         plan = small_plan(datasets)
-        result = run_plan(plan, datasets)
-        assert len(result.models) == len(plan.variants()) == 4
+        handed = []
+        result = run_plan(plan, datasets, on_variant=_collecting(handed))
+        assert handed == [harness.variant_key(*v) for v in plan.variants()]
+        assert len(handed) == len(plan.variants()) == 4
         settings = {(e.method, e.setting.value) for e in result.report.entries}
         assert ("revin", "zs") in settings and ("raw", "id") in settings
         result.audit.verify(datasets)
 
+    def test_result_keeps_no_model_or_trace(self):
+        datasets = small_corpus()
+        plan = small_plan(datasets, steps=20)
+        refs = []
+
+        def on_variant(key, trained, trace, rows):
+            refs.extend((weakref.ref(trained), weakref.ref(trace)))
+
+        result = run_plan(plan, datasets, on_variant=on_variant)
+        gc.collect()
+        assert len(refs) == 2 * len(plan.variants())
+        assert all(ref() is None for ref in refs)
+        assert result.report.entries
+
     def test_resume_equals_fresh(self):
         datasets = small_corpus()
         plan = small_plan(datasets)
-        fresh = run_plan(plan, datasets)
-        key = next(iter(fresh.models))
+        fresh_keys = []
+        fresh = run_plan(plan, datasets, on_variant=_collecting(fresh_keys))
+        key = fresh_keys[0]
         completed_rows = [e for e in fresh.report.entries
                           if f"{e.model_id}|{e.method}|{e.withheld}" == key]
-        resumed = run_plan(plan, datasets, completed={key: completed_rows})
+        resumed_keys = []
+        resumed = run_plan(plan, datasets, completed={key: completed_rows},
+                           on_variant=_collecting(resumed_keys))
         assert resumed.report.entries == fresh.report.entries
         assert resumed.report.aggregates == fresh.report.aggregates
-        assert key not in resumed.models  # not re-trained
+        assert resumed_keys == fresh_keys[1:]  # not re-trained
 
     def test_parallel_matches_serial(self):
         datasets = small_corpus()
