@@ -12,7 +12,8 @@ The library provides
 * MASE scoring against a seasonal-naive baseline (`tsnorm.metrics`),
 * a leave-one-dataset-out zero-shot / in-domain benchmark protocol with
   inference-time statistic substitution (`tsnorm.harness`),
-* CSV ingestion and a reproducible synthetic multi-scale corpus (`tsnorm.data`),
+* CSV ingestion, a reproducible synthetic multi-scale corpus and instance
+  sampling into array-backed batches (`tsnorm.data`),
 * a CLI (`tsnorm synth|run|report`).
 """
 
@@ -31,7 +32,14 @@ from .core import (
     raw_stats,
     validate_dataset,
 )
-from .data import SyntheticSpec, export_csv, generate_synthetic, load_csv, sample_instances
+from .data import (
+    InstanceBatch,
+    SyntheticSpec,
+    export_csv,
+    generate_synthetic,
+    load_csv,
+    sample_instances,
+)
 from .harness import (
     AccessLog,
     ExperimentPlan,
@@ -70,6 +78,7 @@ __all__ = [
     "Forecast",
     "ForecastKind",
     "Instance",
+    "InstanceBatch",
     "LinearForecaster",
     "LossKind",
     "Method",

@@ -4,16 +4,24 @@ The synthetic generator stands in for a heterogeneous pretraining corpus: each
 channel is a seasonal signal whose amplitude spans several decades across the
 corpus, riding on a baseline level with a drift term, piecewise level shifts,
 and Gaussian noise.  Generation is bit-for-bit reproducible from (spec, seed).
+
+Sampling draws start rows only: ``sample_instances`` returns an
+``InstanceBatch``, a read-only sequence of instances over the dataset's rows
+that builds an ``Instance`` when one is indexed, and stacks the windows of
+many draws with one fancy index for the training pool.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Instance, TsnormError, atomic_open
+from .core import Dataset, Instance, ShapeMismatchError, TsnormError, atomic_open
 
 
 class ParseError(TsnormError):
@@ -188,13 +196,89 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
     return datasets
 
 
+class InstanceBatch(Sequence):
+    """Training instances held as the start rows drawn from their datasets.
+
+    A read-only ``Sequence[Instance]``: item i is the instance whose context
+    starts at row ``starts[i]`` of its dataset, built (copied and validated)
+    only when it is indexed.  It is made from (dataset, start rows) pairs, in
+    order; every window must lie inside its dataset's rows.  The training
+    pool reads a batch through ``groups`` and ``windows``, which stack the
+    windows of many draws without building any ``Instance``.
+    """
+
+    def __init__(self, parts, context_len: int, horizon: int):
+        self.context_len, self.horizon_len = int(context_len), int(horizon)
+        if self.context_len < 1 or self.horizon_len < 1:
+            raise ShapeMismatchError("context and horizon need at least one row each")
+        window = self.context_len + self.horizon_len
+        self._spans, starts, end = [], [], 0
+        for d, s in parts:
+            s = np.asarray(s)
+            if s.ndim != 1 or (s.size and s.dtype.kind not in "iu"):
+                raise TsnormError(f"start rows of {d.name!r} must be a 1-D integer array")
+            if s.size and (s.min() < 0 or s.max() + window > d.length):
+                raise TsnormError(
+                    f"a window of {window} rows starting in [{s.min()}, {s.max()}] "
+                    f"leaves the {d.length} rows of dataset {d.name!r}"
+                )
+            self._spans.append((d, end, end + len(s)))
+            starts.append(s.astype(np.int64))
+            end += len(s)
+        self.starts = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
+        self.starts.setflags(write=False)
+        self._ends = [hi for _, _, hi in self._spans]
+
+    @classmethod
+    def concat(cls, batches) -> "InstanceBatch":
+        """One batch holding the draws of ``batches``, in order."""
+        batches = list(batches)
+        shapes = {(b.context_len, b.horizon_len) for b in batches}
+        if len(shapes) != 1:
+            raise ShapeMismatchError(
+                f"need batches of one (context, horizon) shape, got {sorted(shapes)}"
+            )
+        return cls([(d, b.starts[lo:hi]) for b in batches for d, lo, hi in b._spans],
+                   *shapes.pop())
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i) -> Instance:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"instance {i} out of range for a batch of {n}")
+        i %= n
+        d = self._spans[bisect_right(self._ends, i)][0]
+        s, end = int(self.starts[i]), int(self.starts[i]) + self.context_len
+        return Instance(context=d.values[s:end], horizon=d.values[end : end + self.horizon_len],
+                        origin=(d.name, s))
+
+    def groups(self) -> list:
+        """(channel count, instance ids) of each dataset's draws."""
+        return [(d.channels, np.arange(lo, hi)) for d, lo, hi in self._spans]
+
+    def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked contexts (k, L, C) and horizons (k, H, C) of the draws
+        ``ids``, which must all come from one dataset: one fancy index each
+        into the dataset's rows."""
+        ids = np.asarray(ids)
+        d, _, hi = self._spans[bisect_right(self._ends, int(ids.min()))]
+        if ids.max() >= hi:
+            raise TsnormError("windows are stacked from one dataset's draws at a time")
+        rows = self.starts[ids][:, None] + np.arange(self.context_len + self.horizon_len)
+        return d.values[rows[:, : self.context_len]], d.values[rows[:, self.context_len :]]
+
+
 def sample_instances(
     d: Dataset, context_len: int, horizon: int, count: int, seed: int
-) -> list[Instance]:
+) -> InstanceBatch:
     """Draw ``count`` training instances from uniformly random train-row offsets.
 
     Every window lies entirely inside the train rows: the horizon's last row
-    is strictly before the dataset split.  Deterministic per seed.
+    is strictly before the dataset split.  Deterministic per seed.  The
+    instances come as an ``InstanceBatch`` over ``d``'s rows.
     """
     window = context_len + horizon
     if window > d.split_index:
@@ -204,11 +288,4 @@ def sample_instances(
         )
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, d.split_index - window + 1, size=count)
-    return [
-        Instance(
-            context=d.values[s : s + context_len],
-            horizon=d.values[s + context_len : s + window],
-            origin=(d.name, int(s)),
-        )
-        for s in starts
-    ]
+    return InstanceBatch([(d, starts)], context_len, horizon)

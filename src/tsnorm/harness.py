@@ -30,7 +30,7 @@ from .core import (
     ShapeMismatchError,
     TsnormError,
 )
-from .data import sample_instances
+from .data import InstanceBatch, sample_instances
 from .metrics import improvement, mase, naive_mae
 from .models import (
     LinearForecaster,
@@ -130,8 +130,10 @@ class ExperimentPlan:
     (a consistent wall-clock span when frequencies differ); models are trained
     with the longest horizon and truncated per dataset at evaluation.
     ``naive_lag`` overrides the per-dataset seasonal period for the MASE
-    denominator when set; it must be at least 1.  The integer fields take
-    Python or numpy integers (not ``bool``) and ``lr`` a finite real number.
+    denominator when set; it must be at least 1.  The integer fields and the
+    ``horizons`` values take Python or numpy integers (not ``bool``), stored
+    as ``int``; every horizon is at least 1.  ``lr`` is a finite positive
+    real number.
     """
 
     corpus: tuple
@@ -165,6 +167,12 @@ class ExperimentPlan:
         for name in self.corpus:
             if name not in self.horizons:
                 raise TsnormError(f"no horizon configured for dataset {name!r}")
+        horizons = {}
+        for name, h in self.horizons.items():
+            if not isinstance(h, numbers.Integral) or isinstance(h, bool) or h < 1:
+                raise TsnormError(f"horizons[{name!r}] must be an integer >= 1, got {h!r}")
+            horizons[name] = int(h)
+        object.__setattr__(self, "horizons", horizons)
         for name in ("context_len", "steps", "seed", "instances_per_dataset", "naive_lag"):
             value = getattr(self, name)
             if value is None and name == "naive_lag":
@@ -175,6 +183,8 @@ class ExperimentPlan:
         lr = self.lr
         if not isinstance(lr, numbers.Real) or isinstance(lr, bool) or not math.isfinite(lr):
             raise TsnormError(f"lr must be a finite real number, got {lr!r}")
+        if lr <= 0:
+            raise TsnormError(f"lr must be positive, got {lr!r}")
         if self.context_len < 1 or self.steps < 0 or self.instances_per_dataset < 1:
             raise TsnormError("context_len, steps, instances_per_dataset out of range")
         if self.naive_lag is not None and self.naive_lag < 1:
@@ -364,7 +374,7 @@ def run_variant(
     train_names = [n for n in plan.corpus if n != withheld]
 
     ds_method = scheme.dataset_method
-    instances = []
+    batches = []
     for i, name in enumerate(train_names):
         d = datasets[name]
         if ds_method is not None:
@@ -372,18 +382,19 @@ def run_variant(
         drawn = sample_instances(
             d, plan.context_len, plan.train_horizon, plan.instances_per_dataset, seed + i
         )
-        if audit is not None and drawn:
+        if audit is not None and len(drawn):
             # one event spanning every draw: it crosses the split or touches
             # the withheld dataset exactly when one of the draws does
-            starts = [inst.origin[1] for inst in drawn]
             span = plan.context_len + plan.train_horizon
-            audit.record(variant, "sample", name, min(starts), max(starts) + span)
-        instances.extend(drawn)
+            audit.record(variant, "sample", name, drawn.starts.min(), drawn.starts.max() + span)
+        batches.append(drawn)
 
     model = LinearForecaster.create(
         model_kind, plan.context_len, plan.train_horizon, seed=seed
     )
-    trained, trace = train(model, instances, scheme, plan.steps, plan.lr, seed)
+    trained, trace = train(
+        model, InstanceBatch.concat(batches), scheme, plan.steps, plan.lr, seed
+    )
 
     rows = []
     zs = evaluate(

@@ -16,10 +16,12 @@ token) on arrays prepared once per pool sample; the kernels call the same
 unchecked loss cores as the public, validating ``loss_*`` functions, so each
 loss formula is written once.  Every reduction runs in a fixed order, so
 identical seeds give bitwise-identical weights, losses and gradient norms.
-Those per-sample arrays come from ``prepare_training_pool``, which stacks
-instances of one channel count a block at a time and computes their
-statistics, clip decisions and input norms in a few array operations, with
-the bits each instance alone would give.
+Those per-sample arrays come from the lazy pool of ``prepare_training_pool``:
+it makes every clip decision up front, and ``train`` has it build only the
+samples the seeded permutations draw, stacking their windows a block at a
+time and computing statistics and input norms in a few array operations,
+with the bits each instance alone would give.  The point and Gaussian
+gradient norms are likewise computed a block of steps at a time.
 
 The token head is defined by two ``np.einsum`` contractions and computed
 without them where that gives the same bits:
@@ -45,6 +47,7 @@ import copy
 import csv
 import enum
 import math
+import operator
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,6 +70,7 @@ from .core import (
     atomic_open,
     raw_stats,
 )
+from .data import InstanceBatch
 from .norm import (
     CLIP_THRESHOLD,
     WINDOW_BLOCK,
@@ -505,34 +509,88 @@ class TrainTrace:
 
 
 class TrainingPool(Sequence):
-    """The admitted samples of a training pool, in instance order.
+    """The admitted samples of a training pool, in instance order, built on request.
 
-    ``rows[i]`` is sample i as the SGD kernels take it: (inputs, target,
-    scale, shift, input norms), scale and shift being None when the loss runs
-    directly on the target.  Its arrays are rows of the pool's normalized
-    blocks, or the instances' own arrays where the scheme adds no instance
-    step.  Indexing the pool gives a ``TrainSample`` view of one sample, its
-    statistics of family ``method``.
+    ``build(ids)`` computes the rows of samples ``ids`` as the SGD kernels
+    take them: (inputs, target, scale, shift, input norms), scale and shift
+    being None when the loss runs directly on the target.  It works a block
+    of up to ``WINDOW_BLOCK`` stacked windows at a time, and every row is
+    bitwise the same whichever samples share its block; ``rows`` builds every
+    sample.  A sample's arrays are rows of its block's arrays.  Indexing the
+    pool gives a ``TrainSample`` view of one sample, its statistics of family
+    ``method``.  ``channels`` holds the channel counts of every admitted
+    sample, built or not.  ``prepare_training_pool`` makes it from the
+    instances' groups and the mask of admitted instances.
     """
 
-    def __init__(self, rows: list, method: Method):
-        self.rows = rows
-        self.method = method
+    def __init__(self, source, scheme: Scheme, model: LinearForecaster,
+                 groups: list, admitted: np.ndarray):
+        self._source, self._scheme, self._model = source, scheme, model
+        group_of = np.empty(len(admitted), dtype=np.intp)
+        for g, (_, ids) in enumerate(groups):
+            group_of[ids] = g
+        self._ids = np.flatnonzero(admitted)
+        self._group = group_of[self._ids]
+        self.method = scheme.instance_method or Method.RAW
+        self.channels = {groups[g][0] for g in set(self._group.tolist())}
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._ids)
 
-    def __getitem__(self, i: int) -> TrainSample:
-        inputs, target, scale, shift, _ = self.rows[i]
+    def build(self, ids) -> list:
+        """The rows of samples ``ids``, in that order."""
+        ids = np.asarray(ids, dtype=np.intp)
+        groups = self._group[ids]
+        rows = [None] * len(ids)
+        for g in set(groups.tolist()):
+            at = np.flatnonzero(groups == g)
+            for lo in range(0, len(at), WINDOW_BLOCK):
+                part = at[lo:lo + WINDOW_BLOCK]
+                windows = self._source.windows(self._ids[ids[part]])
+                for i, row in zip(part.tolist(), _pool_rows(*windows, self._scheme, self._model)):
+                    rows[i] = row
+        return rows
+
+    @property
+    def rows(self) -> list:
+        """The rows of every sample."""
+        return self.build(np.arange(len(self)))
+
+    def __getitem__(self, i) -> TrainSample:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"sample {i} out of range for a pool of {n}")
+        return self._sample(self.build([i % n])[0])
+
+    def __iter__(self):
+        return map(self._sample, self.rows)
+
+    def _sample(self, row: tuple) -> TrainSample:
+        inputs, target, scale, shift, _ = row
         if scale is None:
             return TrainSample(inputs, target)
         stats = NormStats(shift=shift, scale=scale, scope=Scope.INSTANCE, method=self.method)
         return TrainSample(inputs, target, stats)
 
-    @property
-    def channels(self) -> set:
-        """The channel counts of the samples."""
-        return {row[0].shape[1] for row in self.rows}
+
+class _InstanceList:
+    """A plain sequence of instances, read as the pool reads an ``InstanceBatch``:
+    grouped by channel count, windows stacked from the instances' arrays."""
+
+    def __init__(self, instances: Sequence[Instance]):
+        self.instances = instances
+
+    def groups(self) -> list:
+        by_channels: dict = {}
+        for i, inst in enumerate(self.instances):
+            by_channels.setdefault(inst.channels, []).append(i)
+        return [(c, np.array(ids)) for c, ids in by_channels.items()]
+
+    def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        chunk = [self.instances[i] for i in ids.tolist()]
+        return (np.stack([inst.context for inst in chunk]),
+                np.stack([inst.horizon for inst in chunk]))
 
 
 def prepare_training_pool(
@@ -551,45 +609,55 @@ def prepare_training_pool(
     the instance step.  Dataset-level schemes expect the corpus to be
     pre-normalized upstream and add no instance step here.
 
-    The work is block-wise: instances are grouped by channel count and
-    stacked ``WINDOW_BLOCK`` at a time, and each block's statistics, clip
-    decisions and input norms take a few array operations.  Every sample is
-    bitwise equal to what the same steps give on its instance alone, and the
-    pool keeps the instances' order.
+    The pool is lazy: only the clip decisions are made here, for every
+    instance, and a sample's arrays are computed when ``TrainingPool.build``
+    asks for them.  The work is block-wise: the windows of up to
+    ``WINDOW_BLOCK`` instances of one group are stacked at a time, one fancy
+    index per block for an ``InstanceBatch`` (whose groups are its
+    datasets), and each block's statistics, clip decisions and input norms
+    take a few array operations.  Any other sequence of instances is grouped
+    by channel count.  Every sample is bitwise equal to what the same steps
+    give on its instance alone, and the pool keeps the instances' order.
     """
-    for inst in instances:
-        if inst.context_len != model.context_len or inst.horizon_len != model.horizon:
+    if isinstance(instances, InstanceBatch):
+        source, shapes = instances, {(instances.context_len, instances.horizon_len)}
+    else:
+        source = _InstanceList(instances)
+        shapes = {(inst.context_len, inst.horizon_len) for inst in instances}
+    for context_len, horizon in shapes:
+        if (context_len, horizon) != (model.context_len, model.horizon):
             raise ShapeMismatchError(
-                f"instance ({inst.context_len}, {inst.horizon_len}) does not match "
+                f"instance ({context_len}, {horizon}) does not match "
                 f"model ({model.context_len}, {model.horizon})"
             )
-    by_channels: dict = {}
-    for i, inst in enumerate(instances):
-        by_channels.setdefault(inst.channels, []).append(i)
-    rows = [None] * len(instances)
-    for ids in by_channels.values():
-        for lo in range(0, len(ids), WINDOW_BLOCK):
-            part = ids[lo:lo + WINDOW_BLOCK]
-            chunk = [instances[i] for i in part]
-            for i, row in zip(part, _pool_rows(chunk, scheme, model)):
-                rows[i] = row
-    admitted = [row for row in rows if row is not None]
-    pool = TrainingPool(admitted, scheme.instance_method or Method.RAW)
-    return pool, len(rows) - len(admitted)
+    groups = source.groups()
+    admitted = np.ones(len(instances), dtype=bool)
+    if model.loss_kind.is_point and scheme.clips:
+        for _, ids in groups:
+            for lo in range(0, len(ids), WINDOW_BLOCK):
+                part = ids[lo:lo + WINDOW_BLOCK]
+                admitted[part] = ~_clipped(*source.windows(part), scheme.instance_method)
+    pool = TrainingPool(source, scheme, model, groups, admitted)
+    return pool, len(instances) - len(pool)
 
 
-def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster) -> list:
-    """Pool rows of instances that share a channel count; None marks an
-    instance rejected by clipping."""
+def _clipped(contexts: np.ndarray, horizons: np.ndarray, method: Method) -> np.ndarray:
+    """Whether each instance of a block exceeds ``CLIP_THRESHOLD`` once
+    normalized with its context's statistics."""
+    stats = fit_inference_stats(contexts, method)
+    return instance_max_abs(normalize(contexts, stats), normalize(horizons, stats)) > CLIP_THRESHOLD
+
+
+def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
+               model: LinearForecaster) -> list:
+    """Pool rows of a block of admitted instances' stacked windows."""
     kind, method = model.loss_kind, scheme.instance_method
-    contexts = np.stack([inst.context for inst in chunk])
     if method is not None:
         stats = fit_inference_stats(contexts, method)
         contexts = normalize(contexts, stats)
     none = repeat(None)
     if kind is LossKind.TOKEN_CE:
         spec = model.tokenizer
-        horizons = np.stack([inst.horizon for inst in chunk])
         if method is not None:
             horizons = normalize(horizons, stats)
         inputs = detokenize(tokenize(contexts, spec), spec)
@@ -597,20 +665,15 @@ def _pool_rows(chunk: list, scheme: Scheme, model: LinearForecaster) -> list:
                         _channel_norms(inputs, axis=-2)))
     norms = _channel_norms(contexts, axis=-2)
     if method is None:
-        # the instances' own arrays, as the stacked copies would cost memory
         scale = shift = none
         if kind is LossKind.GAUSSIAN_NLL:
             identity = raw_stats(contexts.shape[-1])
             scale, shift = repeat(identity.scale), repeat(identity.shift)
-        return list(zip((inst.context for inst in chunk), (inst.horizon for inst in chunk),
-                        scale, shift, norms))
+        return list(zip(contexts, horizons, scale, shift, norms))
     if kind.is_point and scheme.clips:
-        horizons = normalize(np.stack([inst.horizon for inst in chunk]), stats)
-        rejected = instance_max_abs(contexts, horizons) > CLIP_THRESHOLD
-        return [None if out else row for out, row in
-                zip(rejected.tolist(), zip(contexts, horizons, none, none, norms))]
+        return list(zip(contexts, normalize(horizons, stats), none, none, norms))
     # hybrid point models and the Gaussian head de-normalize with the instance stats
-    return list(zip(contexts, (inst.horizon for inst in chunk), stats.scale, stats.shift, norms))
+    return list(zip(contexts, horizons, stats.scale, stats.shift, norms))
 
 
 def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
@@ -619,13 +682,16 @@ def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
 
 
 # SGD kernels, one per loss family.  Each updates the weight arrays it is bound
-# to in place and returns (loss, per-channel gradient norms) for one pool
-# sample (inputs, target, scale, shift, input norms); scale/shift are None when
-# the loss runs directly on the target.  A channel's gradient norm is its output
-# gradient norm times its input norm, summed in quadrature over heads.
+# to in place for one pool sample (inputs, target, scale, shift, input norms);
+# scale/shift are None when the loss runs directly on the target.  The point and
+# Gaussian kernels return (loss, output gradients, one (H, C) array per head),
+# whose gradient norms ``_GradNorms`` computes a block of steps at a time; the
+# token kernels return (loss, per-channel gradient norms).  A channel's gradient
+# norm is its output gradient norm times its input norm, summed in quadrature
+# over heads.
 
 
-def _point_step(core, weights, bias, lr, ctx, target, scale, shift, in_norms):
+def _point_step(core, weights, bias, lr, ctx, target, scale, shift, _in_norms):
     pred = weights @ ctx + bias[:, None]
     if scale is None:
         loss, g = core(pred, target)
@@ -633,24 +699,21 @@ def _point_step(core, weights, bias, lr, ctx, target, scale, shift, in_norms):
         # prediction de-normalized with instance stats before the loss
         loss, g = core(pred * scale + shift, target)
         g = g * scale
-    p = _channel_norms(g) * in_norms
     weights -= lr * (g @ ctx.T)
     bias -= lr * g.sum(axis=1)
-    return loss, np.sqrt(p * p)
+    return loss, (g,)
 
 
 def _gaussian_step(weights, bias, sigma_weights, sigma_bias, lr,
-                   ctx, target, scale, shift, in_norms):
+                   ctx, target, scale, shift, _in_norms):
     mean = weights @ ctx + bias[:, None]
     std = np.exp(sigma_weights @ ctx + sigma_bias[:, None])
     loss, (d_mean, d_log_std) = _gaussian_nll(mean, std, target, scale, shift)
-    p_mean = _channel_norms(d_mean) * in_norms
-    p_std = _channel_norms(d_log_std) * in_norms
     weights -= lr * (d_mean @ ctx.T)
     bias -= lr * d_mean.sum(axis=1)
     sigma_weights -= lr * (d_log_std @ ctx.T)
     sigma_bias -= lr * d_log_std.sum(axis=1)
-    return loss, np.sqrt(p_mean * p_mean + p_std * p_std)
+    return loss, (d_mean, d_log_std)
 
 
 def _token_step(token_weights, token_bias, lr, ctx, target, scale, shift, in_norms):
@@ -741,6 +804,59 @@ def _bound_kernel(model: LinearForecaster, lr: float, channels: set):
         model.token_weights[...] = wt.transpose(1, 2, 0)
 
 
+class _GradNorms:
+    """Per-step gradient norms, appended to ``out`` in step order.
+
+    ``record(j, out)`` takes what the kernel returned for a step on drawn row
+    j.  Token norms are appended as they come.  Point and Gaussian output
+    gradients are copied into one (WINDOW_BLOCK, H, C_max) buffer per head,
+    and every WINDOW_BLOCK steps, and at ``flush``, the buffered steps of each
+    channel count get their norms at once: ``_channel_norms(G, axis=-2)``
+    times the input norms, summed in quadrature over heads.  A step's norms
+    are bitwise what its own (H, C) gradient gives: the steps of one channel
+    count reduce over H in the order a lone gradient does, which a buffer
+    wider than C would change for C = 1.
+    """
+
+    def __init__(self, model: LinearForecaster, rows: list, max_channels: int, out: list):
+        self.out, self.bufs, self.ids = out, None, []
+        if model.loss_kind is LossKind.TOKEN_CE:
+            return
+        heads = 2 if model.loss_kind is LossKind.GAUSSIAN_NLL else 1
+        self.bufs = [np.empty((WINDOW_BLOCK, model.horizon, max_channels)) for _ in range(heads)]
+        self.channels = np.array([row[0].shape[1] for row in rows], dtype=np.intp)
+        self.in_norms = np.zeros((len(rows), max_channels))
+        for j, row in enumerate(rows):
+            self.in_norms[j, :len(row[4])] = row[4]
+
+    def record(self, j: int, out) -> None:
+        if self.bufs is None:
+            self.out.append(out)
+            return
+        k = len(self.ids)
+        for buf, g in zip(self.bufs, out):
+            buf[k, :, :g.shape[1]] = g
+        self.ids.append(j)
+        if k + 1 == len(self.bufs[0]):
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.ids:
+            return
+        ids = np.array(self.ids)
+        k, channels = len(ids), self.channels[ids]
+        norms = [None] * k
+        for c in set(channels.tolist()):
+            at = np.flatnonzero(channels == c)
+            steps = slice(k) if len(at) == k else at
+            in_norms = self.in_norms[ids[at], :c]
+            heads = [_channel_norms(buf[steps, :, :c], axis=-2) * in_norms for buf in self.bufs]
+            for i, row in zip(at.tolist(), np.sqrt(sum(p * p for p in heads))):
+                norms[i] = row
+        self.out.extend(norms)
+        self.ids = []
+
+
 def train(
     model: LinearForecaster,
     instances: Sequence[Instance],
@@ -752,37 +868,39 @@ def train(
     """SGD-train a copy of ``model`` on the scheme-normalized instance pool.
 
     Deterministic given ``seed``: the pool order is a seeded permutation,
-    redrawn each epoch, and all reductions are fixed-order.  Raises
-    DivergedError (with the step index) if the loss leaves the finite range.
-    The input model is not mutated.
+    redrawn each epoch, and all reductions are fixed-order.  Every epoch's
+    permutation is drawn before the first step, and only the samples the
+    steps visit are built.  Raises DivergedError (with the step index) if
+    the loss leaves the finite range.  The input model is not mutated.
     """
     model = copy.deepcopy(model)
     pool, rejected = prepare_training_pool(instances, scheme, model)
     if not pool:
         raise TsnormError("no admissible training instances after clipping")
-    rows = pool.rows
+    n = len(pool)
     rng = np.random.default_rng(seed)
+    # the permutations stepping through the pool epoch by epoch would draw
+    epochs = max(1, -(-steps // n))
+    order = np.concatenate([rng.permutation(n) for _ in range(epochs)])[:steps]
+    drawn, slots = np.unique(order, return_inverse=True)
+    rows = pool.build(drawn)
     losses = np.empty(steps)
     grad_norms: list[np.ndarray] = []
-    perm = rng.permutation(len(rows)).tolist()
-    cursor = 0
+    norms = _GradNorms(model, rows, max(pool.channels), grad_norms)
     with _bound_kernel(model, lr, pool.channels) as step_fn, \
             np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            if cursor == len(perm):
-                perm = rng.permutation(len(rows)).tolist()
-                cursor = 0
-            loss, norms = step_fn(*rows[perm[cursor]])
-            cursor += 1
+        for step, j in enumerate(slots.tolist()):
+            loss, out = step_fn(*rows[j])
             if not math.isfinite(loss):
                 raise DivergedError(step, loss)
             losses[step] = loss
-            grad_norms.append(norms)
+            norms.record(j, out)
+        norms.flush()
     trace = TrainTrace(
         losses=losses,
         grad_norms=grad_norms,
         rejected=rejected,
-        pool_size=len(pool),
+        pool_size=n,
         seed=seed,
         lr=lr,
     )

@@ -227,6 +227,21 @@ class TestRun:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon_overrides", {"synth0": 2.5}), ("horizon_overrides", {"synth0": 0}),
+        ("lr", -1e-4), ("lr", 0.0),
+    ], ids=["horizon-2.5", "horizon-0", "lr-negative", "lr-0"])
+    def test_out_of_range_plan_field_exits_2_before_training(self, tmp_path, capsys,
+                                                             field, value):
+        plan = dict(TINY_PLAN, schemes=["raw"], withheld=["synth0"], **{field: value})
+        path = write_plan(tmp_path, plan)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("horizons" if field == "horizon_overrides" else "lr") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_divergence_exits_3(self, tmp_path):
         plan = dict(TINY_PLAN)
         plan["lr"] = 100.0  # way past the stability bound for raw MSE

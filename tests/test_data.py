@@ -5,13 +5,21 @@ import pytest
 
 from tsnorm import (
     Dataset,
+    Instance,
     SyntheticSpec,
     export_csv,
     generate_synthetic,
     load_csv,
     sample_instances,
 )
-from tsnorm.data import BadSpecError, ParseError, TooShortError, WindowTooLongError
+from tsnorm.core import ShapeMismatchError, TsnormError
+from tsnorm.data import (
+    BadSpecError,
+    InstanceBatch,
+    ParseError,
+    TooShortError,
+    WindowTooLongError,
+)
 
 
 class TestLoadCsv:
@@ -119,7 +127,7 @@ class TestGenerateSynthetic:
 
 class TestSampleInstances:
     def test_count_zero(self, tiny_dataset):
-        assert sample_instances(tiny_dataset, 96, 24, 0, seed=0) == []
+        assert len(sample_instances(tiny_dataset, 96, 24, 0, seed=0)) == 0
 
     def test_instances_inside_train_rows(self, tiny_dataset):
         instances = sample_instances(tiny_dataset, 96, 24, 200, seed=1)
@@ -146,3 +154,79 @@ class TestSampleInstances:
         np.testing.assert_array_equal(
             inst.horizon, tiny_dataset.values[start + 10 : start + 15]
         )
+
+
+def _instance_list(d, context_len, horizon, count, seed):
+    """The list of ``Instance`` copies sampling used to build, draw for draw."""
+    window = context_len + horizon
+    starts = np.random.default_rng(seed).integers(0, d.split_index - window + 1, size=count)
+    return [Instance(context=d.values[s : s + context_len],
+                     horizon=d.values[s + context_len : s + window], origin=(d.name, int(s)))
+            for s in starts]
+
+
+class TestInstanceBatch:
+    def test_items_equal_the_instance_list(self, tiny_dataset):
+        batch = sample_instances(tiny_dataset, 30, 6, 50, seed=5)
+        want = _instance_list(tiny_dataset, 30, 6, 50, seed=5)
+        assert len(batch) == len(want) == 50
+        for got, ref in zip(batch, want, strict=True):
+            assert type(got) is Instance
+            assert got.origin == ref.origin and type(got.origin[1]) is int
+            assert got.context.tobytes() == ref.context.tobytes()
+            assert got.horizon.tobytes() == ref.horizon.tobytes()
+            assert got.context.shape == (30, 2) and got.horizon.shape == (6, 2)
+        assert batch.starts.tolist() == [inst.origin[1] for inst in want]
+
+    def test_concat_keeps_draw_order_across_datasets(self, tiny_dataset):
+        other = Dataset("other", tiny_dataset.values[:, :1] * 3.0, "1h", 24, 300)
+        a = sample_instances(tiny_dataset, 30, 6, 7, seed=1)
+        b = sample_instances(other, 30, 6, 5, seed=2)
+        both = InstanceBatch.concat([a, b])
+        want = _instance_list(tiny_dataset, 30, 6, 7, 1) + _instance_list(other, 30, 6, 5, 2)
+        assert len(both) == 12
+        for got, ref in zip(both, want, strict=True):
+            assert got.origin == ref.origin
+            assert got.context.tobytes() == ref.context.tobytes()
+            assert got.horizon.tobytes() == ref.horizon.tobytes()
+        assert [(c, ids.tolist()) for c, ids in both.groups()] == [
+            (2, list(range(7))), (1, list(range(7, 12)))]
+        contexts, horizons = both.windows([9, 7, 11])
+        for row, i in enumerate([9, 7, 11]):
+            assert contexts[row].tobytes() == want[i].context.tobytes()
+            assert horizons[row].tobytes() == want[i].horizon.tobytes()
+        assert contexts.flags.c_contiguous and horizons.flags.c_contiguous
+        with pytest.raises(TsnormError, match="one dataset"):
+            both.windows([6, 7])
+        with pytest.raises(ShapeMismatchError):
+            InstanceBatch.concat([a, sample_instances(other, 30, 5, 1, seed=3)])
+
+    def test_read_only(self, tiny_dataset):
+        batch = sample_instances(tiny_dataset, 30, 6, 4, seed=3)
+        with pytest.raises(TypeError):
+            batch[0] = batch[1]
+        with pytest.raises(ValueError):
+            batch.starts[0] = 0
+        inst = batch[0]
+        assert not inst.context.flags.writeable and not inst.horizon.flags.writeable
+        assert not np.shares_memory(inst.context, tiny_dataset.values)
+
+    def test_index_bounds(self, tiny_dataset):
+        batch = sample_instances(tiny_dataset, 30, 6, 4, seed=3)
+        assert batch[-1].origin == batch[3].origin
+        assert batch[-4].origin == batch[np.int64(0)].origin
+        for bad in (4, -5, 100):
+            with pytest.raises(IndexError):
+                batch[bad]
+        with pytest.raises(TypeError):
+            batch[1:3]
+        with pytest.raises(IndexError):
+            sample_instances(tiny_dataset, 30, 6, 0, seed=3)[0]
+
+    def test_windows_must_fit_their_dataset(self, tiny_dataset):
+        InstanceBatch([(tiny_dataset, [0, 400 - 36])], 30, 6)  # the last rows fit
+        for starts in ([-1], [400 - 35], [1.0]):
+            with pytest.raises(TsnormError):
+                InstanceBatch([(tiny_dataset, starts)], 30, 6)
+        with pytest.raises(ShapeMismatchError):
+            InstanceBatch([(tiny_dataset, [0])], 0, 6)

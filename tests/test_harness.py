@@ -10,7 +10,6 @@ from tsnorm import (
     EvalEntry,
     ExperimentPlan,
     ForecastKind,
-    Instance,
     LinearForecaster,
     LossKind,
     Scheme,
@@ -30,6 +29,7 @@ from tsnorm import (
     run_variant,
 )
 from tsnorm.core import TsnormError
+from tsnorm.data import InstanceBatch
 from tsnorm.harness import (
     AccessLog,
     InsufficientTestDataError,
@@ -106,6 +106,35 @@ class TestPlan:
         plan = small_plan(datasets, steps=np.int64(5), seed=np.int32(3))
         assert type(plan.steps) is int and plan.steps == 5
         assert type(plan.seed) is int and plan.seed == 3
+
+    def test_horizons_take_python_and_numpy_ints(self):
+        datasets = small_corpus()
+        plan = ExperimentPlan.from_datasets(
+            list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
+            context_len=48, withheld=("synth0",), steps=1, lr=0.1, seed=0,
+            horizon_overrides={"synth0": np.int64(12), "synth1": 6},
+        )
+        assert plan.horizons == {"synth0": 12, "synth1": 6, "synth2": 24}
+        assert all(type(h) is int for h in plan.horizons.values())
+
+    @pytest.mark.parametrize("horizon", [2.5, 0, -3, True, np.float64(4), "24"])
+    def test_horizons_checked(self, horizon):
+        datasets = small_corpus()
+        with pytest.raises(TsnormError, match="horizons"):
+            ExperimentPlan.from_datasets(
+                list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
+                context_len=48, withheld=("synth0",), steps=1, lr=0.1, seed=0,
+                horizon_overrides={"synth1": horizon},
+            )
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-4, -0.0])
+    def test_lr_must_be_positive(self, lr):
+        datasets = small_corpus()
+        with pytest.raises(TsnormError, match="lr must be positive"):
+            ExperimentPlan.from_datasets(
+                list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
+                context_len=48, withheld=("synth0",), steps=1, lr=lr, seed=0,
+            )
 
     @pytest.mark.parametrize("field, value", [
         ("context_len", 48.0), ("steps", True), ("seed", "3"), ("naive_lag", np.float64(2)),
@@ -282,10 +311,10 @@ class TestRunVariant:
         def one_draw_crosses_the_split(d, context_len, horizon, count, seed):
             drawn = sample_instances(d, context_len, horizon, count, seed)
             if d.name == "synth1":
-                start = d.split_index - window + 1  # its last row is the first test row
-                rows = d.values[start : start + window]
-                drawn[7] = Instance(context=rows[:context_len], horizon=rows[context_len:],
-                                    origin=(d.name, start))
+                starts = drawn.starts.copy()
+                starts[7] = d.split_index - window + 1  # its last row is the first test row
+                drawn = InstanceBatch([(d, starts)], context_len, horizon)
+                assert drawn[7].origin == (d.name, d.split_index - window + 1)
             return drawn
 
         monkeypatch.setattr(harness, "sample_instances", one_draw_crosses_the_split)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tsnorm import (
+    Dataset,
     Forecast,
     ForecastKind,
     Instance,
@@ -23,11 +24,13 @@ from tsnorm import (
     loss_mse,
     loss_token_ce,
     raw_stats,
+    sample_instances,
     tokenize,
     train,
 )
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError
+from tsnorm.data import InstanceBatch
 from tsnorm.norm import WINDOW_BLOCK
 from tsnorm.models import (
     BadBinIndexError,
@@ -634,6 +637,65 @@ class TestKernelsMatchReference:
                 assert got.tobytes() == want.tobytes(), name
 
 
+class TestLazyTraining:
+    """``train`` builds only the samples its steps draw and computes gradient
+    norms a block of steps at a time, with the reference's bits."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+    @pytest.mark.parametrize("channels", [(2,), (1, 3)], ids=["C2", "C1+C3"])
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.RAW],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_steps_around_the_pool_size_across_norm_blocks(self, kind, scheme, channels,
+                                                            offset, monkeypatch):
+        # three steps per gradient-norm block: every run crosses blocks, ends on
+        # a partial one, and (C1+C3) mixes channel counts inside a block
+        monkeypatch.setattr(models, "WINDOW_BLOCK", 3)
+        instances = TestKernelsMatchReference._pool(channels)
+        spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
+        model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
+        steps = len(_reference_pool(instances, scheme, model)[0]) + offset
+        ref_model, ref_losses, ref_norms, ref_rejected = _reference_train(
+            model, instances, scheme, steps=steps, lr=1e-3, seed=6)
+        trained, trace = train(model, instances, scheme, steps=steps, lr=1e-3, seed=6)
+        assert trace.rejected == ref_rejected
+        assert trace.losses.tobytes() == ref_losses.tobytes()
+        for got, want in zip(trace.grad_norms, ref_norms, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for name in ("weights", "bias", "sigma_weights", "sigma_bias",
+                     "token_weights", "token_bias"):
+            want = getattr(ref_model, name)
+            if want is not None:
+                assert getattr(trained, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "list"])
+    @pytest.mark.parametrize("scheme", [Scheme.RAW, Scheme.HYBRID, Scheme.REVIN],
+                             ids=lambda s: s.value)
+    def test_only_drawn_samples_are_built(self, scheme, batched, monkeypatch):
+        rng = np.random.default_rng(76)
+        datasets = [Dataset(f"d{i}", rng.normal(0.0, 1.0, (400, 2)), "1h", 24, 320)
+                    for i in range(3)]
+        batch = InstanceBatch.concat(sample_instances(d, 32, 8, 100, seed=i)
+                                     for i, d in enumerate(datasets))
+        instances = batch if batched else list(batch)
+        built = []
+        pool_rows = models._pool_rows
+
+        def counted(contexts, horizons, *args):
+            built.append(len(contexts))
+            return pool_rows(contexts, horizons, *args)
+
+        monkeypatch.setattr(models, "_pool_rows", counted)
+        model = LinearForecaster.create(LossKind.MAE, 32, 8, seed=1)
+        pool, rejected = prepare_training_pool(instances, scheme, model)
+        assert built == [] and len(pool) == 300 - rejected and pool.channels == {2}
+        # 40 steps into a first epoch of 300 visit 40 distinct samples
+        _, trace = train(model, instances, scheme, steps=40, lr=1e-3, seed=2)
+        assert sum(built) == 40 and trace.pool_size == len(pool)
+        if batched:  # one block per dataset the drawn samples come from
+            assert len(built) == 3
+
+
 class TestTokenKernel:
     """The einsum-free token kernel at the production head: H=24, B=128, L=96."""
 
@@ -769,9 +831,10 @@ class TestPoolMatchesReference:
 
 
 class TestPoolMemory:
-    """A pool allocates its output and one block of temporaries, not a stack
+    """A pool allocates its output and a few blocks of temporaries, not a stack
     of every context: 5,120 x 96 x 8 windows, as one withheld set of a wide
-    eight-channel corpus trains on."""
+    eight-channel corpus trains on.  Preparing a lazy pool allocates no
+    sample at all."""
 
     @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.RAW], ids=lambda s: s.value)
     def test_peak_is_output_plus_a_bounded_block(self, scheme):
@@ -791,8 +854,16 @@ class TestPoolMemory:
         finally:
             tracemalloc.stop()
         window_bytes = (length + horizon) * channels * 8
-        # RevIN's normalized contexts and horizons are new arrays; raw keeps
-        # the instances' own and adds only the input norms
-        output = count * window_bytes if scheme is Scheme.REVIN else 0
+        # preparing makes the clip decisions only; building every row stacks
+        # (and, for RevIN, normalizes) each sample's windows
         assert len(pool) == count
-        assert peak <= output + 4 * WINDOW_BLOCK * window_bytes + 512 * count
+        assert peak <= 4 * WINDOW_BLOCK * window_bytes + 512 * count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = pool.rows
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == count
+        assert peak <= count * window_bytes + 4 * WINDOW_BLOCK * window_bytes + 512 * count
