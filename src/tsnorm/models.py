@@ -20,8 +20,7 @@ Those per-sample arrays come from the lazy pool of ``prepare_training_pool``:
 it makes every clip decision up front, and ``train`` has it build only the
 samples the seeded permutations draw, stacking their windows a block at a
 time and computing statistics and input norms in a few array operations,
-with the bits each instance alone would give.  The point and Gaussian
-gradient norms are likewise computed a block of steps at a time.
+with the bits each instance alone would give.
 
 The token head is defined by two ``np.einsum`` contractions and computed
 without them where that gives the same bits:
@@ -516,11 +515,13 @@ class TrainingPool(Sequence):
     being None when the loss runs directly on the target.  It works a block
     of up to ``WINDOW_BLOCK`` stacked windows at a time, and every row is
     bitwise the same whichever samples share its block; ``rows`` builds every
-    sample.  A sample's arrays are rows of its block's arrays.  Indexing the
-    pool gives a ``TrainSample`` view of one sample, its statistics of family
-    ``method``.  ``channels`` holds the channel counts of every admitted
-    sample, built or not.  ``prepare_training_pool`` makes it from the
-    instances' groups and the mask of admitted instances.
+    sample.  A sample's arrays are rows of its block's arrays, except that a
+    pool made from a plain sequence of instances keeps the instances' own
+    context and horizon arrays where the scheme leaves them un-normalized.
+    Indexing the pool gives a ``TrainSample`` view of one sample, its
+    statistics of family ``method``.  ``channels`` holds the channel counts
+    of every admitted sample, built or not.  ``prepare_training_pool`` makes
+    it from the instances' groups and the mask of admitted instances.
     """
 
     def __init__(self, source, scheme: Scheme, model: LinearForecaster,
@@ -546,8 +547,12 @@ class TrainingPool(Sequence):
             at = np.flatnonzero(groups == g)
             for lo in range(0, len(at), WINDOW_BLOCK):
                 part = at[lo:lo + WINDOW_BLOCK]
-                windows = self._source.windows(self._ids[ids[part]])
-                for i, row in zip(part.tolist(), _pool_rows(*windows, self._scheme, self._model)):
+                sel = self._ids[ids[part]]
+                windows = self._source.windows(sel)
+                own = (self._source.arrays(sel) if isinstance(self._source, _InstanceList)
+                       else windows)
+                for i, row in zip(part.tolist(),
+                                  _pool_rows(*windows, self._scheme, self._model, own)):
                     rows[i] = row
         return rows
 
@@ -576,7 +581,9 @@ class TrainingPool(Sequence):
 
 class _InstanceList:
     """A plain sequence of instances, read as the pool reads an ``InstanceBatch``:
-    grouped by channel count, windows stacked from the instances' arrays."""
+    grouped by channel count, windows stacked from the instances' arrays.
+    ``arrays`` gives those arrays themselves, which un-normalized rows keep
+    rather than rows of a stacked copy."""
 
     def __init__(self, instances: Sequence[Instance]):
         self.instances = instances
@@ -591,6 +598,10 @@ class _InstanceList:
         chunk = [self.instances[i] for i in ids.tolist()]
         return (np.stack([inst.context for inst in chunk]),
                 np.stack([inst.horizon for inst in chunk]))
+
+    def arrays(self, ids) -> tuple[list, list]:
+        chunk = [self.instances[i] for i in ids.tolist()]
+        return [inst.context for inst in chunk], [inst.horizon for inst in chunk]
 
 
 def prepare_training_pool(
@@ -649,8 +660,13 @@ def _clipped(contexts: np.ndarray, horizons: np.ndarray, method: Method) -> np.n
 
 
 def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
-               model: LinearForecaster) -> list:
-    """Pool rows of a block of admitted instances' stacked windows."""
+               model: LinearForecaster, own) -> list:
+    """Pool rows of a block of admitted instances' stacked windows.
+
+    ``own`` holds the instances' (contexts, horizons) as the rows keep them
+    where they stay un-normalized: the stacked arrays themselves, or each
+    instance's own arrays.
+    """
     kind, method = model.loss_kind, scheme.instance_method
     if method is not None:
         stats = fit_inference_stats(contexts, method)
@@ -669,11 +685,11 @@ def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
         if kind is LossKind.GAUSSIAN_NLL:
             identity = raw_stats(contexts.shape[-1])
             scale, shift = repeat(identity.scale), repeat(identity.shift)
-        return list(zip(contexts, horizons, scale, shift, norms))
+        return list(zip(*own, scale, shift, norms))
     if kind.is_point and scheme.clips:
         return list(zip(contexts, normalize(horizons, stats), none, none, norms))
     # hybrid point models and the Gaussian head de-normalize with the instance stats
-    return list(zip(contexts, horizons, stats.scale, stats.shift, norms))
+    return list(zip(contexts, own[1], stats.scale, stats.shift, norms))
 
 
 def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
@@ -682,16 +698,13 @@ def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
 
 
 # SGD kernels, one per loss family.  Each updates the weight arrays it is bound
-# to in place for one pool sample (inputs, target, scale, shift, input norms);
-# scale/shift are None when the loss runs directly on the target.  The point and
-# Gaussian kernels return (loss, output gradients, one (H, C) array per head),
-# whose gradient norms ``_GradNorms`` computes a block of steps at a time; the
-# token kernels return (loss, per-channel gradient norms).  A channel's gradient
-# norm is its output gradient norm times its input norm, summed in quadrature
-# over heads.
+# to in place and returns (loss, per-channel gradient norms) for one pool
+# sample (inputs, target, scale, shift, input norms); scale/shift are None when
+# the loss runs directly on the target.  A channel's gradient norm is its output
+# gradient norm times its input norm, summed in quadrature over heads.
 
 
-def _point_step(core, weights, bias, lr, ctx, target, scale, shift, _in_norms):
+def _point_step(core, weights, bias, lr, ctx, target, scale, shift, in_norms):
     pred = weights @ ctx + bias[:, None]
     if scale is None:
         loss, g = core(pred, target)
@@ -699,21 +712,24 @@ def _point_step(core, weights, bias, lr, ctx, target, scale, shift, _in_norms):
         # prediction de-normalized with instance stats before the loss
         loss, g = core(pred * scale + shift, target)
         g = g * scale
+    p = _channel_norms(g) * in_norms
     weights -= lr * (g @ ctx.T)
     bias -= lr * g.sum(axis=1)
-    return loss, (g,)
+    return loss, np.sqrt(p * p)
 
 
 def _gaussian_step(weights, bias, sigma_weights, sigma_bias, lr,
-                   ctx, target, scale, shift, _in_norms):
+                   ctx, target, scale, shift, in_norms):
     mean = weights @ ctx + bias[:, None]
     std = np.exp(sigma_weights @ ctx + sigma_bias[:, None])
     loss, (d_mean, d_log_std) = _gaussian_nll(mean, std, target, scale, shift)
+    p_mean = _channel_norms(d_mean) * in_norms
+    p_std = _channel_norms(d_log_std) * in_norms
     weights -= lr * (d_mean @ ctx.T)
     bias -= lr * d_mean.sum(axis=1)
     sigma_weights -= lr * (d_log_std @ ctx.T)
     sigma_bias -= lr * d_log_std.sum(axis=1)
-    return loss, (d_mean, d_log_std)
+    return loss, np.sqrt(p_mean * p_mean + p_std * p_std)
 
 
 def _token_step(token_weights, token_bias, lr, ctx, target, scale, shift, in_norms):
@@ -804,59 +820,6 @@ def _bound_kernel(model: LinearForecaster, lr: float, channels: set):
         model.token_weights[...] = wt.transpose(1, 2, 0)
 
 
-class _GradNorms:
-    """Per-step gradient norms, appended to ``out`` in step order.
-
-    ``record(j, out)`` takes what the kernel returned for a step on drawn row
-    j.  Token norms are appended as they come.  Point and Gaussian output
-    gradients are copied into one (WINDOW_BLOCK, H, C_max) buffer per head,
-    and every WINDOW_BLOCK steps, and at ``flush``, the buffered steps of each
-    channel count get their norms at once: ``_channel_norms(G, axis=-2)``
-    times the input norms, summed in quadrature over heads.  A step's norms
-    are bitwise what its own (H, C) gradient gives: the steps of one channel
-    count reduce over H in the order a lone gradient does, which a buffer
-    wider than C would change for C = 1.
-    """
-
-    def __init__(self, model: LinearForecaster, rows: list, max_channels: int, out: list):
-        self.out, self.bufs, self.ids = out, None, []
-        if model.loss_kind is LossKind.TOKEN_CE:
-            return
-        heads = 2 if model.loss_kind is LossKind.GAUSSIAN_NLL else 1
-        self.bufs = [np.empty((WINDOW_BLOCK, model.horizon, max_channels)) for _ in range(heads)]
-        self.channels = np.array([row[0].shape[1] for row in rows], dtype=np.intp)
-        self.in_norms = np.zeros((len(rows), max_channels))
-        for j, row in enumerate(rows):
-            self.in_norms[j, :len(row[4])] = row[4]
-
-    def record(self, j: int, out) -> None:
-        if self.bufs is None:
-            self.out.append(out)
-            return
-        k = len(self.ids)
-        for buf, g in zip(self.bufs, out):
-            buf[k, :, :g.shape[1]] = g
-        self.ids.append(j)
-        if k + 1 == len(self.bufs[0]):
-            self.flush()
-
-    def flush(self) -> None:
-        if not self.ids:
-            return
-        ids = np.array(self.ids)
-        k, channels = len(ids), self.channels[ids]
-        norms = [None] * k
-        for c in set(channels.tolist()):
-            at = np.flatnonzero(channels == c)
-            steps = slice(k) if len(at) == k else at
-            in_norms = self.in_norms[ids[at], :c]
-            heads = [_channel_norms(buf[steps, :, :c], axis=-2) * in_norms for buf in self.bufs]
-            for i, row in zip(at.tolist(), np.sqrt(sum(p * p for p in heads))):
-                norms[i] = row
-        self.out.extend(norms)
-        self.ids = []
-
-
 def train(
     model: LinearForecaster,
     instances: Sequence[Instance],
@@ -886,16 +849,14 @@ def train(
     rows = pool.build(drawn)
     losses = np.empty(steps)
     grad_norms: list[np.ndarray] = []
-    norms = _GradNorms(model, rows, max(pool.channels), grad_norms)
     with _bound_kernel(model, lr, pool.channels) as step_fn, \
             np.errstate(over="ignore", invalid="ignore"):
         for step, j in enumerate(slots.tolist()):
-            loss, out = step_fn(*rows[j])
+            loss, norms = step_fn(*rows[j])
             if not math.isfinite(loss):
                 raise DivergedError(step, loss)
             losses[step] = loss
-            norms.record(j, out)
-        norms.flush()
+            grad_norms.append(norms)
     trace = TrainTrace(
         losses=losses,
         grad_norms=grad_norms,

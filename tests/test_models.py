@@ -638,8 +638,8 @@ class TestKernelsMatchReference:
 
 
 class TestLazyTraining:
-    """``train`` builds only the samples its steps draw and computes gradient
-    norms a block of steps at a time, with the reference's bits."""
+    """``train`` builds only the samples its steps draw, with the reference's
+    bits."""
 
     @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
     @pytest.mark.parametrize("channels", [(2,), (1, 3)], ids=["C2", "C1+C3"])
@@ -648,8 +648,8 @@ class TestLazyTraining:
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_steps_around_the_pool_size_across_norm_blocks(self, kind, scheme, channels,
                                                             offset, monkeypatch):
-        # three steps per gradient-norm block: every run crosses blocks, ends on
-        # a partial one, and (C1+C3) mixes channel counts inside a block
+        # blocks of three samples: every build crosses blocks and ends on a
+        # partial one, and the order of drawn ids interleaves channel counts
         monkeypatch.setattr(models, "WINDOW_BLOCK", 3)
         instances = TestKernelsMatchReference._pool(channels)
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
@@ -854,8 +854,7 @@ class TestPoolMemory:
         finally:
             tracemalloc.stop()
         window_bytes = (length + horizon) * channels * 8
-        # preparing makes the clip decisions only; building every row stacks
-        # (and, for RevIN, normalizes) each sample's windows
+        # preparing makes the clip decisions only
         assert len(pool) == count
         assert peak <= 4 * WINDOW_BLOCK * window_bytes + 512 * count
         tracemalloc.start()
@@ -865,5 +864,11 @@ class TestPoolMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        # RevIN's normalized contexts and horizons are new arrays; raw keeps
+        # the instances' own and adds only the input norms
+        output = count * window_bytes if scheme is Scheme.REVIN else 0
         assert len(rows) == count
-        assert peak <= count * window_bytes + 4 * WINDOW_BLOCK * window_bytes + 512 * count
+        assert peak <= output + 4 * WINDOW_BLOCK * window_bytes + 512 * count
+        if scheme is Scheme.RAW:
+            assert all(row[0] is inst.context and row[1] is inst.horizon
+                       for row, inst in zip(rows, instances))
