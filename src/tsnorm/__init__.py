@@ -62,6 +62,7 @@ from .models import (
     loss_mae,
     loss_mse,
     loss_token_ce,
+    read_checkpoint,
     tokenize,
     train,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "naive_mae",
     "normalize",
     "raw_stats",
+    "read_checkpoint",
     "run_plan",
     "run_variant",
     "sample_instances",

@@ -27,7 +27,7 @@ from .harness import (
     variant_seed,
 )
 from .core import EvalEntry
-from .models import DivergedError, LossKind, Scheme
+from .models import DivergedError, LossKind, Scheme, write_checkpoint_data
 
 SCHEMA_VERSION = 1
 
@@ -41,39 +41,6 @@ def _read_json(path: Path) -> dict:
         return json.load(fh)
 
 
-def _json_chunks(o, level: int = 0):
-    """Yield the text ``json.dump(o, indent=2, sort_keys=True)`` writes for
-    ``o`` nested ``level`` deep, one innermost list at a time.
-
-    A list of finite floats is one join of ``float.__repr__``, which is what
-    the json encoder writes for each of them; every other leaf, and any
-    container that is not a plain list or str-keyed dict, goes through
-    ``json.dumps`` re-indented to its depth.
-    """
-    pad = "\n" + "  " * level
-    if type(o) is list and o:
-        if all(type(v) is float for v in o):
-            text = f",{pad}  ".join(map(float.__repr__, o))
-            if "n" not in text:  # nan and inf, which JSON spells NaN and Infinity
-                yield f"[{pad}  {text}{pad}]"
-                return
-        sep = "["
-        for v in o:
-            yield f"{sep}{pad}  "
-            yield from _json_chunks(v, level + 1)
-            sep = ","
-        yield pad + "]"
-    elif type(o) is dict and o and all(type(k) is str for k in o):
-        sep = "{"
-        for k, v in sorted(o.items()):
-            yield f"{sep}{pad}  {json.dumps(k)}: "
-            yield from _json_chunks(v, level + 1)
-            sep = ","
-        yield pad + "}"
-    else:
-        yield json.dumps(o, indent=2, sort_keys=True).replace("\n", pad)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as indented, key-sorted JSON plus a newline.
 
@@ -81,8 +48,7 @@ def _write_json(path: Path, payload: dict) -> None:
     once complete, so a crash never leaves a half-written file at ``path``.
     """
     with atomic_open(path) as fh:
-        for chunk in _json_chunks(payload):
-            fh.write(chunk)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -238,6 +204,8 @@ def _variant_filename(key: str, suffix: str = ".json") -> str:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise TsnormError(f"--jobs must be at least 1, got {args.jobs}")
     seed_override = None
     env_seed = os.environ.get("TSNORM_SEED")
     if env_seed is not None:
@@ -290,7 +258,8 @@ def cmd_run(args) -> int:
 
     def collect(key, trained, trace, rows):
         # the variant file marks the variant done, so it is written last
-        _write_json(checkpoints_dir / _variant_filename(key), trained.to_dict())
+        checkpoint = checkpoints_dir / _variant_filename(key)
+        _write_json(checkpoint, write_checkpoint_data(checkpoint, trained))
         trace.to_csv(traces_dir / _variant_filename(key, ".csv"))
         _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
         losses = trace.losses
@@ -429,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a benchmark plan")
     p_run.add_argument("--plan", required=True, help="plan JSON file")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel variant processes")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="parallel variant processes (at least 1)")
     p_run.add_argument("--seed", type=int, default=None, help="override plan seed")
     p_run.add_argument("--dry-run", action="store_true", help="print the run matrix and exit")
     p_run.set_defaults(func=cmd_run)

@@ -33,8 +33,9 @@ def _rebuild_error(cls, args: tuple, state: dict) -> "TsnormError":
 
 
 @contextmanager
-def atomic_open(path, newline=None):
-    """Open ``path`` for writing text through a temporary file beside it.
+def atomic_open(path, mode="w", newline=None):
+    """Open ``path`` for writing (text, or bytes with ``mode="wb"``) through a
+    temporary file beside it.
 
     The file is ``<name>.tmp`` in the same directory; it replaces ``path``
     only once the block exits normally, and is deleted if the block raises,
@@ -43,7 +44,7 @@ def atomic_open(path, newline=None):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

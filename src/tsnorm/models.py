@@ -43,8 +43,9 @@ without them where that gives the same bits:
 from __future__ import annotations
 
 import copy
-import csv
 import enum
+import hashlib
+import json
 import math
 import operator
 from collections.abc import Sequence
@@ -52,6 +53,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -263,40 +265,112 @@ class LinearForecaster:
             model.token_bias = np.zeros((horizon, model.tokenizer.num_bins))
         return model
 
-    def to_dict(self) -> dict:
-        d = {
-            "loss_kind": self.loss_kind.value,
-            "context_len": self.context_len,
-            "horizon": self.horizon,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-        }
-        if self.sigma_weights is not None:
-            d["sigma_weights"] = self.sigma_weights.tolist()
-            d["sigma_bias"] = self.sigma_bias.tolist()
-        if self.token_weights is not None:
-            d["token_weights"] = self.token_weights.tolist()
-            d["token_bias"] = self.token_bias.tolist()
-            d["tokenizer"] = self.tokenizer.to_dict()
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LinearForecaster":
-        model = cls(
-            loss_kind=LossKind(d["loss_kind"]),
-            context_len=d["context_len"],
-            horizon=d["horizon"],
-            weights=np.asarray(d["weights"], dtype=np.float64),
-            bias=np.asarray(d["bias"], dtype=np.float64),
+class CheckpointError(TsnormError):
+    """A checkpoint header or its data file is missing, unknown or does not match."""
+
+
+# The form of the checkpoint that ``write_checkpoint_data`` writes and
+# ``read_checkpoint`` reads; a header without a "format" field is the older
+# nested-list JSON form, which is no longer read.
+CHECKPOINT_FORMAT = 1
+
+
+def _checkpoint_array_names(kind: LossKind) -> tuple[str, ...]:
+    """The ``LinearForecaster`` arrays a checkpoint of ``kind`` holds, in file order."""
+    if kind is LossKind.GAUSSIAN_NLL:
+        return ("weights", "bias", "sigma_weights", "sigma_bias")
+    if kind is LossKind.TOKEN_CE:
+        return ("weights", "bias", "token_weights", "token_bias")
+    return ("weights", "bias")
+
+
+def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
+    """Write ``model``'s arrays beside ``header_path`` and return the header.
+
+    The data file is ``header_path`` with the suffix ``.f64``: each array's
+    little-endian float64 bytes in C order, one array after another, in the
+    order the header lists them.  It is written atomically (see
+    ``atomic_open``); the caller writes the returned header to
+    ``header_path`` as JSON afterwards, so a header never names data that is
+    not there.  The bytes depend on the arrays alone, so identical weights
+    give identical files.
+    """
+    data_path = Path(header_path).with_suffix(".f64")
+    digest = hashlib.sha256()
+    arrays = []
+    with atomic_open(data_path, "wb") as fh:
+        for name in _checkpoint_array_names(model.loss_kind):
+            a = np.ascontiguousarray(getattr(model, name), dtype="<f8")
+            digest.update(a)
+            fh.write(a)
+            arrays.append({"name": name, "shape": list(a.shape)})
+    header = {
+        "format": CHECKPOINT_FORMAT,
+        "loss_kind": model.loss_kind.value,
+        "context_len": model.context_len,
+        "horizon": model.horizon,
+        "arrays": arrays,
+        "data": {"file": data_path.name, "sha256": digest.hexdigest()},
+    }
+    if model.tokenizer is not None:
+        header["tokenizer"] = model.tokenizer.to_dict()
+    return header
+
+
+def read_checkpoint(path) -> LinearForecaster:
+    """Load the model of the checkpoint header at ``path`` and its data file.
+
+    The arrays are writable and bitwise equal to the ones written.  Raises
+    CheckpointError naming the file when the header's format is missing or
+    unknown, or when the data file is missing or its size or sha256 differs
+    from what the header records.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        header = json.load(fh)
+    fmt = header.get("format")
+    if fmt is None:
+        raise CheckpointError(
+            f"{path}: no checkpoint format field; nested-list JSON checkpoints "
+            "are no longer read, rerun the variant to rewrite it"
         )
-        if "sigma_weights" in d:
-            model.sigma_weights = np.asarray(d["sigma_weights"], dtype=np.float64)
-            model.sigma_bias = np.asarray(d["sigma_bias"], dtype=np.float64)
-        if "token_weights" in d:
-            model.token_weights = np.asarray(d["token_weights"], dtype=np.float64)
-            model.token_bias = np.asarray(d["token_bias"], dtype=np.float64)
-            model.tokenizer = TokenizerSpec.from_dict(d["tokenizer"])
-        return model
+    if fmt != CHECKPOINT_FORMAT:
+        raise CheckpointError(
+            f"{path}: unknown checkpoint format {fmt!r} (this version reads "
+            f"{CHECKPOINT_FORMAT})"
+        )
+    kind = LossKind(header["loss_kind"])
+    names = [a["name"] for a in header["arrays"]]
+    if names != list(_checkpoint_array_names(kind)):
+        raise CheckpointError(f"{path}: arrays {names} do not fit a {kind.value} model")
+    data_path = path.with_name(header["data"]["file"])
+    try:
+        with open(data_path, "rb") as fh:
+            data = bytearray(fh.read())
+    except FileNotFoundError:
+        raise CheckpointError(f"{path}: data file {data_path} is missing") from None
+    sizes = [math.prod(a["shape"]) for a in header["arrays"]]
+    if len(data) != 8 * sum(sizes):
+        raise CheckpointError(
+            f"{path}: data file {data_path} holds {len(data)} bytes, "
+            f"the header describes {8 * sum(sizes)}"
+        )
+    if hashlib.sha256(data).hexdigest() != header["data"]["sha256"]:
+        raise CheckpointError(f"{path}: data file {data_path} does not match its sha256")
+    flat = np.frombuffer(data, dtype="<f8")
+    arrays, offset = {}, 0
+    for a, n in zip(header["arrays"], sizes):
+        arrays[a["name"]] = flat[offset:offset + n].reshape(a["shape"])
+        offset += n
+    tokenizer = header.get("tokenizer")
+    return LinearForecaster(
+        loss_kind=kind,
+        context_len=header["context_len"],
+        horizon=header["horizon"],
+        tokenizer=TokenizerSpec.from_dict(tokenizer) if tokenizer is not None else None,
+        **arrays,
+    )
 
 
 def _check_context(model: LinearForecaster, context: np.ndarray) -> np.ndarray:
@@ -495,16 +569,17 @@ class TrainTrace:
         return self.rejected / total if total else 0.0
 
     def to_csv(self, path) -> None:
-        """Write one row per step; the file at ``path`` is replaced only once
-        complete (see ``atomic_open``)."""
+        """Write one row per step: ``step,loss,grad_norm_c0,...``, floats as
+        ``repr``, rows with fewer channels padded with empty cells, CRLF line
+        ends (the bytes ``csv.writer`` gives).  The file at ``path`` is
+        replaced only once complete (see ``atomic_open``)."""
         max_c = max((len(g) for g in self.grad_norms), default=0)
+        lines = [",".join(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])]
+        for step, (loss, norms) in enumerate(zip(self.losses.tolist(), self.grad_norms)):
+            cells = [str(step), repr(loss), *map(repr, norms.tolist())]
+            lines.append(",".join(cells) + "," * (max_c - len(norms)))
         with atomic_open(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
-            for step, (loss, norms) in enumerate(zip(self.losses.tolist(), self.grad_norms)):
-                row = [step, repr(loss)] + [repr(v) for v in norms.tolist()]
-                row += [""] * (max_c - len(norms))
-                writer.writerow(row)
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 class TrainingPool(Sequence):

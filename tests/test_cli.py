@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -7,8 +8,9 @@ import pytest
 
 import tsnorm.cli as cli
 import tsnorm.harness as harness
-from tsnorm import LinearForecaster, LossKind
+from tsnorm import LinearForecaster, LossKind, read_checkpoint
 from tsnorm.cli import _write_json, main
+from tsnorm.models import write_checkpoint_data
 
 TINY_SYNTH = {
     "n_datasets": 3,
@@ -108,6 +110,79 @@ class TestRun:
         assert main(["run", "--plan", str(path), "--out", str(a)]) == 0
         assert main(["run", "--plan", str(path), "--out", str(b), "--jobs", "2"]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+    def test_checkpoints_read_back_as_trained_and_repeat_byte_for_byte(self, tmp_path,
+                                                                       monkeypatch):
+        plan = dict(TINY_PLAN, steps=20, schemes=["revin"], withheld=["synth0"],
+                    models=["point_mse", "point_mae", "gaussian_nll", "token_ce"])
+        path = write_plan(tmp_path, plan)
+        received = {}
+        run_plan = cli.run_plan
+
+        def capturing(*args, on_variant, **kwargs):
+            def record(key, trained, trace, rows):
+                received[key] = copy.deepcopy(trained)
+                on_variant(key, trained, trace, rows)
+            return run_plan(*args, on_variant=record, **kwargs)
+
+        monkeypatch.setattr(cli, "run_plan", capturing)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--plan", str(path), "--out", str(a)]) == 0
+        assert len(received) == 4
+        for key, trained in received.items():
+            name = key.replace("|", "__")
+            back = read_checkpoint(a / "checkpoints" / f"{name}.json")
+            assert (back.loss_kind, back.context_len, back.horizon, back.tokenizer) == (
+                trained.loss_kind, trained.context_len, trained.horizon, trained.tokenizer)
+            for field in ("weights", "bias", "sigma_weights", "sigma_bias",
+                          "token_weights", "token_bias"):
+                want, got = getattr(trained, field), getattr(back, field)
+                assert (got is None) if want is None else got.tobytes() == want.tobytes()
+        assert main(["run", "--plan", str(path), "--out", str(b)]) == 0
+        files = sorted(p.name for p in (a / "checkpoints").iterdir())
+        assert files == sorted(f"{k.replace('|', '__')}{suffix}"
+                               for k in received for suffix in (".json", ".f64"))
+        assert files == sorted(p.name for p in (b / "checkpoints").iterdir())
+        for f in files:
+            assert (a / "checkpoints" / f).read_bytes() == (b / "checkpoints" / f).read_bytes()
+
+    def test_failure_between_checkpoint_data_and_header_is_recomputed(self, tmp_path,
+                                                                       monkeypatch, capsys):
+        path = write_plan(tmp_path)
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(full)]) == 0
+        write_json, headers = cli._write_json, []
+
+        def failing(target, payload):
+            if target.parent.name == "checkpoints":
+                headers.append(target)
+                if len(headers) == 2:  # the second variant's data file is on disk
+                    raise OSError("injected failure before the checkpoint header")
+            write_json(target, payload)
+
+        monkeypatch.setattr(cli, "_write_json", failing)
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 4
+        victim = headers[-1]
+        assert victim.with_suffix(".f64").exists()
+        assert not victim.exists()
+        assert not (out / "variants" / victim.name).exists()
+        assert not list(out.rglob("*.tmp"))
+        monkeypatch.setattr(cli, "_write_json", write_json)
+        capsys.readouterr()
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        assert "completed 3 runs (resumed past 1)" in capsys.readouterr().out
+        assert (out / "report.json").read_bytes() == (full / "report.json").read_bytes()
+        for f in (full / "checkpoints").iterdir():
+            assert (out / "checkpoints" / f.name).read_bytes() == f.read_bytes()
+        read_checkpoint(victim)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_1_exits_2_before_training(self, tmp_path, capsys, jobs):
+        path = write_plan(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", jobs]) == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_completes_interrupted_run(self, tmp_path):
         path = write_plan(tmp_path)
@@ -378,7 +453,9 @@ class TestWriteJson:
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_checkpoint_bytes_match_json_dump(self, tmp_path, kind):
         model = LinearForecaster.create(kind, 24, 6, seed=3)
-        self._check(tmp_path, model.to_dict())
+        header = write_checkpoint_data(tmp_path / "m.json", model)
+        (tmp_path / "header").mkdir()
+        self._check(tmp_path / "header", header)
 
     def test_edge_leaves_match_json_dump(self, tmp_path):
         self._check(tmp_path, EDGE_PAYLOAD)

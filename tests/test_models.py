@@ -1,5 +1,8 @@
 import copy
 import csv
+import hashlib
+import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -383,18 +386,114 @@ class TestScaleSensitivity:
             assert abs(ratio - 1.0) <= 0.01
 
 
+def save_checkpoint(path, model):
+    """Data file first, then the header, as ``tsnorm run`` writes them."""
+    header = models.write_checkpoint_data(path, model)
+    path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+
+
+CHECKPOINT_ARRAYS = ("weights", "bias", "sigma_weights", "sigma_bias",
+                     "token_weights", "token_bias")
+
+
+class TestCheckpoint:
+    def test_data_file_is_raw_little_endian_float64(self, tmp_path):
+        model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 6, 3, seed=2)
+        path = tmp_path / "m.json"
+        save_checkpoint(path, model)
+        header = json.loads(path.read_text())
+        assert header["format"] == models.CHECKPOINT_FORMAT
+        assert [a["name"] for a in header["arrays"]] == list(CHECKPOINT_ARRAYS[:4])
+        want = b"".join(getattr(model, n).astype("<f8").tobytes() for n in CHECKPOINT_ARRAYS[:4])
+        data = (tmp_path / header["data"]["file"]).read_bytes()
+        assert data == want
+        assert header["data"]["sha256"] == hashlib.sha256(want).hexdigest()
+
+    @pytest.mark.parametrize("damage", ["tampered", "truncated", "extended", "missing"])
+    def test_damaged_data_file_is_named(self, tmp_path, damage):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, LinearForecaster.create(LossKind.TOKEN_CE, 8, 4, seed=1))
+        data = tmp_path / "m.f64"
+        raw = bytearray(data.read_bytes())
+        if damage == "tampered":
+            raw[100] ^= 1
+            data.write_bytes(raw)
+        elif damage == "truncated":
+            data.write_bytes(raw[:-8])
+        elif damage == "extended":
+            data.write_bytes(raw + bytes(8))
+        else:
+            data.unlink()
+        want = {"tampered": "sha256", "truncated": "bytes", "extended": "bytes",
+                "missing": "missing"}[damage]
+        with pytest.raises(models.CheckpointError, match=want) as info:
+            models.read_checkpoint(path)
+        assert str(data) in str(info.value)
+
+    def test_nested_list_checkpoint_is_refused(self, tmp_path):
+        # the JSON form checkpoints had before the binary data file
+        model = LinearForecaster.create(LossKind.MSE, 8, 4, seed=1)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "loss_kind": "point_mse", "context_len": 8, "horizon": 4,
+            "weights": model.weights.tolist(), "bias": model.bias.tolist(),
+        }))
+        with pytest.raises(models.CheckpointError, match="nested-list") as info:
+            models.read_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_unknown_format_and_mismatched_arrays_are_refused(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(path, LinearForecaster.create(LossKind.MSE, 8, 4, seed=1))
+        header = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(header, format=99)))
+        with pytest.raises(models.CheckpointError, match="unknown checkpoint format 99"):
+            models.read_checkpoint(path)
+        path.write_text(json.dumps(dict(header, loss_kind="gaussian_nll")))
+        with pytest.raises(models.CheckpointError, match="do not fit a gaussian_nll model"):
+            models.read_checkpoint(path)
+
+
+def _csv_writer_bytes(trace) -> bytes:
+    """The trace CSV as the ``csv.writer`` formatter it was first written with gives it."""
+    max_c = max((len(g) for g in trace.grad_norms), default=0)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
+    for step, (loss, norms) in enumerate(zip(trace.losses, trace.grad_norms)):
+        row = [step, repr(float(loss))] + [repr(float(v)) for v in norms]
+        row += [""] * (max_c - len(norms))
+        writer.writerow(row)
+    return buf.getvalue().encode()
+
+
 class TestSerialization:
-    def test_checkpoint_round_trip(self):
+    def test_checkpoint_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
         for kind in LossKind:
             model = LinearForecaster.create(kind, 8, 4, seed=11)
-            again = LinearForecaster.from_dict(model.to_dict())
-            np.testing.assert_array_equal(again.weights, model.weights)
-            assert again.loss_kind is kind
-            if kind is LossKind.GAUSSIAN_NLL:
-                np.testing.assert_array_equal(again.sigma_weights, model.sigma_weights)
-            if kind is LossKind.TOKEN_CE:
-                np.testing.assert_array_equal(again.token_weights, model.token_weights)
-                assert again.tokenizer == model.tokenizer
+            for name in CHECKPOINT_ARRAYS:  # every bit pattern matters, not only the init
+                a = getattr(model, name)
+                if a is not None:
+                    a[...] = rng.normal(0.0, 1.0, a.shape) * 10.0 ** rng.integers(-300, 300, a.shape)
+            model.weights.flat[:4] = [np.nan, -0.0, np.inf, 5e-324]
+            path = tmp_path / kind.value / "m.json"
+            path.parent.mkdir()
+            save_checkpoint(path, model)
+            assert sorted(p.name for p in path.parent.iterdir()) == ["m.f64", "m.json"]
+            again = models.read_checkpoint(path)
+            assert (again.loss_kind, again.context_len, again.horizon, again.tokenizer) == (
+                kind, 8, 4, model.tokenizer)
+            for name in CHECKPOINT_ARRAYS:
+                want, got = getattr(model, name), getattr(again, name)
+                if want is None:
+                    assert got is None
+                    continue
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable
+            again.weights[1, 0] += 1.0  # and the arrays are the model's own
+            assert again.weights[1, 0] != model.weights[1, 0]
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -417,17 +516,21 @@ class TestSerialization:
         _, trace = train(model, instances, Scheme.REVIN, steps=30, lr=0.01, seed=0)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
-        # the per-element formatter the trace CSV has always been written with
-        max_c = max(len(g) for g in trace.grad_norms)
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "loss"] + [f"grad_norm_c{c}" for c in range(max_c)])
-            for step, (loss, norms) in enumerate(zip(trace.losses, trace.grad_norms)):
-                row = [step, repr(float(loss))] + [repr(float(v)) for v in norms]
-                row += [""] * (max_c - len(norms))
-                writer.writerow(row)
-        assert max_c == 3 and path.read_bytes() == ref.read_bytes()
+        assert max(len(g) for g in trace.grad_norms) == 3
+        assert path.read_bytes() == _csv_writer_bytes(trace)
+
+    def test_trace_csv_bytes_match_reference_uniform_and_empty(self, tmp_path):
+        rng = np.random.default_rng(14)
+        model = LinearForecaster.create(LossKind.MSE, 32, 8)
+        _, uniform = train(model, [make_instance(rng, channels=2) for _ in range(3)],
+                           Scheme.REVIN, steps=40, lr=0.01, seed=0)
+        empty = TrainTrace(losses=np.empty(0), grad_norms=[], rejected=0,
+                           pool_size=1, seed=0, lr=0.1)
+        for trace in (uniform, empty):
+            path = tmp_path / "trace.csv"
+            trace.to_csv(path)
+            assert path.read_bytes() == _csv_writer_bytes(trace)
+        assert path.read_bytes() == b"step,loss\r\n"
 
     def test_failed_trace_write_leaves_previous_file(self, tmp_path):
         path = tmp_path / "trace.csv"
