@@ -4,9 +4,9 @@ Point-forecast models train directly in normalized space, which breaks down
 when a context is nearly constant: the fitted scale collapses and the
 normalized horizon explodes.  Under the window schemes (revin, meanabs) the
 training pool discards such instances instead of letting them wreck the
-gradients.  The hybrid scheme standardizes each dataset offline and then
-applies window normalization during training, keeping only the window
-component at inference.  Both are placements in the scheme table, not
+gradients.  The hybrid scheme standardizes with each dataset's train
+statistics and then applies window normalization during training, keeping
+only the window component at inference.  Both are placements in the scheme table, not
 separate transforms: the steps below are the ones the pool runs.
 """
 

@@ -223,23 +223,6 @@ class NormStats:
     def channels(self) -> int:
         return self.shift.shape[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "scope": self.scope.value,
-            "shift": self.shift.tolist(),
-            "scale": self.scale.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            shift=np.asarray(d["shift"], dtype=np.float64),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-            scope=Scope(d["scope"]),
-            method=Method(d["method"]),
-        )
-
 
 def raw_stats(channels: int) -> NormStats:
     """Identity statistics: shift 0, scale 1 (the no-normalization baseline)."""

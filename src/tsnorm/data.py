@@ -8,7 +8,9 @@ and Gaussian noise.  Generation is bit-for-bit reproducible from (spec, seed).
 Sampling draws start rows only: ``sample_instances`` returns an
 ``InstanceBatch``, a read-only sequence of instances over the dataset's rows
 that builds an ``Instance`` when one is indexed, and stacks the windows of
-many draws with one fancy index for the training pool.
+many draws with one fancy index for the training pool.  A scheme's dataset
+step travels with the draws as that dataset's fitted statistics and is
+applied to the rows a batch builds, never to the whole dataset.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Instance, ShapeMismatchError, TsnormError, atomic_open
+from .core import Dataset, Instance, NormStats, ShapeMismatchError, TsnormError, atomic_open
 
 
 class ParseError(TsnormError):
@@ -202,8 +204,11 @@ class InstanceBatch(Sequence):
     A read-only ``Sequence[Instance]``: item i is the instance whose context
     starts at row ``starts[i]`` of its dataset, built (copied and validated)
     only when it is indexed.  It is made from (dataset, start rows) pairs, in
-    order; every window must lie inside its dataset's rows.  The training
-    pool reads a batch through ``groups`` and ``windows``, which stack the
+    order; every window must lie inside its dataset's rows.  A part may carry
+    a third item, statistics fitted on its dataset (a scheme's dataset step):
+    the batch then normalizes each block of rows it builds with them, with
+    the bits ``normalize`` gives on the whole matrix.  The training pool
+    reads a batch through ``groups`` and ``windows``, which stack the
     windows of many draws without building any ``Instance``.
     """
 
@@ -213,7 +218,7 @@ class InstanceBatch(Sequence):
             raise ShapeMismatchError("context and horizon need at least one row each")
         window = self.context_len + self.horizon_len
         self._spans, starts, end = [], [], 0
-        for d, s in parts:
+        for d, s, *rest in parts:
             s = np.asarray(s)
             if s.ndim != 1 or (s.size and s.dtype.kind not in "iu"):
                 raise TsnormError(f"start rows of {d.name!r} must be a 1-D integer array")
@@ -222,12 +227,18 @@ class InstanceBatch(Sequence):
                     f"a window of {window} rows starting in [{s.min()}, {s.max()}] "
                     f"leaves the {d.length} rows of dataset {d.name!r}"
                 )
-            self._spans.append((d, end, end + len(s)))
+            stats = rest[0] if rest else None
+            if stats is not None and stats.shift.shape != (d.channels,):
+                raise ShapeMismatchError(
+                    f"statistics of shape {stats.shift.shape} do not fit the "
+                    f"{d.channels} channels of dataset {d.name!r}"
+                )
+            self._spans.append((d, end, end + len(s), stats))
             starts.append(s.astype(np.int64))
             end += len(s)
         self.starts = np.concatenate(starts) if starts else np.empty(0, dtype=np.int64)
         self.starts.setflags(write=False)
-        self._ends = [hi for _, _, hi in self._spans]
+        self._ends = [hi for _, _, hi, _ in self._spans]
 
     @classmethod
     def concat(cls, batches) -> "InstanceBatch":
@@ -238,8 +249,8 @@ class InstanceBatch(Sequence):
             raise ShapeMismatchError(
                 f"need batches of one (context, horizon) shape, got {sorted(shapes)}"
             )
-        return cls([(d, b.starts[lo:hi]) for b in batches for d, lo, hi in b._spans],
-                   *shapes.pop())
+        return cls([(d, b.starts[lo:hi], stats)
+                    for b in batches for d, lo, hi, stats in b._spans], *shapes.pop())
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -250,35 +261,54 @@ class InstanceBatch(Sequence):
         if not -n <= i < n:
             raise IndexError(f"instance {i} out of range for a batch of {n}")
         i %= n
-        d = self._spans[bisect_right(self._ends, i)][0]
+        d, _, _, stats = self._spans[bisect_right(self._ends, i)]
         s, end = int(self.starts[i]), int(self.starts[i]) + self.context_len
-        return Instance(context=d.values[s:end], horizon=d.values[end : end + self.horizon_len],
+        rows = d.values[s : end + self.horizon_len]
+        if stats is not None:
+            rows = _normalize_rows(rows.copy(), stats)
+        return Instance(context=rows[: self.context_len], horizon=rows[self.context_len :],
                         origin=(d.name, s))
 
     def groups(self) -> list:
         """(channel count, instance ids) of each dataset's draws."""
-        return [(d.channels, np.arange(lo, hi)) for d, lo, hi in self._spans]
+        return [(d.channels, np.arange(lo, hi)) for d, lo, hi, _ in self._spans]
 
     def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Stacked contexts (k, L, C) and horizons (k, H, C) of the draws
         ``ids``, which must all come from one dataset: one fancy index each
-        into the dataset's rows."""
+        into the dataset's rows, normalized in place with its statistics."""
         ids = np.asarray(ids)
-        d, _, hi = self._spans[bisect_right(self._ends, int(ids.min()))]
+        d, _, hi, stats = self._spans[bisect_right(self._ends, int(ids.min()))]
         if ids.max() >= hi:
             raise TsnormError("windows are stacked from one dataset's draws at a time")
         rows = self.starts[ids][:, None] + np.arange(self.context_len + self.horizon_len)
-        return d.values[rows[:, : self.context_len]], d.values[rows[:, self.context_len :]]
+        contexts = d.values[rows[:, : self.context_len]]
+        horizons = d.values[rows[:, self.context_len :]]
+        if stats is not None:
+            _normalize_rows(contexts, stats)
+            _normalize_rows(horizons, stats)
+        return contexts, horizons
+
+
+def _normalize_rows(rows: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Normalize a fresh array of dataset rows in place: the bits of
+    ``normalize`` on the whole matrix, (x - shift) / scale, with no temporary."""
+    rows -= stats.shift
+    rows /= stats.scale
+    return rows
 
 
 def sample_instances(
-    d: Dataset, context_len: int, horizon: int, count: int, seed: int
+    d: Dataset, context_len: int, horizon: int, count: int, seed: int,
+    stats: NormStats | None = None,
 ) -> InstanceBatch:
     """Draw ``count`` training instances from uniformly random train-row offsets.
 
     Every window lies entirely inside the train rows: the horizon's last row
-    is strictly before the dataset split.  Deterministic per seed.  The
-    instances come as an ``InstanceBatch`` over ``d``'s rows.
+    is strictly before the dataset split.  Deterministic per seed; the draws
+    do not depend on ``stats``.  The instances come as an ``InstanceBatch``
+    over ``d``'s rows, normalized with ``stats`` (a dataset step fitted on
+    ``d``) when given.
     """
     window = context_len + horizon
     if window > d.split_index:
@@ -288,4 +318,4 @@ def sample_instances(
         )
     rng = np.random.default_rng(seed)
     starts = rng.integers(0, d.split_index - window + 1, size=count)
-    return InstanceBatch([(d, starts)], context_len, horizon)
+    return InstanceBatch([(d, starts, stats)], context_len, horizon)

@@ -1,19 +1,26 @@
 """Leave-one-dataset-out benchmark protocol: pretrain per scheme, evaluate ZS/ID.
 
 One variant = (model kind, scheme, withheld dataset).  The variant's model is
-trained on every corpus dataset except the withheld one (train rows only,
-dataset-level schemes pre-normalized offline with each dataset's own train
-statistics), then scored zero-shot on the withheld dataset's test rows and
-in-domain on every training dataset's test rows.  All data access runs through
-auditable entry points so leakage assertions can be checked after the fact.
+trained on every corpus dataset except the withheld one (train rows only; a
+scheme's dataset step fits each dataset's own train statistics, which the
+training pool applies to the windows it builds), then scored zero-shot on the
+withheld dataset's test rows and in-domain on every training dataset's test
+rows.  All data access runs through auditable entry points so leakage
+assertions can be checked after the fact.  Under ``--jobs N`` the corpus
+crosses to each worker process once, as a file, not once per variant.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
+import os
+import pickle
 import re
+import tempfile
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -337,24 +344,6 @@ def evaluate(
     return scores
 
 
-def _prenormalize(d: Dataset, method, variant: str, audit: AccessLog | None) -> Dataset:
-    """Replace a training dataset by its offline-normalized copy.
-
-    Statistics come from the train rows only; the whole matrix is transformed
-    so row indexing is unchanged (the transformed test rows are never read).
-    """
-    stats = fit_dataset_stats(d, method)
-    if audit is not None:
-        audit.record(variant, "fit_stats", d.name, 0, d.split_index)
-    return Dataset(
-        name=d.name,
-        values=normalize(d.values, stats),
-        frequency=d.frequency,
-        seasonal_period=d.seasonal_period,
-        split_index=d.split_index,
-    )
-
-
 def run_variant(
     plan: ExperimentPlan,
     datasets: dict,
@@ -377,10 +366,15 @@ def run_variant(
     batches = []
     for i, name in enumerate(train_names):
         d = datasets[name]
+        stats = None
         if ds_method is not None:
-            d = _prenormalize(d, ds_method, variant, audit)
+            # fitted on the train rows; the pool normalizes only the rows it builds
+            stats = fit_dataset_stats(d, ds_method)
+            if audit is not None:
+                audit.record(variant, "fit_stats", name, 0, d.split_index)
         drawn = sample_instances(
-            d, plan.context_len, plan.train_horizon, plan.instances_per_dataset, seed + i
+            d, plan.context_len, plan.train_horizon, plan.instances_per_dataset, seed + i,
+            stats,
         )
         if audit is not None and len(drawn):
             # one event spanning every draw: it crosses the split or touches
@@ -498,6 +492,44 @@ def assemble_report(rows) -> EvalReport:
     return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
 
 
+class _CorpusFile(Mapping):
+    """A plan's datasets by reference to a file that holds them, pickled.
+
+    It pickles as the file's path, loaded or not, so a pool task that carries
+    it stays small.  A process loads the file on first use and keeps the
+    datasets until it reads another corpus file, so each pool worker loads
+    the corpus once, whatever number of variants it runs.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+
+    @classmethod
+    def write(cls, datasets: dict, directory: str) -> "_CorpusFile":
+        path = os.path.join(directory, "corpus.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        return cls(path)
+
+    def __reduce__(self):
+        return type(self), (self.path,)
+
+    def __getitem__(self, name):
+        return _load_corpus(self.path)[name]
+
+    def __iter__(self):
+        return iter(_load_corpus(self.path))
+
+    def __len__(self) -> int:
+        return len(_load_corpus(self.path))
+
+
+@functools.lru_cache(maxsize=1)
+def _load_corpus(path: str) -> dict:
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
 def _run_variant_worker(args):
     plan, datasets, scheme, model_kind, withheld = args
     audit = AccessLog()
@@ -525,9 +557,13 @@ def run_plan(
     ``completed`` maps variant keys to previously computed row lists; those
     variants are skipped (resume support).  With jobs > 1 variants run in
     parallel processes; results are collected and ordered deterministically,
-    so the report is identical to a serial run.  ``on_variant(key, model,
-    trace, rows)`` is called in plan order as each variant's result arrives,
-    so variants that finished before a failure have already been handed on.
+    so the report is identical to a serial run.  The datasets then cross to
+    the workers once: they are written to a file in a private temporary
+    directory, which each worker loads on its first variant, and the
+    directory is removed once the pool has shut down, on failure too.  A
+    serial run writes no file.  ``on_variant(key, model, trace, rows)`` is
+    called in plan order as each variant's result arrives, so variants that
+    finished before a failure have already been handed on.
     It is the only place a trained model and its trace come out: the result
     keeps neither, so a caller that wants them collects them there.
     """
@@ -544,13 +580,15 @@ def run_plan(
     all_rows = []
     for rows in completed.values():
         all_rows.extend(rows)
-    args = [(plan, datasets, sc, mk, wh) for mk, sc, wh in pending]
     with ExitStack() as stack:
+        run_all, corpus = map, datasets
         if jobs > 1 and len(pending) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_run_variant_worker, args)
-        else:
-            results = map(_run_variant_worker, args)
+            # entered first, so removed after the pool has shut down
+            tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="tsnorm-"))
+            corpus = _CorpusFile.write(datasets, tmp)
+            run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        results = run_all(_run_variant_worker,
+                          [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])
         # each variant is handed on as it finishes, so a later failure keeps it
         for key, trained, trace, rows, variant_audit in results:
             audit.extend(variant_audit)

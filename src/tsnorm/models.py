@@ -107,7 +107,7 @@ class Scheme(enum.Enum):
 
     @property
     def dataset_method(self) -> Optional[Method]:
-        """Offline per-dataset pre-normalization method, if the scheme has one."""
+        """Dataset-step method, fitted on each dataset's train rows, if the scheme has one."""
         return _SCHEME_METHODS[self][0]
 
     @property
@@ -133,7 +133,7 @@ class Scheme(enum.Enum):
 
 
 # Each scheme's placement, (dataset method, instance method): statistics fitted
-# offline on each dataset's train rows, then per window on the context.
+# on each dataset's train rows, then per window on the context.
 _SCHEME_METHODS = {
     Scheme.REVIN: (None, Method.REVIN),
     Scheme.MEANABS: (None, Method.MEANABS),
@@ -692,8 +692,10 @@ def prepare_training_pool(
     instances beyond ``CLIP_THRESHOLD``; under hybrid they de-normalize the
     prediction with the instance statistics before the loss.  The Gaussian
     head always de-normalizes its distribution; token models quantize after
-    the instance step.  Dataset-level schemes expect the corpus to be
-    pre-normalized upstream and add no instance step here.
+    the instance step.  A scheme's dataset step comes with the instances:
+    each part of an ``InstanceBatch`` carries its dataset's statistics and
+    normalizes the windows the pool stacks, so dataset-level schemes add no
+    instance step here.
 
     The pool is lazy: only the clip decisions are made here, for every
     instance, and a sample's arrays are computed when ``TrainingPool.build``

@@ -90,7 +90,10 @@ def fit_dataset_stats(d: Dataset, method: Method) -> NormStats:
 
     Standardization: shift=mean, scale=population std per channel.
     MinMax: shift=min, scale=max-min.  MaxAbs: shift=0, scale=max|.|.
-    Test rows never contribute.
+    Test rows never contribute.  Statistics that overflow raise
+    NonFiniteError.  Finite ones keep every normalized train value finite:
+    at most 1 in magnitude, or about the square root of the train row count
+    for standardization, so no train row can overflow once the fit succeeds.
     """
     if method not in DATASET_METHODS:
         raise WrongMethodError(f"{method} is not a dataset-level method")

@@ -97,14 +97,6 @@ class TestNormStats:
             NormStats(np.array([0.0]), np.array([0.0]), Scope.DATASET,
                       Method.STANDARDIZATION)
 
-    def test_json_round_trip(self):
-        stats = NormStats(np.array([1.5, -2.0]), np.array([3.0, 0.5]),
-                          Scope.DATASET, Method.MINMAX)
-        again = NormStats.from_dict(stats.to_dict())
-        assert np.array_equal(again.shift, stats.shift)
-        assert np.array_equal(again.scale, stats.scale)
-        assert again.scope is stats.scope and again.method is stats.method
-
 
 class TestForecast:
     def test_exactly_one_payload(self):

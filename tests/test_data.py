@@ -6,10 +6,13 @@ import pytest
 from tsnorm import (
     Dataset,
     Instance,
+    Method,
     SyntheticSpec,
     export_csv,
+    fit_dataset_stats,
     generate_synthetic,
     load_csv,
+    normalize,
     sample_instances,
 )
 from tsnorm.core import ShapeMismatchError, TsnormError
@@ -230,3 +233,58 @@ class TestInstanceBatch:
                 InstanceBatch([(tiny_dataset, starts)], 30, 6)
         with pytest.raises(ShapeMismatchError):
             InstanceBatch([(tiny_dataset, [0])], 0, 6)
+
+
+class TestDatasetStepInTheBatch:
+    """A part's dataset statistics, applied to the rows the batch builds, give
+    the bits of the whole matrix normalized first and then indexed."""
+
+    @staticmethod
+    def _dataset(channels):
+        spec = SyntheticSpec(n_datasets=1, channels=channels, length=900,
+                             scale_exponents=(2.5,), seed=channels)
+        return generate_synthetic(spec)[0]
+
+    @pytest.mark.parametrize("method", [Method.STANDARDIZATION, Method.MINMAX, Method.MAXABS])
+    @pytest.mark.parametrize("channels", [1, 2, 8])
+    def test_bitwise_equal_to_the_normalized_matrix(self, method, channels):
+        d = self._dataset(channels)
+        stats = fit_dataset_stats(d, method)
+        whole = normalize(d.values, stats)  # the oracle: every row, then indexed
+        batch = sample_instances(d, 48, 12, 300, seed=4, stats=stats)
+        assert batch.starts.tolist() == sample_instances(d, 48, 12, 300, seed=4).starts.tolist()
+        ids = np.random.default_rng(0).permutation(300)[:200]
+        contexts, horizons = batch.windows(ids)
+        for row, i in enumerate(ids.tolist()):
+            s = int(batch.starts[i])
+            want_context, want_horizon = whole[s : s + 48], whole[s + 48 : s + 60]
+            assert contexts[row].tobytes() == want_context.tobytes()
+            assert horizons[row].tobytes() == want_horizon.tobytes()
+            inst = batch[i]
+            assert inst.origin == (d.name, s)
+            assert inst.context.tobytes() == want_context.tobytes()
+            assert inst.horizon.tobytes() == want_horizon.tobytes()
+        s = int(batch.starts[ids[-1]])
+        assert not np.array_equal(contexts[-1], d.values[s : s + 48])  # normalized
+        assert not d.values.flags.writeable  # the dataset's rows are never written
+
+    def test_concat_keeps_each_parts_statistics(self, tiny_dataset):
+        other = Dataset("other", tiny_dataset.values[:, :1] * 3.0, "1h", 24, 300)
+        stats = fit_dataset_stats(tiny_dataset, Method.MINMAX)
+        a = sample_instances(tiny_dataset, 30, 6, 7, seed=1, stats=stats)
+        b = sample_instances(other, 30, 6, 5, seed=2)
+        both = InstanceBatch.concat([a, b])
+        whole = normalize(tiny_dataset.values, stats)
+        for i in range(12):
+            s = int(both.starts[i])
+            values = whole if i < 7 else other.values
+            assert both[i].context.tobytes() == values[s : s + 30].tobytes()
+        contexts, _ = both.windows([8, 9])
+        assert contexts.tobytes() == np.stack(
+            [other.values[s : s + 30] for s in both.starts[[8, 9]]]).tobytes()
+
+    def test_statistics_must_fit_the_dataset(self, tiny_dataset):
+        one = Dataset("one", tiny_dataset.values[:, :1], "1h", 24, 320)
+        with pytest.raises(ShapeMismatchError, match="channels"):
+            sample_instances(tiny_dataset, 30, 6, 4, seed=0,
+                             stats=fit_dataset_stats(one, Method.MAXABS))

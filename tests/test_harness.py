@@ -1,5 +1,11 @@
+import dataclasses
 import gc
+import os
+import pickle
+import tempfile
 import weakref
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from tsnorm import (
     run_plan,
     run_variant,
 )
-from tsnorm.core import TsnormError
+from tsnorm.core import NonFiniteError, TsnormError
 from tsnorm.data import InstanceBatch
 from tsnorm.harness import (
     AccessLog,
@@ -38,7 +44,7 @@ from tsnorm.harness import (
     MissingDatasetError,
     variant_seed,
 )
-from tsnorm.models import token_point_forecast
+from tsnorm.models import DivergedError, token_point_forecast
 
 
 def small_corpus(seed=13):
@@ -308,12 +314,12 @@ class TestRunVariant:
         sample_instances = harness.sample_instances
         window = plan.context_len + plan.train_horizon
 
-        def one_draw_crosses_the_split(d, context_len, horizon, count, seed):
-            drawn = sample_instances(d, context_len, horizon, count, seed)
+        def one_draw_crosses_the_split(d, context_len, horizon, count, seed, stats=None):
+            drawn = sample_instances(d, context_len, horizon, count, seed, stats)
             if d.name == "synth1":
                 starts = drawn.starts.copy()
                 starts[7] = d.split_index - window + 1  # its last row is the first test row
-                drawn = InstanceBatch([(d, starts)], context_len, horizon)
+                drawn = InstanceBatch([(d, starts, stats)], context_len, horizon)
                 assert drawn[7].origin == (d.name, d.split_index - window + 1)
             return drawn
 
@@ -322,6 +328,53 @@ class TestRunVariant:
         run_variant(plan, datasets, Scheme.RAW, LossKind.MSE, "synth2", audit)
         with pytest.raises(LeakageError, match="synth1"):
             audit.verify(datasets)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_fit_stats_events_cover_each_training_datasets_train_rows(self, scheme):
+        datasets = small_corpus()
+        plan = small_plan(datasets, steps=5)
+        audit = AccessLog()
+        run_variant(plan, datasets, scheme, LossKind.MSE, "synth2", audit)
+        fits = [e for e in audit.events if e[1] == "fit_stats"]
+        key = f"point_mse|{scheme.value}|synth2"
+        want = [(key, "fit_stats", n, 0, datasets[n].split_index) for n in ("synth0", "synth1")]
+        assert fits == (want if scheme.dataset_method is not None else [])
+        audit.verify(datasets)
+
+    @pytest.mark.parametrize("scheme", [Scheme.HYBRID, Scheme.STANDARDIZATION, Scheme.MINMAX])
+    def test_overflowing_train_rows_raise_before_training(self, scheme, monkeypatch):
+        datasets = small_corpus()
+        split = datasets["synth1"].split_index
+        t = np.arange(datasets["synth1"].length)
+        huge = 1.5e308 * np.column_stack([np.sin(2 * np.pi * t / 24), np.cos(2 * np.pi * t / 24)])
+        datasets["synth1"] = Dataset("synth1", huge, "1h", 24, split)
+        plan = small_plan(datasets, schemes=(scheme,))
+        monkeypatch.setattr(harness, "train", lambda *a, **k: pytest.fail("training started"))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            run_variant(plan, datasets, scheme, LossKind.MSE, "synth2")
+
+    @pytest.mark.parametrize("kind", [LossKind.MSE, LossKind.GAUSSIAN_NLL, LossKind.TOKEN_CE])
+    @pytest.mark.parametrize("scheme", [s for s in Scheme if s.dataset_method is not None])
+    def test_dataset_step_trains_as_on_normalized_copies(self, scheme, kind, monkeypatch):
+        datasets = small_corpus()
+        plan = small_plan(datasets, steps=60)
+        got = run_variant(plan, datasets, scheme, kind, "synth2")
+        sample_instances = harness.sample_instances
+
+        def from_normalized_copy(d, context_len, horizon, count, seed, stats):
+            # every row normalized first, test rows included, then sampled raw
+            copy = Dataset(d.name, normalize(d.values, stats), d.frequency,
+                           d.seasonal_period, d.split_index)
+            return sample_instances(copy, context_len, horizon, count, seed)
+
+        monkeypatch.setattr(harness, "sample_instances", from_normalized_copy)
+        want = run_variant(plan, datasets, scheme, kind, "synth2")
+        assert got[2] == want[2]
+        assert got[1].losses.tobytes() == want[1].losses.tobytes()
+        for name in ("weights", "bias", "sigma_weights", "sigma_bias",
+                     "token_weights", "token_bias"):
+            a, b = getattr(got[0], name), getattr(want[0], name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_leakage_detector_fires(self):
         datasets = small_corpus()
@@ -442,8 +495,129 @@ class TestRunPlan:
         assert resumed_keys == fresh_keys[1:]  # not re-trained
 
     def test_parallel_matches_serial(self):
+        # every scheme, dataset steps included, with a point and a Gaussian head
         datasets = small_corpus()
-        plan = small_plan(datasets, steps=40)
-        serial = run_plan(plan, datasets, jobs=1)
-        parallel = run_plan(plan, datasets, jobs=2)
+        plan = small_plan(datasets, schemes=tuple(Scheme),
+                          models=(LossKind.MSE, LossKind.GAUSSIAN_NLL), steps=40)
+        runs = []
+        for jobs in (1, 2):
+            handed = []
+
+            def on_variant(key, trained, trace, rows):
+                handed.append((key, trained.weights.tobytes(), trace.losses.tobytes()))
+
+            runs.append((run_plan(plan, datasets, jobs=jobs, on_variant=on_variant), handed))
+        (serial, serial_handed), (parallel, parallel_handed) = runs
+        assert len(serial_handed) == len(plan.variants()) == 28
+        assert serial_handed == parallel_handed
         assert serial.report.entries == parallel.report.entries
+        assert serial.audit.events == parallel.audit.events
+
+
+def _big_corpus():
+    """Three datasets of 4 x 12,000 float64 values: more than 1 MB pickled."""
+    spec = SyntheticSpec(
+        n_datasets=3, channels=4, length=12000, scale_exponents=(1.0, 0.0, -1.5),
+        level_shifts=1, seed=5, seasonal_period=24, split_fraction=0.8,
+    )
+    return {d.name: d for d in generate_synthetic(spec)}
+
+
+_RUN_VARIANT_WORKER = harness._run_variant_worker
+
+
+def _worker_dying_at_synth2(args):
+    """A variant worker whose process dies without a word at withheld synth2."""
+    if args[4] == "synth2":
+        os._exit(9)
+    return _RUN_VARIANT_WORKER(args)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch, tmp_path):
+    """``harness.ProcessPoolExecutor`` replaced by a real pool that records the
+    pickled size of each task and what the temporary directory, pointed at
+    ``tmp``, holds as the pool starts.  Returns (tmp, pools made)."""
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self._pool = ProcessPoolExecutor(max_workers=max_workers)
+            self.files = sorted(p.relative_to(tmp).parts[1:] for p in tmp.rglob("*"))
+            self.task_bytes = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._pool.shutdown(wait=True)
+            return False
+
+        def map(self, fn, iterable):
+            tasks = list(iterable)
+            self.task_bytes = [len(pickle.dumps(task)) for task in tasks]
+            return self._pool.map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return tmp, pools
+
+
+class TestCorpusByReference:
+    def test_tasks_carry_the_corpus_by_reference(self, recording_pool):
+        tmp, pools = recording_pool
+        datasets = _big_corpus()
+        assert len(pickle.dumps(datasets)) > 1_000_000
+        plan = small_plan(datasets, schemes=(Scheme.STANDARDIZATION, Scheme.REVIN), steps=40)
+        parallel = run_plan(plan, datasets, jobs=2)
+        (pool,) = pools
+        assert pool.files == [(), ("corpus.pickle",)]  # one directory, one file
+        assert len(pool.task_bytes) == len(plan.variants()) == 4
+        assert max(pool.task_bytes) < 64_000
+        assert list(tmp.iterdir()) == []
+        serial = run_plan(plan, datasets, jobs=1)
+        assert len(pools) == 1  # a serial run starts no pool and writes no file
+        assert serial.report.entries == parallel.report.entries
+
+    def test_directory_removed_when_a_variant_diverges(self, recording_pool):
+        tmp, pools = recording_pool
+        datasets = small_corpus()
+        plan = dataclasses.replace(small_plan(datasets, schemes=(Scheme.RAW,)), lr=100.0)
+        with pytest.raises(DivergedError):
+            run_plan(plan, datasets, jobs=2)
+        assert pools[0].files == [(), ("corpus.pickle",)]
+        assert list(tmp.iterdir()) == []
+
+    def test_directory_removed_when_a_worker_dies(self, recording_pool, monkeypatch):
+        tmp, pools = recording_pool
+        datasets = small_corpus()
+        plan = small_plan(datasets, schemes=(Scheme.RAW,), withheld=("synth0", "synth1", "synth2"))
+        monkeypatch.setattr(harness, "_run_variant_worker", _worker_dying_at_synth2)
+        with pytest.raises(BrokenProcessPool):
+            run_plan(plan, datasets, jobs=2)
+        assert pools[0].files == [(), ("corpus.pickle",)]
+        assert list(tmp.iterdir()) == []
+
+    def test_loads_once_per_process_and_pickles_as_its_path(self, tmp_path, monkeypatch):
+        harness._load_corpus.cache_clear()
+        datasets = small_corpus()
+        corpus = harness._CorpusFile.write(datasets, str(tmp_path))
+        loads = []
+        load = pickle.load
+        monkeypatch.setattr(pickle, "load", lambda fh: loads.append(fh.name) or load(fh))
+        task = pickle.loads(pickle.dumps(corpus))
+        assert loads == []  # unpickling reads nothing
+        assert list(task) == list(datasets) and len(task) == 3
+        for name, d in datasets.items():
+            got = task[name]
+            assert got.values.tobytes() == d.values.tobytes()
+            assert (got.name, got.frequency, got.seasonal_period, got.split_index) == (
+                d.name, d.frequency, d.seasonal_period, d.split_index)
+        again = pickle.loads(pickle.dumps(task))  # loaded, it still pickles as its path
+        assert len(pickle.dumps(task)) == len(pickle.dumps(corpus)) < 1_000
+        assert again["synth1"] is task["synth1"]
+        assert loads == [corpus.path]
+        harness._load_corpus.cache_clear()
