@@ -14,6 +14,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -75,7 +76,7 @@ def cmd_synth(args) -> int:
         }
     _write_json(out / "manifest.json", {
         "kind": "synthetic-corpus",
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "seed": spec.seed,
         "files": files,
         "version": __version__,
@@ -84,15 +85,47 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# The top-level keys a plan file may hold; any other key is refused, so a
+# misspelt one is never silently replaced by its default.
+_PLAN_KEYS = frozenset({
+    "seed", "synthetic", "datasets", "schemes", "models", "withheld", "context_len",
+    "steps", "lr", "instances_per_dataset", "naive_lag", "horizon_overrides",
+})
+
+
+def _plan_names(raw: dict, field: str) -> list:
+    """The list of strings under plan key ``field``."""
+    value = raw.get(field)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TsnormError(f"plan {field!r} must be a list of strings, got {value!r}")
+    return value
+
+
 def _load_plan_file(path: Path, seed_override: int | None):
-    """Resolve a plan JSON file into (ExperimentPlan, datasets by name)."""
+    """Resolve a plan JSON file into (ExperimentPlan, datasets by name).
+
+    Raises TsnormError naming the key when the file is not a JSON object,
+    holds a key outside ``_PLAN_KEYS`` or a value of the wrong shape.
+    """
     raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise TsnormError(f"plan must be a JSON object, got {type(raw).__name__}")
+    unknown = sorted(set(raw) - _PLAN_KEYS)
+    if unknown:
+        raise TsnormError(f"unknown plan keys {unknown}")
     seed = seed_override if seed_override is not None else raw.get("seed", 0)
     if "synthetic" in raw:
         datasets = generate_synthetic(SyntheticSpec.from_dict(raw["synthetic"]))
     elif "datasets" in raw:
+        entries = raw["datasets"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise TsnormError(f"plan 'datasets' must be a list of objects, got {entries!r}")
         datasets = []
-        for entry in raw["datasets"]:
+        for i, entry in enumerate(entries):
+            missing = [k for k in ("name", "path", "frequency", "seasonal_period")
+                       if k not in entry]
+            if missing:
+                raise TsnormError(f"plan 'datasets' entry {i} lacks {missing}")
             csv_path = Path(entry["path"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path
@@ -106,18 +139,21 @@ def _load_plan_file(path: Path, seed_override: int | None):
             ))
     else:
         raise TsnormError("plan must declare either 'synthetic' or 'datasets'")
+    overrides = raw.get("horizon_overrides")
+    if overrides is not None and not isinstance(overrides, dict):
+        raise TsnormError(f"plan 'horizon_overrides' must be an object, got {overrides!r}")
     plan = ExperimentPlan.from_datasets(
         datasets,
-        schemes=[Scheme(s) for s in raw["schemes"]],
-        model_kinds=[LossKind(m) for m in raw["models"]],
+        schemes=[Scheme(s) for s in _plan_names(raw, "schemes")],
+        model_kinds=[LossKind(m) for m in _plan_names(raw, "models")],
         context_len=raw.get("context_len", 96),
-        withheld=raw["withheld"],
+        withheld=_plan_names(raw, "withheld"),
         steps=raw.get("steps", 3000),
         lr=raw.get("lr", 1e-4),
         seed=seed,
         instances_per_dataset=raw.get("instances_per_dataset", 256),
         naive_lag=raw.get("naive_lag"),
-        horizon_overrides=raw.get("horizon_overrides"),
+        horizon_overrides=overrides,
     )
     return plan, {d.name: d for d in datasets}
 

@@ -16,6 +16,7 @@ applied to the rows a batch builds, never to the whole dataset.
 from __future__ import annotations
 
 import csv
+import numbers
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
@@ -128,6 +129,12 @@ class SyntheticSpec:
     name_prefix: str = "synth"
 
     def __post_init__(self):
+        for name in ("n_datasets", "channels", "length", "level_shifts", "seed", "seasonal_period"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise BadSpecError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.frequency, str) or not isinstance(self.name_prefix, str):
+            raise BadSpecError("frequency and name_prefix must be strings")
         if self.n_datasets < 1 or self.channels < 1:
             raise BadSpecError("n_datasets and channels must be positive")
         if self.length < 4 * self.seasonal_period:
@@ -139,27 +146,17 @@ class SyntheticSpec:
         if not 0.0 < self.split_fraction < 1.0:
             raise BadSpecError("split_fraction must lie in (0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_datasets": self.n_datasets,
-            "channels": self.channels,
-            "length": self.length,
-            "scale_exponents": list(self.scale_exponents),
-            "level_shifts": self.level_shifts,
-            "seed": self.seed,
-            "frequency": self.frequency,
-            "seasonal_period": self.seasonal_period,
-            "noise": self.noise,
-            "trend": self.trend,
-            "split_fraction": self.split_fraction,
-            "name_prefix": self.name_prefix,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticSpec":
-        known = {f: d[f] for f in d}
+        if not isinstance(d, dict):
+            raise BadSpecError(f"synthetic spec must be a JSON object, got {d!r}")
+        known = dict(d)
         if "scale_exponents" in known:
-            known["scale_exponents"] = tuple(known["scale_exponents"])
+            exponents = known["scale_exponents"]
+            if not isinstance(exponents, list) or not all(
+                    isinstance(e, numbers.Real) and not isinstance(e, bool) for e in exponents):
+                raise BadSpecError(f"scale_exponents must be a list of numbers, got {exponents!r}")
+            known["scale_exponents"] = tuple(exponents)
         try:
             return cls(**known)
         except TypeError as exc:

@@ -226,6 +226,9 @@ class ExperimentPlan:
         horizon_overrides: dict | None = None,
     ) -> "ExperimentPlan":
         overrides = horizon_overrides or {}
+        outside = sorted(set(overrides) - {d.name for d in datasets})
+        if outside:
+            raise MissingDatasetError(f"horizon_overrides {outside} not in corpus")
         horizons = {
             d.name: overrides.get(d.name, horizon_for_frequency(d.frequency))
             for d in datasets

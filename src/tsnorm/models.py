@@ -16,11 +16,13 @@ token) on arrays prepared once per pool sample; the kernels call the same
 unchecked loss cores as the public, validating ``loss_*`` functions, so each
 loss formula is written once.  Every reduction runs in a fixed order, so
 identical seeds give bitwise-identical weights, losses and gradient norms.
-Those per-sample arrays come from the lazy pool of ``prepare_training_pool``:
-it makes every clip decision up front, and ``train`` has it build only the
-samples the seeded permutations draw, stacking their windows a block at a
-time and computing statistics and input norms in a few array operations,
-with the bits each instance alone would give.
+Those per-sample arrays come from the lazy pool of ``prepare_training_pool``,
+which is a length and a ``build`` method: it makes every clip decision up
+front, and ``train`` has it build only the rows of the samples the seeded
+permutations draw, stacking their windows a block at a time and computing
+statistics and input norms in a few array operations, with the bits each
+instance alone would give.  A row, (inputs, target, scale, shift, input
+norms), is the one form of a training sample.
 
 The token head is defined by two ``np.einsum`` contractions and computed
 without them where that gives the same bits:
@@ -47,10 +49,9 @@ import enum
 import hashlib
 import json
 import math
-import operator
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -65,7 +66,6 @@ from .core import (
     KindMismatchError,
     Method,
     NormStats,
-    Scope,
     ShapeMismatchError,
     TsnormError,
     atomic_open,
@@ -192,9 +192,6 @@ class TokenizerSpec:
     def centers(self) -> np.ndarray:
         return self.lo + (np.arange(self.num_bins) + 0.5) * self.bin_width
 
-    def to_dict(self) -> dict:
-        return {"num_bins": self.num_bins, "lo": self.lo, "hi": self.hi}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TokenizerSpec":
         return cls(num_bins=d["num_bins"], lo=d["lo"], hi=d["hi"])
@@ -314,7 +311,7 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
         "data": {"file": data_path.name, "sha256": digest.hexdigest()},
     }
     if model.tokenizer is not None:
-        header["tokenizer"] = model.tokenizer.to_dict()
+        header["tokenizer"] = asdict(model.tokenizer)
     return header
 
 
@@ -532,21 +529,6 @@ def loss_token_ce(
 # ----------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainSample:
-    """One normalized training example ready for an SGD step.
-
-    ``inputs`` is the (L, C) matrix fed to the linear map; ``target`` is the
-    (H, C) value matrix, or int bin indices for token CE.  ``stats`` carries
-    the de-normalization applied before the loss (hybrid point models and the
-    Gaussian head); None means the loss runs directly on ``target``.
-    """
-
-    inputs: np.ndarray
-    target: np.ndarray
-    stats: Optional[NormStats] = None
-
-
 @dataclass
 class TrainTrace:
     """Per-step training record plus pool statistics.
@@ -582,21 +564,21 @@ class TrainTrace:
             fh.write("\r\n".join(lines) + "\r\n")
 
 
-class TrainingPool(Sequence):
+class TrainingPool:
     """The admitted samples of a training pool, in instance order, built on request.
 
-    ``build(ids)`` computes the rows of samples ``ids`` as the SGD kernels
-    take them: (inputs, target, scale, shift, input norms), scale and shift
-    being None when the loss runs directly on the target.  It works a block
-    of up to ``WINDOW_BLOCK`` stacked windows at a time, and every row is
-    bitwise the same whichever samples share its block; ``rows`` builds every
-    sample.  A sample's arrays are rows of its block's arrays, except that a
-    pool made from a plain sequence of instances keeps the instances' own
-    context and horizon arrays where the scheme leaves them un-normalized.
-    Indexing the pool gives a ``TrainSample`` view of one sample, its
-    statistics of family ``method``.  ``channels`` holds the channel counts
-    of every admitted sample, built or not.  ``prepare_training_pool`` makes
-    it from the instances' groups and the mask of admitted instances.
+    ``len(pool)`` counts the admitted samples and ``build(ids)`` computes the
+    rows of samples ``ids``; a row is the one form of a training sample, as
+    the SGD kernels take it: (inputs, target, scale, shift, input norms),
+    scale and shift being None when the loss runs directly on the target.
+    ``build`` works a block of up to ``WINDOW_BLOCK`` stacked windows at a
+    time, and every row is bitwise the same whichever samples share its
+    block.  A row's arrays are rows of its block's arrays, except that a pool
+    made from a plain sequence of instances keeps the instances' own context
+    and horizon arrays where the scheme leaves them un-normalized.
+    ``channels`` holds the channel counts of every admitted sample, built or
+    not.  ``prepare_training_pool`` makes it from the instances' groups and
+    the mask of admitted instances.
     """
 
     def __init__(self, source, scheme: Scheme, model: LinearForecaster,
@@ -607,7 +589,6 @@ class TrainingPool(Sequence):
             group_of[ids] = g
         self._ids = np.flatnonzero(admitted)
         self._group = group_of[self._ids]
-        self.method = scheme.instance_method or Method.RAW
         self.channels = {groups[g][0] for g in set(self._group.tolist())}
 
     def __len__(self) -> int:
@@ -630,28 +611,6 @@ class TrainingPool(Sequence):
                                   _pool_rows(*windows, self._scheme, self._model, own)):
                     rows[i] = row
         return rows
-
-    @property
-    def rows(self) -> list:
-        """The rows of every sample."""
-        return self.build(np.arange(len(self)))
-
-    def __getitem__(self, i) -> TrainSample:
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError(f"sample {i} out of range for a pool of {n}")
-        return self._sample(self.build([i % n])[0])
-
-    def __iter__(self):
-        return map(self._sample, self.rows)
-
-    def _sample(self, row: tuple) -> TrainSample:
-        inputs, target, scale, shift, _ = row
-        if scale is None:
-            return TrainSample(inputs, target)
-        stats = NormStats(shift=shift, scale=scale, scope=Scope.INSTANCE, method=self.method)
-        return TrainSample(inputs, target, stats)
 
 
 class _InstanceList:
@@ -686,8 +645,9 @@ def prepare_training_pool(
 ) -> tuple[TrainingPool, int]:
     """Apply a scheme's train-time normalization placement to raw instances.
 
-    Returns (admissible samples, number of clip-rejected instances).  Point
-    models under a scheme that ``clips`` normalize context and horizon with
+    Returns (pool, number of clip-rejected instances): ``len(pool)`` counts
+    the admitted samples and ``pool.build`` gives their rows.  Point models
+    under a scheme that ``clips`` normalize context and horizon with
     the context's statistics, keep the loss in normalized space and discard
     instances beyond ``CLIP_THRESHOLD``; under hybrid they de-normalize the
     prediction with the instance statistics before the loss.  The Gaussian
@@ -698,13 +658,13 @@ def prepare_training_pool(
     instance step here.
 
     The pool is lazy: only the clip decisions are made here, for every
-    instance, and a sample's arrays are computed when ``TrainingPool.build``
-    asks for them.  The work is block-wise: the windows of up to
+    instance, and a sample's row is computed when ``TrainingPool.build``
+    asks for it.  The work is block-wise: the windows of up to
     ``WINDOW_BLOCK`` instances of one group are stacked at a time, one fancy
     index per block for an ``InstanceBatch`` (whose groups are its
     datasets), and each block's statistics, clip decisions and input norms
     take a few array operations.  Any other sequence of instances is grouped
-    by channel count.  Every sample is bitwise equal to what the same steps
+    by channel count.  Every row is bitwise equal to what the same steps
     give on its instance alone, and the pool keeps the instances' order.
     """
     if isinstance(instances, InstanceBatch):

@@ -181,14 +181,16 @@ def test_criterion_3_token_ce_scale_decoupling():
     ref_pool, _ = prepare_training_pool(
         [Instance(context=base[:32], horizon=base[32:], origin=("a", 0))],
         Scheme.MEANABS, model)
+    ref_inputs, ref_target, *_ = ref_pool.build([0])[0]
     ref_model, ref_trace = train(
         model, [Instance(context=base[:32], horizon=base[32:], origin=("a", 0))],
         Scheme.MEANABS, steps=30, lr=0.1, seed=2)
     for c in (1e-3, 1e3):
         inst = Instance(context=c * base[:32], horizon=c * base[32:], origin=("a", 0))
         pool, _ = prepare_training_pool([inst], Scheme.MEANABS, model)
-        np.testing.assert_array_equal(pool[0].target, ref_pool[0].target)
-        np.testing.assert_array_equal(pool[0].inputs, ref_pool[0].inputs)
+        inputs, target, *_ = pool.build([0])[0]
+        np.testing.assert_array_equal(target, ref_target)
+        np.testing.assert_array_equal(inputs, ref_inputs)
         trained, trace = train(model, [inst], Scheme.MEANABS, steps=30, lr=0.1, seed=2)
         np.testing.assert_array_equal(trace.losses, ref_trace.losses)
         np.testing.assert_array_equal(trained.token_weights, ref_model.token_weights)
@@ -278,7 +280,8 @@ def test_criterion_6_clipping_contract():
     assert rejected > 0
     assert pool, "some instances must survive clipping"
     worst = max(
-        max(np.abs(s.inputs).max(), np.abs(s.target).max()) for s in pool
+        max(np.abs(inputs).max(), np.abs(target).max())
+        for inputs, target, *_ in pool.build(np.arange(len(pool)))
     )
     assert worst <= 10.0
     trained, trace = train(model, instances, Scheme.REVIN, steps=50, lr=1e-3, seed=4)

@@ -317,6 +317,40 @@ class TestRun:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("plan, named", [
+        ([TINY_PLAN], "plan must be a JSON object"),
+        (dict(TINY_PLAN, synthetic=[1, 2]), "synthetic spec must be a JSON object"),
+        (dict(TINY_PLAN, synthetic={"scale_exponents": 3}), "scale_exponents must be a list"),
+        (dict(TINY_PLAN, synthetic={"n_datasets": 2.5}), "n_datasets must be an integer"),
+        (dict(TINY_PLAN, synthetic={"seed": "x"}), "seed must be an integer"),
+        (dict(TINY_PLAN, synthetic={"frequency": 3}), "frequency and name_prefix must be"),
+        (dict(TINY_PLAN, horizon_overrides=[1]), "'horizon_overrides' must be an object"),
+        (dict(TINY_PLAN, withheld="synth0"), "'withheld' must be a list of strings"),
+        (dict(TINY_PLAN, schemes="revin"), "'schemes' must be a list of strings"),
+        (dict(TINY_PLAN, models="point_mse"), "'models' must be a list of strings"),
+        ({k: v for k, v in TINY_PLAN.items() if k != "synthetic"}
+         | {"datasets": [{"name": "a", "frequency": "1h", "seasonal_period": 24}]},
+         "'datasets' entry 0 lacks ['path']"),
+    ], ids=["top-level-array", "synthetic-list", "scale-exponents-int", "n-datasets-float",
+            "synthetic-seed-string", "frequency-int", "overrides-list",
+            "withheld-string", "schemes-string", "models-string", "dataset-without-path"])
+    def test_malformed_plan_file_exits_2_naming_the_field(self, tmp_path, capsys, plan, named):
+        path = write_plan(tmp_path, plan)
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch, named", [
+        ({"step": 5}, "unknown plan keys ['step']"),
+        ({"horizon_overrides": {"synth0": 12, "synth9": 12}},
+         "horizon_overrides ['synth9'] not in corpus"),
+    ], ids=["misspelt-key", "override-outside-corpus"])
+    def test_ignored_plan_input_is_refused(self, tmp_path, capsys, patch, named):
+        path = write_plan(tmp_path, dict(TINY_PLAN, **patch))
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
     def test_divergence_exits_3(self, tmp_path):
         plan = dict(TINY_PLAN)
         plan["lr"] = 100.0  # way past the stability bound for raw MSE

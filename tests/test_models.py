@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -34,12 +35,11 @@ from tsnorm import (
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError
 from tsnorm.data import InstanceBatch
-from tsnorm.norm import WINDOW_BLOCK
+from tsnorm.norm import WINDOW_BLOCK, fit_dataset_stats
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
     NonPositiveSigmaError,
-    TrainSample,
     TrainTrace,
     _token_buffers,
     _token_logits,
@@ -314,10 +314,11 @@ class TestTrain:
         flat = Instance(context=np.zeros((32, 1)),
                         horizon=np.full((8, 1), 100.0), origin=("t", 0))
         model = LinearForecaster.create(LossKind.MSE, 32, 8)
-        samples, rejected = prepare_training_pool([good, flat], Scheme.REVIN, model)
-        assert rejected == 1 and len(samples) == 1
-        assert max(np.abs(s.inputs).max() for s in samples) <= 10.0
-        assert max(np.abs(s.target).max() for s in samples) <= 10.0
+        pool, rejected = prepare_training_pool([good, flat], Scheme.REVIN, model)
+        assert rejected == 1 and len(pool) == 1
+        rows = pool.build(np.arange(len(pool)))
+        assert max(np.abs(inputs).max() for inputs, *_ in rows) <= 10.0
+        assert max(np.abs(target).max() for _, target, *_ in rows) <= 10.0
 
 
 class TestScaleSensitivity:
@@ -346,15 +347,17 @@ class TestScaleSensitivity:
         rng = np.random.default_rng(61)
         base = make_instance(rng, channels=2, offset=1.0)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=6)
-        ref_samples, _ = prepare_training_pool([base], Scheme.MEANABS, model)
+        ref_inputs, ref_target, *_ = prepare_training_pool(
+            [base], Scheme.MEANABS, model)[0].build([0])[0]
         ref_trained, ref_trace = train(model, [base], Scheme.MEANABS,
                                        steps=20, lr=0.1, seed=2)
         for c in (1e-3, 1e3):
             scaled = Instance(context=c * base.context, horizon=c * base.horizon,
                               origin=base.origin)
-            samples, _ = prepare_training_pool([scaled], Scheme.MEANABS, model)
-            np.testing.assert_array_equal(samples[0].target, ref_samples[0].target)
-            np.testing.assert_array_equal(samples[0].inputs, ref_samples[0].inputs)
+            pool, _ = prepare_training_pool([scaled], Scheme.MEANABS, model)
+            inputs, target, *_ = pool.build([0])[0]
+            np.testing.assert_array_equal(target, ref_target)
+            np.testing.assert_array_equal(inputs, ref_inputs)
             trained, trace = train(model, [scaled], Scheme.MEANABS,
                                    steps=20, lr=0.1, seed=2)
             np.testing.assert_array_equal(trace.losses, ref_trace.losses)
@@ -627,6 +630,15 @@ def _sgd_step(model, sample, lr):
 # replaced, one instance at a time with its own statistics.  The block-wise
 # pool must reproduce it bit for bit.
 
+class RefSample(NamedTuple):
+    """A reference pool sample; ``stats`` de-normalizes the prediction before
+    the loss, None when the loss runs directly on ``target``."""
+
+    inputs: np.ndarray
+    target: np.ndarray
+    stats: Optional[NormStats] = None
+
+
 def _ref_instance_stats(context, method):
     if method is Method.REVIN:
         shift, scale = context.mean(axis=0), context.std(axis=0)
@@ -653,27 +665,27 @@ def _reference_pool(instances, scheme, model, clip_threshold=10.0):
                 if max(np.abs(ctx).max(), np.abs(hor).max()) > clip_threshold:
                     rejected += 1
                     continue
-                samples.append(TrainSample(ctx, hor))
+                samples.append(RefSample(ctx, hor))
             elif scheme is Scheme.HYBRID:
                 stats = _ref_instance_stats(inst.context, Method.REVIN)
                 samples.append(
-                    TrainSample(_ref_normalize(inst.context, stats), inst.horizon, stats))
+                    RefSample(_ref_normalize(inst.context, stats), inst.horizon, stats))
             else:
-                samples.append(TrainSample(inst.context, inst.horizon))
+                samples.append(RefSample(inst.context, inst.horizon))
         elif kind is LossKind.GAUSSIAN_NLL:
             if inst_method is not None:
                 stats = _ref_instance_stats(inst.context, inst_method)
                 ctx = _ref_normalize(inst.context, stats)
             else:
                 stats, ctx = raw_stats(inst.channels), inst.context
-            samples.append(TrainSample(ctx, inst.horizon, stats))
+            samples.append(RefSample(ctx, inst.horizon, stats))
         else:
             spec = model.tokenizer
             ctx, hor = inst.context, inst.horizon
             if inst_method is not None:
                 stats = _ref_instance_stats(ctx, inst_method)
                 ctx, hor = _ref_normalize(ctx, stats), _ref_normalize(hor, stats)
-            samples.append(TrainSample(detokenize(tokenize(ctx, spec), spec), tokenize(hor, spec)))
+            samples.append(RefSample(detokenize(tokenize(ctx, spec), spec), tokenize(hor, spec)))
     return samples, rejected
 
 
@@ -909,21 +921,23 @@ class TestPoolMatchesReference:
             monkeypatch.setattr(models, "WINDOW_BLOCK", block)
             pool, rejected = prepare_training_pool(instances, scheme, model)
             assert rejected == ref_rejected
-            assert len(pool) == len(ref) == len(pool.rows)
-            for got, want, row in zip(pool, ref, pool.rows):
-                for name in ("inputs", "target"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.shape == b.shape and a.dtype == b.dtype, name
-                    assert a.tobytes() == b.tobytes(), name
-                assert (got.stats is None) == (want.stats is None)
-                if want.stats is not None:
-                    assert got.stats.method is want.stats.method
-                    assert got.stats.scope is want.stats.scope
-                    assert got.stats.scale.tobytes() == want.stats.scale.tobytes()
-                    assert got.stats.shift.tobytes() == want.stats.shift.tobytes()
-                # the input norms train used to compute per sample
-                in_norms = np.sqrt(np.add.reduce(want.inputs * want.inputs, axis=0))
-                assert row[4].tobytes() == in_norms.tobytes()
+            rows = pool.build(np.arange(len(pool)))
+            assert len(pool) == len(ref) == len(rows)
+            for i, want in enumerate(ref):
+                # each sample built alone, and within the whole pool's blocks
+                for row in (pool.build([i])[0], rows[i]):
+                    inputs, target, scale, shift, in_norms = row
+                    for name, a, b in (("inputs", inputs, want.inputs),
+                                       ("target", target, want.target)):
+                        assert a.shape == b.shape and a.dtype == b.dtype, name
+                        assert a.tobytes() == b.tobytes(), name
+                    assert (scale is None) == (shift is None) == (want.stats is None)
+                    if want.stats is not None:
+                        assert scale.tobytes() == want.stats.scale.tobytes()
+                        assert shift.tobytes() == want.stats.shift.tobytes()
+                    # the input norms train used to compute per sample
+                    want_norms = np.sqrt(np.add.reduce(want.inputs * want.inputs, axis=0))
+                    assert in_norms.tobytes() == want_norms.tobytes()
 
     def test_shape_mismatch_rejected_before_any_work(self):
         rng = np.random.default_rng(75)
@@ -931,6 +945,50 @@ class TestPoolMatchesReference:
         instances = [make_instance(rng), make_instance(rng, length=31)]
         with pytest.raises(ShapeMismatchError):
             prepare_training_pool(instances, Scheme.REVIN, model)
+
+
+class TestPoolSources:
+    """A pool over an ``InstanceBatch`` and a pool over the list of its
+    instances give the same rows, bit for bit."""
+
+    @staticmethod
+    def _batch():
+        rng = np.random.default_rng(77)
+        # a plateau series: tiny context scales ahead of level jumps, so the
+        # clipping schemes reject some draws
+        plateau = np.repeat([5.0, 50.0, 5.0, 50.0], 100)[:, None] * [1.0, 3.0]
+        datasets = [
+            Dataset("wide", rng.normal(0.0, 1.0, (400, 3)) * [1e-3, 1.0, 1e3], "1h", 24, 320),
+            Dataset("plateau", plateau + rng.normal(0.0, 1e-3, plateau.shape), "1h", 24, 320),
+            Dataset("offset", rng.normal(50.0, 5.0, (400, 2)), "1h", 24, 320),
+        ]
+        # the first two parts carry a dataset step, the last carries none
+        stats = [fit_dataset_stats(datasets[0], Method.STANDARDIZATION),
+                 fit_dataset_stats(datasets[1], Method.MINMAX), None]
+        return InstanceBatch.concat(sample_instances(d, 32, 8, 30, seed=i, stats=st)
+                                    for i, (d, st) in enumerate(zip(datasets, stats)))
+
+    @pytest.mark.parametrize("block", [WINDOW_BLOCK, 4])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_batch_and_list_give_the_same_rows(self, kind, scheme, block, monkeypatch):
+        monkeypatch.setattr(models, "WINDOW_BLOCK", block)
+        batch = self._batch()
+        spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
+        model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
+        pool, rejected = prepare_training_pool(batch, scheme, model)
+        listed, listed_rejected = prepare_training_pool(list(batch), scheme, model)
+        assert rejected == listed_rejected
+        if kind.is_point and scheme.clips:
+            assert rejected > 0
+        assert len(pool) == len(listed) and pool.channels == listed.channels == {2, 3}
+        every = np.arange(len(pool))
+        for got, want in zip(pool.build(every), listed.build(every), strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.shape == b.shape and a.dtype == b.dtype
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestPoolMemory:
@@ -960,10 +1018,11 @@ class TestPoolMemory:
         # preparing makes the clip decisions only
         assert len(pool) == count
         assert peak <= 4 * WINDOW_BLOCK * window_bytes + 512 * count
+        every = np.arange(len(pool))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rows = pool.rows
+            rows = pool.build(every)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -246,9 +246,11 @@ class TestDenormalizeGaussian:
 
 
 def _point_pool(inst, scheme):
-    """(pool, rejected) of one instance under ``scheme`` for a point model."""
+    """(rows, rejected) of one instance under ``scheme`` for a point model: the
+    pool's rows (inputs, target, scale, shift, input norms), none if rejected."""
     model = LinearForecaster.create(LossKind.MSE, inst.context_len, inst.horizon_len)
-    return prepare_training_pool([inst], scheme, model)
+    pool, rejected = prepare_training_pool([inst], scheme, model)
+    return pool.build(np.arange(len(pool))), rejected
 
 
 class TestClippedInstanceNormalize:
@@ -257,14 +259,15 @@ class TestClippedInstanceNormalize:
 
     def test_near_constant_context_rejected(self):
         inst = Instance(context=col(0, 0, 0), horizon=col(100), origin=("d", 0))
-        pool, rejected = _point_pool(inst, Scheme.REVIN)
-        assert rejected == 1 and len(pool) == 0  # 100 / eps is far beyond 10
+        rows, rejected = _point_pool(inst, Scheme.REVIN)
+        assert rejected == 1 and rows == []  # 100 / eps is far beyond 10
 
     def test_plain_window_accepted(self):
         inst = Instance(context=col(10, 12, 14), horizon=col(12), origin=("d", 0))
-        pool, rejected = _point_pool(inst, Scheme.REVIN)
+        rows, rejected = _point_pool(inst, Scheme.REVIN)
         assert rejected == 0
-        assert abs(pool[0].target[0, 0]) < 1e-12
+        _, target, *_ = rows[0]
+        assert abs(target[0, 0]) < 1e-12
 
     def test_threshold_boundary(self):
         # the context has mean 0 and std 1, so the horizon keeps its value
@@ -290,37 +293,40 @@ class TestHybridNormalize:
         standardized = normalize(window, ds)
         ctx, hor = standardized[:-1], standardized[-1:]
         stats = fit_inference_stats(ctx, Method.REVIN)
-        pool, rejected = _point_pool(Instance(context=ctx, horizon=hor, origin=("d", 0)),
+        rows, rejected = _point_pool(Instance(context=ctx, horizon=hor, origin=("d", 0)),
                                      Scheme.HYBRID)
         assert rejected == 0
-        return pool[0], normalize(ctx, stats), stats, hor
+        return rows[0], normalize(ctx, stats), stats, hor
 
     def test_identity_dataset_step_matches_plain_revin(self):
         window = col(10, 12, 14, 13)
         ds = NormStats([0.0], [1.0], Scope.DATASET, Method.STANDARDIZATION)
-        sample, _, _, _ = self._by_hand(window, ds)
+        (inputs, _, scale, shift, _), _, stats, _ = self._by_hand(window, ds)
         plain, _ = _point_pool(Instance(context=window[:-1], horizon=window[-1:],
                                         origin=("d", 0)), Scheme.REVIN)
-        assert sample.inputs.tobytes() == plain[0].inputs.tobytes()
-        assert sample.stats.method is Method.REVIN
+        assert inputs.tobytes() == plain[0][0].tobytes()
+        # the row de-normalizes with the context's RevIN statistics
+        assert scale.tobytes() == stats.scale.tobytes()
+        assert shift.tobytes() == stats.shift.tobytes()
 
     def test_composition(self):
         window = col(100, 104, 108, 112)
         ds = NormStats([100.0], [4.0], Scope.DATASET, Method.STANDARDIZATION)
-        sample, inputs, stats, hor = self._by_hand(window, ds)
+        row, inputs, stats, hor = self._by_hand(window, ds)
+        got_inputs, target, scale, shift, _ = row
         np.testing.assert_allclose(
-            sample.inputs, col(-1.224744871391589, 0.0, 1.224744871391589), atol=1e-12
+            got_inputs, col(-1.224744871391589, 0.0, 1.224744871391589), atol=1e-12
         )
-        np.testing.assert_allclose(sample.stats.shift, [1.0], atol=1e-12)
-        assert sample.inputs.tobytes() == inputs.tobytes()
-        assert sample.stats.shift.tobytes() == stats.shift.tobytes()
-        assert sample.stats.scale.tobytes() == stats.scale.tobytes()
-        assert sample.target.tobytes() == hor.tobytes()
+        np.testing.assert_allclose(shift, [1.0], atol=1e-12)
+        assert got_inputs.tobytes() == inputs.tobytes()
+        assert shift.tobytes() == stats.shift.tobytes()
+        assert scale.tobytes() == stats.scale.tobytes()
+        assert target.tobytes() == hor.tobytes()
 
     def test_constant_standardized_context_guard(self):
         ds = NormStats([0.0], [1.0], Scope.DATASET, Method.STANDARDIZATION)
-        sample, _, _, _ = self._by_hand(col(7, 7, 7, 7), ds)
-        assert sample.stats.scale[0] == SCALE_EPS
+        (_, _, scale, _, _), _, _, _ = self._by_hand(col(7, 7, 7, 7), ds)
+        assert scale[0] == SCALE_EPS
 
 
 class TestInferenceStats:
