@@ -12,7 +12,6 @@ Runs in well under a minute; the CLI equivalent is
 
 from tsnorm import (
     ExperimentPlan,
-    LossKind,
     Scheme,
     SyntheticSpec,
     generate_synthetic,
@@ -26,15 +25,17 @@ print("corpus (train rows | channel std):")
 for name, d in datasets.items():
     print(f"  {name}: {d.split_index:5d} | {d.values.std(axis=0).round(5)}")
 
-plan = ExperimentPlan.from_datasets(
+plan = ExperimentPlan.from_dict(
+    {
+        "schemes": [s.value for s in Scheme],
+        "models": ["point_mse"],
+        "context_len": 96,
+        "withheld": ["synth0", "synth1", "synth2"],
+        "steps": 5000,
+        "lr": 6e-4,
+        "seed": 7,
+    },
     list(datasets.values()),
-    schemes=tuple(Scheme),
-    model_kinds=(LossKind.MSE,),
-    context_len=96,
-    withheld=("synth0", "synth1", "synth2"),
-    steps=5000,
-    lr=6e-4,
-    seed=7,
 )
 print(f"\nrunning {len(plan.variants())} pretraining variants ...")
 result = run_plan(plan, datasets)

@@ -28,7 +28,7 @@ from .harness import (
     variant_seed,
 )
 from .core import EvalEntry
-from .models import DivergedError, LossKind, Scheme, write_checkpoint_data
+from .models import DivergedError, Scheme, write_checkpoint_data
 
 SCHEMA_VERSION = 1
 
@@ -85,35 +85,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
-# The top-level keys a plan file may hold; any other key is refused, so a
-# misspelt one is never silently replaced by its default.
-_PLAN_KEYS = frozenset({
-    "seed", "synthetic", "datasets", "schemes", "models", "withheld", "context_len",
-    "steps", "lr", "instances_per_dataset", "naive_lag", "horizon_overrides",
-})
-
-
-def _plan_names(raw: dict, field: str) -> list:
-    """The list of strings under plan key ``field``."""
-    value = raw.get(field)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise TsnormError(f"plan {field!r} must be a list of strings, got {value!r}")
-    return value
-
-
 def _load_plan_file(path: Path, seed_override: int | None):
     """Resolve a plan JSON file into (ExperimentPlan, datasets by name).
 
-    Raises TsnormError naming the key when the file is not a JSON object,
-    holds a key outside ``_PLAN_KEYS`` or a value of the wrong shape.
+    The file's corpus key, ``synthetic`` or ``datasets``, gives the datasets;
+    ``ExperimentPlan.from_dict`` reads the rest.  Raises TsnormError when the
+    file is not a JSON object, and naming the key when a corpus value has the
+    wrong shape.
     """
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise TsnormError(f"plan must be a JSON object, got {type(raw).__name__}")
-    unknown = sorted(set(raw) - _PLAN_KEYS)
-    if unknown:
-        raise TsnormError(f"unknown plan keys {unknown}")
-    seed = seed_override if seed_override is not None else raw.get("seed", 0)
+    if seed_override is not None:
+        raw["seed"] = seed_override
     if "synthetic" in raw:
         datasets = generate_synthetic(SyntheticSpec.from_dict(raw["synthetic"]))
     elif "datasets" in raw:
@@ -129,49 +113,17 @@ def _load_plan_file(path: Path, seed_override: int | None):
             csv_path = Path(entry["path"])
             if not csv_path.is_absolute():
                 csv_path = path.parent / csv_path
+            split = {k: entry[k] for k in ("split_fraction", "split_index") if k in entry}
             datasets.append(load_csv(
                 csv_path,
                 name=entry["name"],
                 frequency=entry["frequency"],
                 seasonal_period=entry["seasonal_period"],
-                split_fraction=entry.get("split_fraction", 0.8),
-                split_index=entry.get("split_index"),
+                **split,
             ))
     else:
         raise TsnormError("plan must declare either 'synthetic' or 'datasets'")
-    overrides = raw.get("horizon_overrides")
-    if overrides is not None and not isinstance(overrides, dict):
-        raise TsnormError(f"plan 'horizon_overrides' must be an object, got {overrides!r}")
-    plan = ExperimentPlan.from_datasets(
-        datasets,
-        schemes=[Scheme(s) for s in _plan_names(raw, "schemes")],
-        model_kinds=[LossKind(m) for m in _plan_names(raw, "models")],
-        context_len=raw.get("context_len", 96),
-        withheld=_plan_names(raw, "withheld"),
-        steps=raw.get("steps", 3000),
-        lr=raw.get("lr", 1e-4),
-        seed=seed,
-        instances_per_dataset=raw.get("instances_per_dataset", 256),
-        naive_lag=raw.get("naive_lag"),
-        horizon_overrides=overrides,
-    )
-    return plan, {d.name: d for d in datasets}
-
-
-def _plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "corpus": list(plan.corpus),
-        "schemes": [s.value for s in plan.schemes],
-        "models": [m.value for m in plan.model_kinds],
-        "context_len": plan.context_len,
-        "horizons": dict(sorted(plan.horizons.items())),
-        "withheld": list(plan.withheld),
-        "steps": plan.steps,
-        "lr": plan.lr,
-        "seed": plan.seed,
-        "instances_per_dataset": plan.instances_per_dataset,
-        "naive_lag": plan.naive_lag,
-    }
+    return ExperimentPlan.from_dict(raw, datasets), {d.name: d for d in datasets}
 
 
 def _rows_to_json(entries) -> list:
@@ -223,7 +175,7 @@ def _report_to_json(report, plan: ExperimentPlan) -> dict:
         improvements.setdefault(setting, {}).setdefault(ref, {})[method] = delta
     return {
         "schema_version": SCHEMA_VERSION,
-        "plan": _plan_to_dict(plan),
+        "plan": plan.to_dict(),
         "rows": _rows_to_json(report.entries),
         "aggregates": aggregates,
         "improvements": improvements,
@@ -245,7 +197,10 @@ def cmd_run(args) -> int:
     seed_override = None
     env_seed = os.environ.get("TSNORM_SEED")
     if env_seed is not None:
-        seed_override = int(env_seed)
+        try:
+            seed_override = int(env_seed)
+        except ValueError:
+            raise TsnormError(f"TSNORM_SEED must be an integer, got {env_seed!r}") from None
     if args.seed is not None:
         seed_override = args.seed
     plan, datasets = _load_plan_file(Path(args.plan), seed_override)
@@ -308,7 +263,7 @@ def cmd_run(args) -> int:
     _write_json(out / "report.json", _report_to_json(result.report, plan))
     _write_json(out / "manifest.json", {
         "kind": "benchmark-run",
-        "plan": _plan_to_dict(plan),
+        "plan": plan.to_dict(),
         "variant_seeds": {
             variant_key(mk, sc, wh): variant_seed(plan.seed, mk, sc, wh)
             for mk, sc, wh in plan.variants()

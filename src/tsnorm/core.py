@@ -9,6 +9,7 @@ the one way an artifact file is written.
 from __future__ import annotations
 
 import enum
+import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -166,8 +167,22 @@ def validate_dataset(d: Dataset) -> Dataset:
     """Check every Dataset invariant; return ``d`` unchanged if all hold.
 
     Raises NonFiniteError / BadSplitError / BadPeriodError naming the
-    offending index.
+    offending index, and TsnormError naming the field when ``name`` or
+    ``frequency`` is not a string or ``seasonal_period`` or ``split_index``
+    is not an integer (``bool`` is not).
     """
+    if not isinstance(d.name, str):
+        raise TsnormError(f"dataset name must be a string, got {d.name!r}")
+    if not isinstance(d.frequency, str):
+        raise TsnormError(
+            f"dataset {d.name!r}: frequency must be a string, got {d.frequency!r}"
+        )
+    for field_name in ("seasonal_period", "split_index"):
+        value = getattr(d, field_name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise TsnormError(
+                f"dataset {d.name!r}: {field_name} must be an integer, got {value!r}"
+            )
     v = d.values
     if v.ndim != 2:
         raise ShapeMismatchError(f"dataset {d.name!r}: values must be 2-D, got {v.ndim}-D")

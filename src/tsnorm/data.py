@@ -60,8 +60,13 @@ def load_csv(
     The header row names the columns; a leading column named ``timestamp``
     is skipped and the remaining columns become channels.  ``split_index``
     overrides the fraction-based split when the exact train/test row counts
-    are known.
+    are known; ``split_fraction`` must be a real number in (0, 1).
     """
+    if (not isinstance(split_fraction, numbers.Real) or isinstance(split_fraction, bool)
+            or not 0.0 < split_fraction < 1.0):
+        raise TsnormError(
+            f"split_fraction must be a real number in (0, 1), got {split_fraction!r}"
+        )
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

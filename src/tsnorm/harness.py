@@ -23,7 +23,7 @@ import tempfile
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -90,6 +90,21 @@ def horizon_for_frequency(frequency: str, span_hours: int = 24) -> int:
     return span // minutes
 
 
+def _plan_list(raw: dict, key: str, kind=None) -> list:
+    """The list of strings under plan key ``key``, read as members of the
+    enum ``kind`` when one is given."""
+    value = raw.get(key)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TsnormError(f"plan {key!r} must be a list of strings, got {value!r}")
+    if kind is None:
+        return value
+    allowed = [k.value for k in kind]
+    unknown = [v for v in value if v not in allowed]
+    if unknown:
+        raise TsnormError(f"plan {key!r} has unknown values {unknown}; allowed: {allowed}")
+    return [kind(v) for v in value]
+
+
 @dataclass
 class AccessLog:
     """Append-only record of every audited dataset access.
@@ -140,18 +155,19 @@ class ExperimentPlan:
     denominator when set; it must be at least 1.  The integer fields and the
     ``horizons`` values take Python or numpy integers (not ``bool``), stored
     as ``int``; every horizon is at least 1.  ``lr`` is a finite positive
-    real number.
+    real number.  The field defaults are the defaults of a plan file (see
+    ``from_dict``).
     """
 
     corpus: tuple
     schemes: tuple
     model_kinds: tuple
-    context_len: int
-    horizons: dict
     withheld: tuple
-    steps: int
-    lr: float
-    seed: int
+    horizons: dict
+    context_len: int = 96
+    steps: int = 3000
+    lr: float = 1e-4
+    seed: int = 0
     instances_per_dataset: int = 256
     naive_lag: int | None = None
 
@@ -211,41 +227,54 @@ class ExperimentPlan:
         ]
 
     @classmethod
-    def from_datasets(
-        cls,
-        datasets,
-        schemes,
-        model_kinds,
-        context_len: int,
-        withheld,
-        steps: int,
-        lr: float,
-        seed: int,
-        instances_per_dataset: int = 256,
-        naive_lag: int | None = None,
-        horizon_overrides: dict | None = None,
-    ) -> "ExperimentPlan":
-        overrides = horizon_overrides or {}
+    def from_dict(cls, raw: dict, datasets) -> "ExperimentPlan":
+        """Read a plan object over its corpus, the sequence of ``Dataset``
+        that the object's corpus key (``synthetic`` or ``datasets``) names.
+
+        The keys are the field names, except that ``models`` holds the
+        ``model_kinds`` and ``horizon_overrides`` pins the ``horizons``, which
+        otherwise follow each dataset's frequency; ``corpus`` is the datasets'
+        names.  ``schemes``, ``models`` and ``withheld`` are required lists of
+        strings; a missing scalar key takes its field default.  Raises
+        TsnormError naming the key for an unknown key or a value of the wrong
+        shape, and MissingDatasetError for an override outside the corpus.
+        """
+        scalars = {f.name for f in fields(cls)} - {
+            "corpus", "schemes", "model_kinds", "withheld", "horizons"}
+        # the corpus keys are the caller's: it resolves them into ``datasets``
+        unknown = sorted(set(raw) - scalars - {
+            "schemes", "models", "withheld", "horizon_overrides", "synthetic", "datasets"})
+        if unknown:
+            raise TsnormError(f"unknown plan keys {unknown}")
+        overrides = raw.get("horizon_overrides")
+        if not isinstance(overrides, (dict, type(None))):
+            raise TsnormError(f"plan 'horizon_overrides' must be an object, got {overrides!r}")
+        overrides = overrides or {}
         outside = sorted(set(overrides) - {d.name for d in datasets})
         if outside:
             raise MissingDatasetError(f"horizon_overrides {outside} not in corpus")
-        horizons = {
-            d.name: overrides.get(d.name, horizon_for_frequency(d.frequency))
-            for d in datasets
-        }
         return cls(
-            corpus=tuple(d.name for d in datasets),
-            schemes=tuple(schemes),
-            model_kinds=tuple(model_kinds),
-            context_len=context_len,
-            horizons=horizons,
-            withheld=tuple(withheld),
-            steps=steps,
-            lr=lr,
-            seed=seed,
-            instances_per_dataset=instances_per_dataset,
-            naive_lag=naive_lag,
+            corpus=[d.name for d in datasets],
+            schemes=_plan_list(raw, "schemes", Scheme),
+            model_kinds=_plan_list(raw, "models", LossKind),
+            withheld=_plan_list(raw, "withheld"),
+            horizons={d.name: overrides.get(d.name, horizon_for_frequency(d.frequency))
+                      for d in datasets},
+            **{k: raw[k] for k in scalars if k in raw},
         )
+
+    def to_dict(self) -> dict:
+        """The plan as ``report.json`` and ``manifest.json`` record it: every
+        field by name, enums by value and ``model_kinds`` as ``models``."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
+        record.update(
+            corpus=list(self.corpus),
+            schemes=[s.value for s in self.schemes],
+            models=[m.value for m in record.pop("model_kinds")],
+            withheld=list(self.withheld),
+            horizons=dict(sorted(self.horizons.items())),
+        )
+        return record
 
     def validate_against(self, datasets: dict) -> list:
         """Collect every plan/data inconsistency (empty list when runnable)."""
@@ -394,21 +423,7 @@ def run_variant(
     )
 
     rows = []
-    zs = evaluate(
-        trained, scheme, datasets[withheld], plan.context_len,
-        plan.horizons[withheld], plan.naive_lag, audit, variant,
-    )
-    rows.append(
-        EvalEntry(
-            model_id=model_kind.value,
-            method=scheme.value,
-            dataset=withheld,
-            setting=Setting.ZS,
-            mase=float(np.mean([s for _, s in zs])),
-            withheld=withheld,
-        )
-    )
-    for name in train_names:
+    for name, setting in [(withheld, Setting.ZS)] + [(n, Setting.ID) for n in train_names]:
         scores = evaluate(
             trained, scheme, datasets[name], plan.context_len,
             plan.horizons[name], plan.naive_lag, audit, variant,
@@ -418,7 +433,7 @@ def run_variant(
                 model_id=model_kind.value,
                 method=scheme.value,
                 dataset=name,
-                setting=Setting.ID,
+                setting=setting,
                 mase=float(np.mean([s for _, s in scores])),
                 withheld=withheld,
             )

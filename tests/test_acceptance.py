@@ -95,17 +95,7 @@ def bench_run(tmp_path_factory):
 def bench_result():
     """The same benchmark in-process, for the audit log and the report."""
     datasets = {d.name: d for d in generate_synthetic(SyntheticSpec.from_dict(BENCH_SYNTH))}
-    plan = ExperimentPlan.from_datasets(
-        list(datasets.values()),
-        schemes=[Scheme(s) for s in BENCH_PLAN["schemes"]],
-        model_kinds=[LossKind(m) for m in BENCH_PLAN["models"]],
-        context_len=BENCH_PLAN["context_len"],
-        withheld=BENCH_PLAN["withheld"],
-        steps=BENCH_PLAN["steps"],
-        lr=BENCH_PLAN["lr"],
-        seed=BENCH_PLAN["seed"],
-        instances_per_dataset=BENCH_PLAN["instances_per_dataset"],
-    )
+    plan = ExperimentPlan.from_dict(BENCH_PLAN, list(datasets.values()))
     return datasets, plan, run_plan(plan, datasets)
 
 

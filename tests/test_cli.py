@@ -1,14 +1,16 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tsnorm.cli as cli
 import tsnorm.harness as harness
-from tsnorm import LinearForecaster, LossKind, read_checkpoint
+from tsnorm import ExperimentPlan, LinearForecaster, LossKind, read_checkpoint
 from tsnorm.cli import _write_json, main
 from tsnorm.models import write_checkpoint_data
 
@@ -40,6 +42,27 @@ def write_plan(tmp_path, plan=None, name="plan.json"):
     path = tmp_path / name
     path.write_text(json.dumps(plan or TINY_PLAN))
     return path
+
+
+def csv_plan(tmp_path):
+    """TINY_PLAN with its corpus written as CSV files under ``tmp_path``."""
+    corpus = tmp_path / "corpus"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(TINY_SYNTH))
+    assert main(["synth", "--spec", str(spec_path), "--out", str(corpus)]) == 0
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    plan = {k: v for k, v in TINY_PLAN.items() if k != "synthetic"}
+    plan["datasets"] = [
+        {
+            "name": name,
+            "path": str(corpus / info["path"]),
+            "frequency": info["frequency"],
+            "seasonal_period": info["seasonal_period"],
+            "split_index": info["split_index"],
+        }
+        for name, info in manifest["files"].items()
+    ]
+    return plan
 
 
 class TestSynth:
@@ -328,12 +351,17 @@ class TestRun:
         (dict(TINY_PLAN, withheld="synth0"), "'withheld' must be a list of strings"),
         (dict(TINY_PLAN, schemes="revin"), "'schemes' must be a list of strings"),
         (dict(TINY_PLAN, models="point_mse"), "'models' must be a list of strings"),
+        (dict(TINY_PLAN, schemes=["revin", "revinn"]),
+         "plan 'schemes' has unknown values ['revinn']; allowed: ['revin', 'meanabs',"),
+        (dict(TINY_PLAN, models=["point_mse2"]),
+         "plan 'models' has unknown values ['point_mse2']; allowed: ['point_mse',"),
         ({k: v for k, v in TINY_PLAN.items() if k != "synthetic"}
          | {"datasets": [{"name": "a", "frequency": "1h", "seasonal_period": 24}]},
          "'datasets' entry 0 lacks ['path']"),
     ], ids=["top-level-array", "synthetic-list", "scale-exponents-int", "n-datasets-float",
             "synthetic-seed-string", "frequency-int", "overrides-list",
-            "withheld-string", "schemes-string", "models-string", "dataset-without-path"])
+            "withheld-string", "schemes-string", "models-string", "unknown-scheme",
+            "unknown-model", "dataset-without-path"])
     def test_malformed_plan_file_exits_2_naming_the_field(self, tmp_path, capsys, plan, named):
         path = write_plan(tmp_path, plan)
         argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
@@ -373,26 +401,52 @@ class TestRun:
         assert main(["run", "--plan", str(tmp_path / "nope.json"), "--out", str(out)]) == 4
 
     def test_csv_datasets_plan(self, tmp_path):
-        corpus = tmp_path / "corpus"
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(TINY_SYNTH))
-        main(["synth", "--spec", str(spec_path), "--out", str(corpus)])
-        manifest = json.loads((corpus / "manifest.json").read_text())
-        plan = dict(TINY_PLAN)
-        plan.pop("synthetic")
-        plan["datasets"] = [
-            {
-                "name": name,
-                "path": str(corpus / info["path"]),
-                "frequency": info["frequency"],
-                "seasonal_period": info["seasonal_period"],
-                "split_index": info["split_index"],
-            }
-            for name, info in manifest["files"].items()
-        ]
-        path = write_plan(tmp_path, plan)
+        path = write_plan(tmp_path, csv_plan(tmp_path))
         out = tmp_path / "out"
         assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("seasonal_period", "24", "seasonal_period must be an integer"),
+        ("frequency", 5, "frequency must be a string"),
+        ("split_fraction", "x", "split_fraction must be a real number in (0, 1)"),
+        ("name", 3, "name must be a string"),
+    ], ids=["seasonal-period-string", "frequency-int", "split-fraction-string", "name-int"])
+    def test_mistyped_csv_entry_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                          field, value, named):
+        plan = csv_plan(tmp_path)
+        plan["datasets"][0][field] = value
+        if field == "split_fraction":
+            del plan["datasets"][0]["split_index"]
+        path = write_plan(tmp_path, plan)
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_non_integer_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys,
+                                                              monkeypatch):
+        path = write_plan(tmp_path)
+        monkeypatch.setenv("TSNORM_SEED", "seven")
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 2
+        assert "TSNORM_SEED must be an integer, got 'seven'" in capsys.readouterr().err
+
+    def test_readme_plan_example_parses(self, tmp_path, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("A plan is JSON"):]
+        start = section.index("```json\n") + len("```json\n")
+        example = section[start : section.index("```\n", start)]
+        path = write_plan(tmp_path, json.loads(example))
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("42 runs:")
+
+    def test_readme_lists_each_plan_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        for f in dataclasses.fields(ExperimentPlan):
+            if f.default is not dataclasses.MISSING:
+                assert f"| `{f.name}` | `{json.dumps(f.default)}` |" in readme
 
 
 class TestReport:

@@ -57,17 +57,25 @@ def small_corpus(seed=13):
 
 def small_plan(datasets, schemes=(Scheme.REVIN, Scheme.RAW), models=(LossKind.MSE,),
                withheld=("synth0", "synth2"), steps=120, seed=3):
-    return ExperimentPlan.from_datasets(
-        list(datasets.values()),
+    return ExperimentPlan(
+        corpus=list(datasets),
         schemes=schemes,
         model_kinds=models,
-        context_len=48,
         withheld=withheld,
+        horizons={n: horizon_for_frequency(d.frequency) for n, d in datasets.items()},
+        context_len=48,
         steps=steps,
         lr=1e-4,
         seed=seed,
         instances_per_dataset=32,
     )
+
+
+def raw_plan(datasets, **patch):
+    """A one-variant plan object read by ``ExperimentPlan.from_dict``."""
+    raw = dict(schemes=["raw"], models=["point_mse"], withheld=["synth0"], context_len=48,
+               steps=1, lr=0.1, seed=0)
+    return ExperimentPlan.from_dict(raw | patch, list(datasets.values()))
 
 
 class TestHorizonRule:
@@ -100,10 +108,7 @@ class TestPlan:
         datasets = small_corpus()
         plan = small_plan(datasets)
         assert plan.validate_against(datasets) == []
-        long_plan = ExperimentPlan.from_datasets(
-            list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
-            context_len=470, withheld=("synth0",), steps=1, lr=0.1, seed=0,
-        )
+        long_plan = raw_plan(datasets, context_len=470)
         problems = long_plan.validate_against(datasets)
         assert problems and any("test rows" in p for p in problems)
 
@@ -115,11 +120,7 @@ class TestPlan:
 
     def test_horizons_take_python_and_numpy_ints(self):
         datasets = small_corpus()
-        plan = ExperimentPlan.from_datasets(
-            list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
-            context_len=48, withheld=("synth0",), steps=1, lr=0.1, seed=0,
-            horizon_overrides={"synth0": np.int64(12), "synth1": 6},
-        )
+        plan = raw_plan(datasets, horizon_overrides={"synth0": np.int64(12), "synth1": 6})
         assert plan.horizons == {"synth0": 12, "synth1": 6, "synth2": 24}
         assert all(type(h) is int for h in plan.horizons.values())
 
@@ -127,20 +128,13 @@ class TestPlan:
     def test_horizons_checked(self, horizon):
         datasets = small_corpus()
         with pytest.raises(TsnormError, match="horizons"):
-            ExperimentPlan.from_datasets(
-                list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
-                context_len=48, withheld=("synth0",), steps=1, lr=0.1, seed=0,
-                horizon_overrides={"synth1": horizon},
-            )
+            raw_plan(datasets, horizon_overrides={"synth1": horizon})
 
     @pytest.mark.parametrize("lr", [0.0, -1e-4, -0.0])
     def test_lr_must_be_positive(self, lr):
         datasets = small_corpus()
         with pytest.raises(TsnormError, match="lr must be positive"):
-            ExperimentPlan.from_datasets(
-                list(datasets.values()), schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,),
-                context_len=48, withheld=("synth0",), steps=1, lr=lr, seed=0,
-            )
+            raw_plan(datasets, lr=lr)
 
     @pytest.mark.parametrize("field, value", [
         ("context_len", 48.0), ("steps", True), ("seed", "3"), ("naive_lag", np.float64(2)),
@@ -149,11 +143,8 @@ class TestPlan:
     ])
     def test_field_types_checked(self, field, value):
         datasets = small_corpus()
-        fields = dict(schemes=(Scheme.RAW,), model_kinds=(LossKind.MSE,), context_len=48,
-                      withheld=("synth0",), steps=1, lr=0.1, seed=0)
-        fields[field] = value
         with pytest.raises(TsnormError, match=field):
-            ExperimentPlan.from_datasets(list(datasets.values()), **fields)
+            raw_plan(datasets, **{field: value})
 
     def test_variant_seed_stable_and_distinct(self):
         a = variant_seed(7, LossKind.MSE, Scheme.REVIN, "x")
