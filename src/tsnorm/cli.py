@@ -106,21 +106,15 @@ def _load_plan_file(path: Path, seed_override: int | None):
             raise TsnormError(f"plan 'datasets' must be a list of objects, got {entries!r}")
         datasets = []
         for i, entry in enumerate(entries):
-            missing = [k for k in ("name", "path", "frequency", "seasonal_period")
-                       if k not in entry]
+            required = ["name", "path", "frequency", "seasonal_period"]
+            missing = [k for k in required if k not in entry]
             if missing:
                 raise TsnormError(f"plan 'datasets' entry {i} lacks {missing}")
-            csv_path = Path(entry["path"])
-            if not csv_path.is_absolute():
-                csv_path = path.parent / csv_path
-            split = {k: entry[k] for k in ("split_fraction", "split_index") if k in entry}
-            datasets.append(load_csv(
-                csv_path,
-                name=entry["name"],
-                frequency=entry["frequency"],
-                seasonal_period=entry["seasonal_period"],
-                **split,
-            ))
+            unknown = sorted(set(entry) - {*required, "split_fraction", "split_index"})
+            if unknown:
+                raise TsnormError(f"plan 'datasets' entry {i} has unknown keys {unknown}")
+            named = {k: v for k, v in entry.items() if k != "path"}
+            datasets.append(load_csv(path.parent / entry["path"], **named))
     else:
         raise TsnormError("plan must declare either 'synthetic' or 'datasets'")
     return ExperimentPlan.from_dict(raw, datasets), {d.name: d for d in datasets}
@@ -287,7 +281,6 @@ def _render_markdown(doc: dict) -> str:
     aggregates = doc["aggregates"]
     methods = [s.value for s in Scheme if any(s.value in by_m for by_m in aggregates.values())]
     non_raw = [m for m in methods if m != "raw"]
-    columns = non_raw + (["raw"] if "raw" in methods else [])
     models = [m for m in sorted(aggregates) if m != AVERAGE_ID]
     if AVERAGE_ID in aggregates:
         models.append(AVERAGE_ID)
@@ -301,7 +294,7 @@ def _render_markdown(doc: dict) -> str:
     for model in models:
         for setting in ("zs", "id"):
             cells = {}
-            for method in columns:
+            for method in methods:
                 agg = aggregates.get(model, {}).get(method, {}).get(setting)
                 if agg is not None:
                     cells[method] = agg
@@ -322,12 +315,12 @@ def _render_markdown(doc: dict) -> str:
         lines.append("")
         lines.append(f"Improvement Δ(reference → method), {setting.upper()}, % MASE drop:")
         lines.append("")
-        lines.append("| reference \\ method | " + " | ".join(columns) + " |")
-        lines.append("|" + "---|" * (len(columns) + 1))
-        for ref in columns:
+        lines.append("| reference \\ method | " + " | ".join(methods) + " |")
+        lines.append("|" + "---|" * (len(methods) + 1))
+        for ref in methods:
             deltas = improvements[setting].get(ref, {})
             row = [ref] + [
-                f"{deltas[m]:.1f}" if m in deltas else "" for m in columns
+                f"{deltas[m]:.1f}" if m in deltas else "" for m in methods
             ]
             lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"

@@ -138,6 +138,10 @@ class SyntheticSpec:
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise BadSpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("noise", "trend", "split_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise BadSpecError(f"{name} must be a real number, got {value!r}")
         if not isinstance(self.frequency, str) or not isinstance(self.name_prefix, str):
             raise BadSpecError("frequency and name_prefix must be strings")
         if self.n_datasets < 1 or self.channels < 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import numbers
 import os
@@ -258,8 +259,8 @@ class ExperimentPlan:
             schemes=_plan_list(raw, "schemes", Scheme),
             model_kinds=_plan_list(raw, "models", LossKind),
             withheld=_plan_list(raw, "withheld"),
-            horizons={d.name: overrides.get(d.name, horizon_for_frequency(d.frequency))
-                      for d in datasets},
+            horizons={d.name: overrides[d.name] if d.name in overrides
+                      else horizon_for_frequency(d.frequency) for d in datasets},
             **{k: raw[k] for k in scalars if k in raw},
         )
 
@@ -449,64 +450,36 @@ def assemble_report(rows) -> EvalReport:
     training datasets with equal weight, then aggregated the same way.  An
     ``average`` pseudo-model row holds the unweighted mean over models, and
     the improvement matrix is the percentage MASE drop between every ordered
-    pair of methods on that row.
+    pair of methods on that row.  Entries of a method outside ``Scheme`` are
+    kept but not aggregated.
     """
-    rows = list(rows)
-    if not rows:
-        raise EmptyInputError("no evaluation entries to aggregate")
     entries = tuple(
         sorted(rows, key=lambda e: (e.model_id, e.method, e.setting.value, e.dataset, e.withheld))
     )
-    models = sorted({e.model_id for e in entries})
-    methods = [s.value for s in Scheme if s.value in {e.method for e in entries}]
-
-    aggregates = {}
-    for model in models:
-        for method in methods:
-            for setting in (Setting.ZS, Setting.ID):
-                sub = [
-                    e for e in entries
-                    if e.model_id == model and e.method == method and e.setting == setting
-                ]
-                if not sub:
-                    continue
-                variants = sorted({e.withheld for e in sub})
-                per_variant = [
-                    float(np.mean([e.mase for e in sub if e.withheld == w]))
-                    for w in variants
-                ]
-                aggregates[(model, method, setting.value)] = (
-                    float(np.mean(per_variant)),
-                    float(np.std(per_variant)),
-                )
-    for method in methods:
-        for setting in (Setting.ZS, Setting.ID):
-            means = [
-                aggregates[(m, method, setting.value)][0]
-                for m in models
-                if (m, method, setting.value) in aggregates
-            ]
-            if means:
-                aggregates[(AVERAGE_ID, method, setting.value)] = (
-                    float(np.mean(means)),
-                    float(np.std(means)),
-                )
-
+    if not entries:
+        raise EmptyInputError("no evaluation entries to aggregate")
+    schemes = {s.value for s in Scheme}
+    aggregates, model_means = {}, {}
+    cells = itertools.groupby((e for e in entries if e.method in schemes),
+                              lambda e: (e.model_id, e.method, e.setting.value))
+    for (model, method, setting), cell in cells:
+        by_variant: dict = {}
+        for e in cell:
+            by_variant.setdefault(e.withheld, []).append(e.mase)
+        per_variant = [float(np.mean(by_variant[w])) for w in sorted(by_variant)]
+        mean = float(np.mean(per_variant))
+        aggregates[(model, method, setting)] = (mean, float(np.std(per_variant)))
+        # entries are sorted by model first, so each list is in model order
+        model_means.setdefault(setting, {}).setdefault(method, []).append(mean)
     improvements = {}
-    for setting in (Setting.ZS, Setting.ID):
-        for ref in methods:
-            key_r = (AVERAGE_ID, ref, setting.value)
-            if key_r not in aggregates:
-                continue
-            for method in methods:
-                key_m = (AVERAGE_ID, method, setting.value)
-                if key_m not in aggregates:
-                    continue
-                improvements[(setting.value, ref, method)] = (
-                    0.0
-                    if ref == method
-                    else improvement(aggregates[key_r][0], aggregates[key_m][0])
-                )
+    for setting, by_method in model_means.items():
+        for method, means in by_method.items():
+            aggregates[(AVERAGE_ID, method, setting)] = (float(np.mean(means)), float(np.std(means)))
+        average = {method: aggregates[(AVERAGE_ID, method, setting)][0] for method in by_method}
+        for ref, method in itertools.product(average, repeat=2):
+            improvements[(setting, ref, method)] = (
+                0.0 if ref == method else improvement(average[ref], average[method])
+            )
     return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
 
 

@@ -449,9 +449,6 @@ def _gaussian_nll(
     shift: np.ndarray,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     raw_std = std * scale
-    # scale is positive, so this also rejects a non-positive normalized std
-    if (raw_std <= 0).any():
-        raise NonPositiveSigmaError("predicted std must be positive")
     z = (target_raw - (mean * scale + shift)) / raw_std
     zz = z * z
     nll_cells = HALF_LOG_2PI + np.log(raw_std) + 0.5 * zz
@@ -501,6 +498,9 @@ def loss_gaussian_nll(
         raise ShapeMismatchError(
             f"mean {f.gauss_mean.shape} does not match the statistics {stats.shift.shape}"
         )
+    # scale is positive, so this also rejects a non-positive normalized std
+    if (f.gauss_std * stats.scale <= 0).any():
+        raise NonPositiveSigmaError("predicted std must be positive")
     return _gaussian_nll(f.gauss_mean, f.gauss_std, target_raw, stats.scale, stats.shift)
 
 
@@ -887,7 +887,7 @@ def train(
     losses = np.empty(steps)
     grad_norms: list[np.ndarray] = []
     with _bound_kernel(model, lr, pool.channels) as step_fn, \
-            np.errstate(over="ignore", invalid="ignore"):
+            np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for step, j in enumerate(slots.tolist()):
             loss, norms = step_fn(*rows[j])
             if not math.isfinite(loss):

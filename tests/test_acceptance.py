@@ -4,11 +4,16 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The benchmark criteria share one full 7-scheme x 3-withheld x 2-model plan on
 the seeded synthetic multi-scale corpus (42 training runs); it executes once
 per session through the CLI and once in-process for the audit log, and the
-two reports must match byte for byte.
+two reports must match byte for byte.  That report and the ``wide``
+benchmark workload's must also hash to the sha256s the benchmark records in
+``perfbench/reference.json``.
 """
 
+import hashlib
+import importlib.util
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +354,38 @@ def test_criterion_9_protocol_hygiene(bench_run, bench_result, tmp_path):
     ok(f"criterion 9: {len(training_side)} training-side accesses all inside "
        f"train rows and never on the withheld dataset; identical seeds gave "
        f"byte-identical report.json from the CLI and in-process ({len(first)} bytes)")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+def _benchmark_plan(workload: str) -> tuple[dict, int]:
+    """(plan, --jobs) of a benchmark workload at the seed of the reference
+    sha256s, read from ``perfbench/workloads.py``."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_plan(workload, REFERENCE["seed"])
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_acceptance_report_matches_the_benchmark_reference(bench_run):
+    plan, _ = _benchmark_plan("acceptance")
+    assert plan == BENCH_PLAN
+    out, _, _ = bench_run
+    assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["acceptance"]
+
+
+def test_wide_report_matches_the_benchmark_reference(tmp_path):
+    plan, jobs = _benchmark_plan("wide")
+    assert jobs == 2
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "out"
+    assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["wide"]

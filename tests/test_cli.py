@@ -358,10 +358,20 @@ class TestRun:
         ({k: v for k, v in TINY_PLAN.items() if k != "synthetic"}
          | {"datasets": [{"name": "a", "frequency": "1h", "seasonal_period": 24}]},
          "'datasets' entry 0 lacks ['path']"),
+        ({k: v for k, v in TINY_PLAN.items() if k != "synthetic"}
+         | {"datasets": [{"name": "a", "path": "a.csv", "frequency": "1h",
+                          "seasonal_period": 24, "split_fracton": 0.5}]},
+         "'datasets' entry 0 has unknown keys ['split_fracton']"),
+        (dict(TINY_PLAN, synthetic={"trend": "x"}), "trend must be a real number, got 'x'"),
+        (dict(TINY_PLAN, synthetic={"trend": True}), "trend must be a real number, got True"),
+        (dict(TINY_PLAN, synthetic={"noise": None}), "noise must be a real number, got None"),
+        (dict(TINY_PLAN, synthetic={"split_fraction": "0.5"}),
+         "split_fraction must be a real number, got '0.5'"),
     ], ids=["top-level-array", "synthetic-list", "scale-exponents-int", "n-datasets-float",
             "synthetic-seed-string", "frequency-int", "overrides-list",
             "withheld-string", "schemes-string", "models-string", "unknown-scheme",
-            "unknown-model", "dataset-without-path"])
+            "unknown-model", "dataset-without-path", "dataset-misspelt-key",
+            "trend-string", "trend-bool", "noise-null", "split-fraction-string"])
     def test_malformed_plan_file_exits_2_naming_the_field(self, tmp_path, capsys, plan, named):
         path = write_plan(tmp_path, plan)
         argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]

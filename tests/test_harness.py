@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import os
 import pickle
 import tempfile
@@ -34,9 +35,10 @@ from tsnorm import (
     run_plan,
     run_variant,
 )
-from tsnorm.core import NonFiniteError, TsnormError
+from tsnorm.core import EvalReport, NonFiniteError, TsnormError
 from tsnorm.data import InstanceBatch
 from tsnorm.harness import (
+    AVERAGE_ID,
     AccessLog,
     InsufficientTestDataError,
     EmptyInputError,
@@ -44,6 +46,7 @@ from tsnorm.harness import (
     MissingDatasetError,
     variant_seed,
 )
+from tsnorm.metrics import improvement
 from tsnorm.models import DivergedError, token_point_forecast
 
 
@@ -123,6 +126,14 @@ class TestPlan:
         plan = raw_plan(datasets, horizon_overrides={"synth0": np.int64(12), "synth1": 6})
         assert plan.horizons == {"synth0": 12, "synth1": 6, "synth2": 24}
         assert all(type(h) is int for h in plan.horizons.values())
+
+    def test_overrides_skip_the_frequency_rule(self):
+        spec = SyntheticSpec(n_datasets=2, length=600, seed=5, frequency="7min")
+        datasets = {d.name: d for d in generate_synthetic(spec)}
+        plan = raw_plan(datasets, horizon_overrides={"synth0": 24, "synth1": 24})
+        assert plan.horizons == {"synth0": 24, "synth1": 24}
+        with pytest.raises(TsnormError, match="does not divide a 24h span"):
+            raw_plan(datasets, horizon_overrides={"synth0": 24})
 
     @pytest.mark.parametrize("horizon", [2.5, 0, -3, True, np.float64(4), "24"])
     def test_horizons_checked(self, horizon):
@@ -379,6 +390,121 @@ class TestRunVariant:
             audit.verify(datasets)
 
 
+# ``assemble_report`` in its per-cell scanning form, kept as the reference that
+# the one-pass form must match bit for bit.
+def _reference_assemble_report(rows) -> EvalReport:
+    """Aggregate variant entries into per-(model, method, setting) statistics.
+
+    ZS aggregates are mean +- std over the leave-one-out variants (one value
+    per withheld dataset); ID values are first averaged over each variant's
+    training datasets with equal weight, then aggregated the same way.  An
+    ``average`` pseudo-model row holds the unweighted mean over models, and
+    the improvement matrix is the percentage MASE drop between every ordered
+    pair of methods on that row.
+    """
+    rows = list(rows)
+    if not rows:
+        raise EmptyInputError("no evaluation entries to aggregate")
+    entries = tuple(
+        sorted(rows, key=lambda e: (e.model_id, e.method, e.setting.value, e.dataset, e.withheld))
+    )
+    models = sorted({e.model_id for e in entries})
+    methods = [s.value for s in Scheme if s.value in {e.method for e in entries}]
+
+    aggregates = {}
+    for model in models:
+        for method in methods:
+            for setting in (Setting.ZS, Setting.ID):
+                sub = [
+                    e for e in entries
+                    if e.model_id == model and e.method == method and e.setting == setting
+                ]
+                if not sub:
+                    continue
+                variants = sorted({e.withheld for e in sub})
+                per_variant = [
+                    float(np.mean([e.mase for e in sub if e.withheld == w]))
+                    for w in variants
+                ]
+                aggregates[(model, method, setting.value)] = (
+                    float(np.mean(per_variant)),
+                    float(np.std(per_variant)),
+                )
+    for method in methods:
+        for setting in (Setting.ZS, Setting.ID):
+            means = [
+                aggregates[(m, method, setting.value)][0]
+                for m in models
+                if (m, method, setting.value) in aggregates
+            ]
+            if means:
+                aggregates[(AVERAGE_ID, method, setting.value)] = (
+                    float(np.mean(means)),
+                    float(np.std(means)),
+                )
+
+    improvements = {}
+    for setting in (Setting.ZS, Setting.ID):
+        for ref in methods:
+            key_r = (AVERAGE_ID, ref, setting.value)
+            if key_r not in aggregates:
+                continue
+            for method in methods:
+                key_m = (AVERAGE_ID, method, setting.value)
+                if key_m not in aggregates:
+                    continue
+                improvements[(setting.value, ref, method)] = (
+                    0.0
+                    if ref == method
+                    else improvement(aggregates[key_r][0], aggregates[key_m][0])
+                )
+    return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
+
+
+def _random_rows(rng) -> list:
+    """Leave-one-out rows over 1-4 models, 1-7 schemes and 2-5 datasets, some
+    dropped or repeated, sometimes with an unknown method or a zero-MASE scheme,
+    in shuffled order."""
+    models = rng.choice(["point_mse", "gaussian_nll", "m", "zeta"], rng.integers(1, 5),
+                        replace=False).tolist()
+    schemes = rng.choice([s.value for s in Scheme], rng.integers(1, 8), replace=False).tolist()
+    if rng.random() < 0.1:
+        schemes.append("mystery")
+    datasets = [f"d{i}" for i in range(rng.integers(2, 6))]
+    withheld = rng.choice(datasets, rng.integers(1, len(datasets) + 1), replace=False).tolist()
+    zero = schemes[rng.integers(len(schemes))] if rng.random() < 0.1 else None
+    rows = []
+    for model, method, w in itertools.product(models, schemes, withheld):
+        for d in datasets:
+            if rng.random() < 0.1:
+                continue
+            for _ in range(2 if rng.random() < 0.02 else 1):
+                mase = 0.0 if method == zero else float(np.exp(rng.normal(0.0, 1.0)))
+                setting = Setting.ZS if d == w else Setting.ID
+                rows.append(EvalEntry(model, method, d, setting, mase, w))
+    return [rows[i] for i in rng.permutation(len(rows))]
+
+
+def _outcome(assemble, rows):
+    """Everything ``assemble(rows)`` returns, floats as their hex form, or the
+    error it raises."""
+    try:
+        report = assemble(rows)
+    except TsnormError as exc:
+        return type(exc), str(exc)
+
+    def hexed(values):
+        assert all(type(v) is float for v in values)
+        return tuple(v.hex() for v in values)
+
+    return (
+        [(e.model_id, e.method, e.dataset, e.setting, e.mase.hex(), e.withheld)
+         for e in report.entries],
+        {k: hexed(v) for k, v in report.aggregates.items()},
+        {k: hexed([v]) for k, v in report.improvements.items()},
+    )
+
+
 class TestAssembleReport:
     def test_singleton(self):
         entry = EvalEntry("m", "revin", "d", Setting.ZS, 1.5, "d")
@@ -427,6 +553,17 @@ class TestAssembleReport:
         mean, std = report.aggregates[("m", "revin", "id")]
         assert mean == pytest.approx(3.5)  # variants average to 2.0 and 5.0
         assert std == pytest.approx(1.5)
+
+    def test_matches_the_reference_bitwise(self):
+        rng = np.random.default_rng(15)
+        outcomes = []
+        for i in range(300):
+            rows = _random_rows(rng)
+            expected = _outcome(_reference_assemble_report, rows)
+            assert _outcome(assemble_report, rows) == expected, f"row set {i}"
+            outcomes.append(expected)
+        raised = sum(isinstance(o[0], type) for o in outcomes)
+        assert 0 < raised < 60  # the zero-MASE cases raise, the rest aggregate
 
     def test_average_row_is_unweighted_model_mean(self):
         entries = [

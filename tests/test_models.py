@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import tracemalloc
+import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -307,6 +308,21 @@ class TestTrain:
             train(model, [inst], Scheme.RAW, steps=200, lr=1.0, seed=0)
         assert 0 < exc.value.step < 200 and not np.isfinite(exc.value.loss)
         assert f"step {exc.value.step} " in str(exc.value)
+
+    def test_gaussian_std_underflow_is_a_divergence(self):
+        # the predicted std underflows to 0 at step 1: a NaN loss, not a bad input
+        rng = np.random.default_rng(0)
+        instances = [
+            Instance(context=rng.normal(0, 1, (32, 2)) * 1e3,
+                     horizon=rng.normal(0, 1, (8, 2)) * 1e3, origin=("t", 0))
+            for _ in range(8)
+        ]
+        model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                train(model, instances, Scheme.RAW, steps=200, lr=0.01, seed=0)
+        assert exc.value.step == 1 and np.isnan(exc.value.loss)
 
     def test_clipped_pool_excludes_rejected(self):
         rng = np.random.default_rng(54)
