@@ -113,6 +113,8 @@ def _load_plan_file(path: Path, seed_override: int | None):
             unknown = sorted(set(entry) - {*required, "split_fraction", "split_index"})
             if unknown:
                 raise TsnormError(f"plan 'datasets' entry {i} has unknown keys {unknown}")
+            if not isinstance(entry["path"], str):
+                raise TsnormError(f"plan 'datasets' entry {i} path must be a string")
             named = {k: v for k, v in entry.items() if k != "path"}
             datasets.append(load_csv(path.parent / entry["path"], **named))
     else:

@@ -10,12 +10,13 @@ so channel count is free and every gradient is analytic.  Three heads:
   head over bin-center features emits per-step logits, so the loss never sees
   raw magnitudes.
 
-Training is plain SGD with a fixed learning rate and seeded shuffling.  Each
-step runs one array kernel for the model's loss family (point, Gaussian,
-token) on arrays prepared once per pool sample; the kernels call the same
-unchecked loss cores as the public, validating ``loss_*`` functions, so each
-loss formula is written once.  Every reduction runs in a fixed order, so
-identical seeds give bitwise-identical weights, losses and gradient norms.
+Training is plain SGD with a fixed learning rate and seeded shuffling, in one
+step loop for every loss family: a step only updates the weights, the loss
+and gradient-norm reductions run once per block of steps (a divergence is
+raised at the end of its block, with the same step and loss), and the
+Gaussian heads are stacked into one array.  Every reduction runs in a fixed
+order, so identical seeds give bitwise-identical weights, losses and
+gradient norms.
 Those per-sample arrays come from the lazy pool of ``prepare_training_pool``,
 which is a length and a ``build`` method: it makes every clip decision up
 front, and ``train`` has it build only the rows of the samples the seeded
@@ -50,7 +51,6 @@ import hashlib
 import json
 import math
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -430,32 +430,6 @@ def _check_pair(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.nd
     return pred, target
 
 
-def _mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    diff = pred - target
-    return float(np.add.reduce(diff * diff, axis=None)) / diff.size, 2.0 * diff / diff.size
-
-
-def _mae(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    diff = pred - target
-    return (float(np.add.reduce(np.abs(diff), axis=None)) / diff.size,
-            np.sign(diff) / diff.size)
-
-
-def _gaussian_nll(
-    mean: np.ndarray,
-    std: np.ndarray,
-    target_raw: np.ndarray,
-    scale: np.ndarray,
-    shift: np.ndarray,
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    raw_std = std * scale
-    z = (target_raw - (mean * scale + shift)) / raw_std
-    zz = z * z
-    nll_cells = HALF_LOG_2PI + np.log(raw_std) + 0.5 * zz
-    n = nll_cells.size
-    return float(np.add.reduce(nll_cells, axis=None)) / n, (-z / std / n, (1.0 - zz) / n)
-
-
 def _token_ce(logits: np.ndarray, target_bins: np.ndarray) -> tuple[float, np.ndarray]:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -467,14 +441,24 @@ def _token_ce(logits: np.ndarray, target_bins: np.ndarray) -> tuple[float, np.nd
     return loss, grad / target_bins.size
 
 
+# The cells a loss averages: of a point loss's difference, or of the Gaussian
+# NLL's de-normalized std and squared z-score.
+_LOSS_CELLS = {LossKind.MSE: np.square, LossKind.MAE: np.abs,
+               LossKind.GAUSSIAN_NLL: lambda raw_std, zz: HALF_LOG_2PI + np.log(raw_std) + 0.5 * zz}
+
+
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error over all cells; gradient 2 (pred - target) / N."""
-    return _mse(*_check_pair(pred, target))
+    pred, target = _check_pair(pred, target)
+    diff = pred - target
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size, 2.0 * diff / diff.size
 
 
 def loss_mae(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean absolute error over all cells; subgradient sign(pred - target) / N."""
-    return _mae(*_check_pair(pred, target))
+    pred, target = _check_pair(pred, target)
+    diff = pred - target
+    return float(np.add.reduce(np.abs(diff), axis=None)) / diff.size, np.sign(diff) / diff.size
 
 
 def loss_gaussian_nll(
@@ -501,7 +485,12 @@ def loss_gaussian_nll(
     # scale is positive, so this also rejects a non-positive normalized std
     if (f.gauss_std * stats.scale <= 0).any():
         raise NonPositiveSigmaError("predicted std must be positive")
-    return _gaussian_nll(f.gauss_mean, f.gauss_std, target_raw, stats.scale, stats.shift)
+    raw_std = f.gauss_std * stats.scale
+    z = (target_raw - (f.gauss_mean * stats.scale + stats.shift)) / raw_std
+    zz = z * z
+    nll_cells = _LOSS_CELLS[LossKind.GAUSSIAN_NLL](raw_std, zz)
+    n = nll_cells.size
+    return float(np.add.reduce(nll_cells, axis=None)) / n, (-z / f.gauss_std / n, (1.0 - zz) / n)
 
 
 def loss_token_ce(
@@ -734,49 +723,100 @@ def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-# SGD kernels, one per loss family.  Each updates the weight arrays it is bound
-# to in place and returns (loss, per-channel gradient norms) for one pool
-# sample (inputs, target, scale, shift, input norms); scale/shift are None when
-# the loss runs directly on the target.  A channel's gradient norm is its output
-# gradient norm times its input norm, summed in quadrature over heads.
+# Steps per block: a block's losses, gradient norms and finiteness check run after
+# its last step.  At 64 the slots of an eight-channel Gaussian head take 0.3 MB.
+STEP_BLOCK = 64
 
 
-def _point_step(core, weights, bias, lr, ctx, target, scale, shift, in_norms):
-    pred = weights @ ctx + bias[:, None]
-    if scale is None:
-        loss, g = core(pred, target)
-    else:
-        # prediction de-normalized with instance stats before the loss
-        loss, g = core(pred * scale + shift, target)
-        g = g * scale
-    p = _channel_norms(g) * in_norms
-    weights -= lr * (g @ ctx.T)
-    bias -= lr * g.sum(axis=1)
-    return loss, np.sqrt(p * p)
+class _LinearKernel:
+    """Block-deferred SGD for the point and Gaussian heads.  ``step(k, *row)``
+    updates the weights on one pool row and leaves in slot k its loss cells
+    (see ``_LOSS_CELLS``) and output gradient.  The arithmetic is the
+    ``loss_*`` functions', with two exact rewrites: 2*d/n as d/(n/2) and
+    -z/std/n as (z/std)/(-n).  The Gaussian heads become the halves of one
+    (2H, L) array, one product each way."""
+
+    def __init__(self, model: LinearForecaster, lr: float, channels: set):
+        self.lr, self.kind, self.h = lr, model.loss_kind, model.horizon
+        self.w, self.b = model.weights, model.bias
+        if self.kind is LossKind.GAUSSIAN_NLL:
+            self.w = np.concatenate([model.weights, model.sigma_weights])
+            self.b = np.concatenate([model.bias, model.sigma_bias])
+            model.weights, model.sigma_weights = self.w[:self.h], self.w[self.h:]
+            model.bias, model.sigma_bias = self.b[:self.h], self.b[self.h:]
+        self.b_col, rows, h = self.b[:, None], len(self.w), self.h
+        self.w_grad, self.b_grad = np.empty_like(self.w), np.empty_like(self.b)
+        # slot k of a buffer is the first rows*C cells of its row k, as a (rows, C) array
+        self.cells = np.empty((rows // h, STEP_BLOCK, h * max(channels)))
+        self.grads = np.empty((STEP_BLOCK, rows * max(channels)))
+        self.slots = {c: [[cells[k, :h * c].reshape(h, c) for cells in self.cells]
+                          + [self.grads[k, :rows * c].reshape(rows, c)]
+                          for k in range(STEP_BLOCK)] for c in channels}
+
+    def step(self, k, ctx, target, scale, shift, in_norms):
+        *cells, g = self.slots[ctx.shape[1]][k]
+        # the gradient's slot holds the forward pass until it holds the gradient
+        np.matmul(self.w, ctx, out=g)
+        g += self.b_col
+        if self.kind is LossKind.GAUSSIAN_NLL:
+            # the mean rows become z, then d_mean; the std rows become d_log_std
+            z, std = g[:len(g) // 2], g[len(g) // 2:]
+            np.exp(std, out=std)
+            raw_std = np.multiply(std, scale, out=cells[0])
+            z *= scale
+            z += shift
+            np.subtract(target, z, out=z)
+            z /= raw_std
+            zz = np.multiply(z, z, out=cells[1])
+            z /= std
+            z /= -zz.size
+            np.subtract(1.0, zz, out=std)
+            std /= zz.size
+        else:
+            if scale is not None:
+                # prediction de-normalized with instance stats before the loss
+                g *= scale
+                g += shift
+            d = np.subtract(g, target, out=cells[0])
+            if self.kind is LossKind.MSE:
+                np.divide(d, d.size / 2, out=g)
+            else:
+                np.sign(d, out=g)
+                g /= d.size
+            if scale is not None:
+                g *= scale
+        np.matmul(g, ctx.T, out=self.w_grad)
+        self.w_grad *= self.lr
+        self.w -= self.w_grad
+        np.add.reduce(g, axis=1, out=self.b_grad)
+        self.b_grad *= self.lr
+        self.b -= self.b_grad
+
+    def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
+        """Reduce the slots of the steps on pool rows ``block`` into ``losses`` and ``norms``."""
+        h, counts = self.h, np.array([len(row[-1]) for row in block])
+        for c in set(counts.tolist()):
+            at = np.flatnonzero(counts == c)
+            cells = _LOSS_CELLS[self.kind](*self.cells[:, at, :h * c])
+            losses[at] = np.add.reduce(cells, axis=1) / (h * c)
+            g = self.grads[at, :len(self.w) * c].reshape(len(at), -1, h, c)
+            in_norms = np.array([block[i][-1] for i in at.tolist()])
+            p = _channel_norms(g, axis=2) * in_norms[:, None]
+            norms[at, :c] = np.sqrt(np.add.reduce(p * p, axis=1))
+
+    def close(self):
+        """Nothing to write back: the model's heads are views of the working arrays."""
 
 
-def _gaussian_step(weights, bias, sigma_weights, sigma_bias, lr,
-                   ctx, target, scale, shift, in_norms):
-    mean = weights @ ctx + bias[:, None]
-    std = np.exp(sigma_weights @ ctx + sigma_bias[:, None])
-    loss, (d_mean, d_log_std) = _gaussian_nll(mean, std, target, scale, shift)
-    p_mean = _channel_norms(d_mean) * in_norms
-    p_std = _channel_norms(d_log_std) * in_norms
-    weights -= lr * (d_mean @ ctx.T)
-    bias -= lr * d_mean.sum(axis=1)
-    sigma_weights -= lr * (d_log_std @ ctx.T)
-    sigma_bias -= lr * d_log_std.sum(axis=1)
-    return loss, np.sqrt(p_mean * p_mean + p_std * p_std)
-
-
-def _token_step(token_weights, token_bias, lr, ctx, target, scale, shift, in_norms):
+def _token_step(token_weights, token_bias, lr, losses, norms, slot,
+                ctx, target, scale, shift, in_norms):
     logits = np.einsum("hbl,lc->hcb", token_weights, ctx)
     logits += token_bias[:, None, :]
-    loss, g = _token_ce(logits, target)
+    losses[slot], g = _token_ce(logits, target)
     p = _channel_norms(g, axis=(0, 2)) * in_norms
     token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
     token_bias -= lr * g.sum(axis=1)
-    return loss, np.sqrt(p * p)
+    norms[slot, :len(in_norms)] = np.sqrt(p * p)
 
 
 # l-rows per chunk of the token kernels: large enough to amortize the per-call
@@ -810,12 +850,12 @@ def _token_logits(wt, x, stack, out):
     return out.transpose(0, 2, 1)
 
 
-def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1,
+def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1, losses, norms, slot,
                    ctx, target, scale, shift, in_norms):
     """``_token_step`` for a two-channel sample on (L, H, B) working weights."""
     logits = _token_logits(wt, ctx, stack, out)
     logits += token_bias[:, None, :]
-    loss, g = _token_ce(logits, target)
+    losses[slot], g = _token_ce(logits, target)
     p = _channel_norms(g, axis=(0, 2)) * in_norms
     g0, g1 = g[:, 0], g[:, 1]
     for l0 in range(0, len(wt), _TOKEN_CHUNK):
@@ -828,33 +868,35 @@ def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1,
         a *= lr
         wt[l0:l0 + k] -= a
     token_bias -= lr * g.sum(axis=1)
-    return loss, np.sqrt(p * p)
+    norms[slot, :len(in_norms)] = np.sqrt(p * p)
 
 
-@contextmanager
-def _bound_kernel(model: LinearForecaster, lr: float, channels: set):
-    """The SGD kernel of ``model``'s loss family, bound to its weight arrays.
+class _TokenKernel:
+    """Token SGD.  A step leaves its loss and gradient norms in slot k: a
+    (H, C, B) gradient is too large to keep per slot.  A pool of two-channel
+    samples only gets the array kernel, on an (L, H, B) working copy of the
+    weights that ``close`` writes back."""
 
-    ``channels`` holds the channel counts of the training pool.  A token model
-    trained on two-channel samples only gets the array kernel, whose working
-    weights are written back to ``model`` when the block exits normally.
-    """
-    kind = model.loss_kind
-    if kind.is_point:
-        core = _mse if kind is LossKind.MSE else _mae
-        yield partial(_point_step, core, model.weights, model.bias, lr)
-    elif kind is LossKind.GAUSSIAN_NLL:
-        yield partial(_gaussian_step, model.weights, model.bias,
-                      model.sigma_weights, model.sigma_bias, lr)
-    elif channels != {2}:
-        yield partial(_token_step, model.token_weights, model.token_bias, lr)
-    else:
-        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-        stack, out = _token_buffers(wt, 2)
-        # the update reuses the forward's product rows, free once it has summed
-        products = stack[1:].reshape((2, _TOKEN_CHUNK) + wt.shape[1:])
-        yield partial(_token_step_c2, wt, model.token_bias, lr, stack, out, *products)
-        model.token_weights[...] = wt.transpose(1, 2, 0)
+    def __init__(self, model: LinearForecaster, lr: float, channels: set):
+        self.model, self.wt, self.losses = model, None, np.empty(STEP_BLOCK)
+        self.norms = np.zeros((STEP_BLOCK, max(channels)))
+        if channels != {2}:
+            self.step = partial(_token_step, model.token_weights, model.token_bias, lr,
+                                self.losses, self.norms)
+        else:
+            self.wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+            stack, out = _token_buffers(self.wt, 2)
+            # the update reuses the forward's product rows, free once it has summed
+            products = stack[1:].reshape((2, _TOKEN_CHUNK) + self.wt.shape[1:])
+            self.step = partial(_token_step_c2, self.wt, model.token_bias, lr, stack, out,
+                                *products, self.losses, self.norms)
+
+    def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
+        losses[:], norms[:] = self.losses[:len(block)], self.norms[:len(block)]
+
+    def close(self):
+        if self.wt is not None:
+            self.model.token_weights[...] = self.wt.transpose(1, 2, 0)
 
 
 def train(
@@ -870,8 +912,10 @@ def train(
     Deterministic given ``seed``: the pool order is a seeded permutation,
     redrawn each epoch, and all reductions are fixed-order.  Every epoch's
     permutation is drawn before the first step, and only the samples the
-    steps visit are built.  Raises DivergedError (with the step index) if
-    the loss leaves the finite range.  The input model is not mutated.
+    steps visit are built.  Steps run in blocks of ``STEP_BLOCK``; raises
+    DivergedError, with the index and loss of the first step whose loss
+    leaves the finite range, at the end of that step's block.  The input
+    model is not mutated.
     """
     model = copy.deepcopy(model)
     pool, rejected = prepare_training_pool(instances, scheme, model)
@@ -884,19 +928,23 @@ def train(
     order = np.concatenate([rng.permutation(n) for _ in range(epochs)])[:steps]
     drawn, slots = np.unique(order, return_inverse=True)
     rows = pool.build(drawn)
-    losses = np.empty(steps)
-    grad_norms: list[np.ndarray] = []
-    with _bound_kernel(model, lr, pool.channels) as step_fn, \
-            np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for step, j in enumerate(slots.tolist()):
-            loss, norms = step_fn(*rows[j])
-            if not math.isfinite(loss):
-                raise DivergedError(step, loss)
-            losses[step] = loss
-            grad_norms.append(norms)
+    losses, norms = np.empty(steps), np.zeros((steps, max(pool.channels)))
+    kernel = (_TokenKernel if model.loss_kind is LossKind.TOKEN_CE else _LinearKernel)(
+        model, lr, pool.channels)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, steps, STEP_BLOCK):
+            block = [rows[j] for j in slots[lo:lo + STEP_BLOCK].tolist()]
+            for k, row in enumerate(block):
+                kernel.step(k, *row)
+            hi = lo + len(block)
+            kernel.finish(block, losses[lo:hi], norms[lo:hi])
+            bad = np.flatnonzero(~np.isfinite(losses[lo:hi]))
+            if len(bad):
+                raise DivergedError(lo + int(bad[0]), float(losses[lo + bad[0]]))
+    kernel.close()
     trace = TrainTrace(
         losses=losses,
-        grad_norms=grad_norms,
+        grad_norms=[g[:len(rows[j][-1])] for g, j in zip(norms, slots.tolist())],
         rejected=rejected,
         pool_size=n,
         seed=seed,

@@ -420,7 +420,9 @@ class TestRun:
         ("frequency", 5, "frequency must be a string"),
         ("split_fraction", "x", "split_fraction must be a real number in (0, 1)"),
         ("name", 3, "name must be a string"),
-    ], ids=["seasonal-period-string", "frequency-int", "split-fraction-string", "name-int"])
+        ("path", 3, "plan 'datasets' entry 0 path must be a string"),
+    ], ids=["seasonal-period-string", "frequency-int", "split-fraction-string", "name-int",
+            "path-int"])
     def test_mistyped_csv_entry_exits_2_naming_the_field(self, tmp_path, capsys,
                                                           field, value, named):
         plan = csv_plan(tmp_path)

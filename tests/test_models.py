@@ -827,6 +827,103 @@ class TestLazyTraining:
             assert len(built) == 3
 
 
+class TestStepBlocks:
+    """Steps run in blocks whose losses and gradient norms are reduced after
+    the block's last step: across block boundaries every bit is the
+    step-by-step reference's, and a divergence reports the step and loss at
+    which the reference first goes non-finite."""
+
+    BLOCK = 3
+
+    @pytest.mark.parametrize("steps", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+                             ids=lambda s: f"steps{s}")
+    @pytest.mark.parametrize("channels", [(2,), (1, 3)], ids=["C2", "C1+C3"])
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.RAW],
+                             ids=lambda s: s.value)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_bitwise_equal_across_block_boundaries(self, kind, scheme, channels, steps,
+                                                   monkeypatch):
+        monkeypatch.setattr(models, "STEP_BLOCK", self.BLOCK)
+        instances = TestKernelsMatchReference._pool(channels)
+        spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
+        model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
+        ref_model, ref_losses, ref_norms, _ = _reference_train(
+            model, instances, scheme, steps=steps, lr=1e-3, seed=7)
+        trained, trace = train(model, instances, scheme, steps=steps, lr=1e-3, seed=7)
+        assert trace.losses.tobytes() == ref_losses.tobytes()
+        for got, want in zip(trace.grad_norms, ref_norms, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for name in ("weights", "bias", "sigma_weights", "sigma_bias",
+                     "token_weights", "token_bias"):
+            want = getattr(ref_model, name)
+            if want is not None:
+                assert getattr(trained, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("kind, channels, lr, steps, where", [
+        (LossKind.MSE, (2,), 0.3, 60, "mid-block"),
+        (LossKind.MSE, (2,), 0.2, 60, "block-end"),
+        (LossKind.MSE, (2,), 0.3, 26, "partial-block"),
+        (LossKind.MSE, (1, 3), 3e-3, 60, "mid-block"),
+        (LossKind.GAUSSIAN_NLL, (1, 3), 1e-3, 60, "mid-block"),
+    ], ids=["mse-mid-block", "mse-block-end", "mse-partial-block", "mse-C1+C3-mid-block",
+            "nll-C1+C3-mid-block"])
+    def test_divergence_reports_the_reference_step_and_loss(self, kind, channels, lr, steps,
+                                                           where, monkeypatch):
+        monkeypatch.setattr(models, "STEP_BLOCK", self.BLOCK)
+        rng = np.random.default_rng(53)
+        instances = [make_instance(rng, channels=channels[i % len(channels)], scale=1e3)
+                     for i in range(2 * len(channels))]
+        model = LinearForecaster.create(kind, 32, 8, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.RAW, steps, lr, 0)
+        step = int(np.flatnonzero(~np.isfinite(ref_losses))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                train(model, instances, Scheme.RAW, steps=steps, lr=lr, seed=0)
+        assert exc.value.step == step
+        assert np.float64(exc.value.loss).tobytes() == ref_losses[step].tobytes()
+        # where the step falls in the blocks of three that train runs
+        first = step - step % self.BLOCK
+        last = min(first + self.BLOCK, steps)
+        assert where == ("partial-block" if last - first < self.BLOCK
+                         else "block-end" if step == last - 1
+                         else "mid-block" if step > first else "block-start")
+
+    def test_stepping_allocates_the_trace_and_a_few_block_buffers(self, monkeypatch):
+        # wide's shape: an eight-channel Gaussian head, H = 24 and L = 96
+        length, horizon, channels, steps = 96, 24, 8, 300
+        rng = np.random.default_rng(78)
+        values = rng.normal(0.0, 1.0, (6000, channels))
+        starts = rng.integers(0, 6000 - length - horizon, 256)
+        instances = [Instance(context=values[s:s + length],
+                              horizon=values[s + length:s + length + horizon],
+                              origin=("t", int(s))) for s in starts]
+        model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, length, horizon, seed=1)
+        built_at = []
+        build = models.TrainingPool.build
+
+        def built(pool, ids):
+            rows = build(pool, ids)
+            built_at.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return rows
+
+        monkeypatch.setattr(models.TrainingPool, "build", built)
+        tracemalloc.start()
+        try:
+            _, trace = train(model, instances, Scheme.REVIN, steps=steps, lr=1e-4, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - built_at[0]
+        finally:
+            tracemalloc.stop()
+        # after the rows are built: the trace (a loss, a norms row and its view
+        # per step) and a dozen (K, H, C) buffers at K = 64, the block size the
+        # wide benchmark's peak RSS was measured at, so a larger block fails here
+        assert len(built_at) == 1 and len(trace.grad_norms) == steps
+        assert peak <= steps * (8 + 8 * channels + 256) + 12 * 64 * horizon * channels * 8
+
+
 class TestTokenKernel:
     """The einsum-free token kernel at the production head: H=24, B=128, L=96."""
 
