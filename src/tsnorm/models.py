@@ -31,16 +31,23 @@ without them where that gives the same bits:
 * forward, ``einsum("hbl,lc->hcb", W, x)``: for a C-contiguous (L, C) context
   with C >= 2 it sums over ``l`` strictly in order, starting from 0.0, and
   returns (H, C, B) logits stored in (H, B, C) memory order, i.e. strides
-  (B*C*8, 8, C*8).  The softmax reductions of the loss round by that layout,
-  so ``_token_logits`` writes into a buffer laid out the same way.  At C = 1
-  einsum takes a vectorized dot with another summation order, so a
+  (B*C*8, 8, C*8).  ``_token_logits`` computes the same sums and copies them
+  into a view the caller lays out: ``forecast`` keeps einsum's strides.  At
+  C = 1 einsum takes a vectorized dot with another summation order, so a
   one-channel context keeps einsum;
+* loss: on einsum's layout, ``_token_ce``'s max and exp-sum over bins add
+  the bins one after another, in numpy inner loops of only C elements.  The
+  training kernel lays its logits out (B, H, C), bins outermost, where the
+  same reductions run over the leading axis in the same order, in inner
+  loops over all H*C cells; its channel gradient norms keep the sequential
+  (h, b), h-major order too (see ``_token_ce_c2``);
 * backward, ``einsum("hcb,lc->hbl", g, x)``: at C = 2 it computes
   ``g0*x0 + g1*x1`` rounded in that order (at C = 3 it sums the lanes as
   ``(p0+p2)+p1``).  Only a training pool whose every sample has exactly two
   channels runs the array kernel, on an (L, H, B) working copy of the token
   weights that is written back when training ends; any other pool runs the
-  einsum step unchanged.
+  einsum step and ``_token_ce`` unchanged (a one-channel sum over (h, b) is
+  pairwise, not sequential).
 """
 
 from __future__ import annotations
@@ -826,38 +833,64 @@ _TOKEN_CHUNK = 16
 
 
 def _token_buffers(wt: np.ndarray, channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``_token_logits``: the summation stack and the logits buffer."""
+    """Scratch for ``_token_logits``: the summation stack, and logits laid out as
+    einsum lays them out, an (H, C, B) view of an (H, B, C) buffer."""
     _, horizon, bins = wt.shape
     return (np.empty((_TOKEN_CHUNK + 1, channels, horizon, bins)),
-            np.empty((horizon, bins, channels)))
+            np.empty((horizon, bins, channels)).transpose(0, 2, 1))
 
 
-def _token_logits(wt, x, stack, out):
+def _token_logits(wt, x, stack, dest):
     """Token logits (H, C, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
 
     Bitwise equal to ``einsum("hbl,lc->hcb")`` on the (H, B, L) weights for
-    C >= 2, strides included: each chunk's products land in ``stack[1:]`` and
-    one reduction over the leading axis adds them, in order, onto the running
-    sum in ``stack[0]``, which starts at 0.0 as einsum's does.  The result is
-    a view of ``out``, an (H, B, C) buffer.
+    C >= 2: each chunk's products land in ``stack[1:]`` and one reduction
+    over the leading axis adds them, in order, onto the running sum in
+    ``stack[0]``, which starts at 0.0 as einsum's does.  The sum is copied
+    into ``dest``, an (H, C, B) view in whatever memory order the caller
+    chose, and ``dest`` is returned.
     """
     stack[0] = 0.0
     for l0 in range(0, len(wt), _TOKEN_CHUNK):
         k = min(_TOKEN_CHUNK, len(wt) - l0)
         np.multiply(wt[l0:l0 + k, None], x[l0:l0 + k, :, None, None], out=stack[1:k + 1])
         np.add.reduce(stack[:k + 1], axis=0, out=stack[0])
-    out.transpose(2, 0, 1)[...] = stack[0]
-    return out.transpose(0, 2, 1)
+    dest.transpose(1, 0, 2)[...] = stack[0]
+    return dest
 
 
-def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1, losses, norms, slot,
-                   ctx, target, scale, shift, in_norms):
-    """``_token_step`` for a two-channel sample on (L, H, B) working weights."""
-    logits = _token_logits(wt, ctx, stack, out)
-    logits += token_bias[:, None, :]
-    losses[slot], g = _token_ce(logits, target)
-    p = _channel_norms(g, axis=(0, 2)) * in_norms
-    g0, g1 = g[:, 0], g[:, 1]
+def _token_ce_c2(logits, target, cells, grad) -> tuple[float, np.ndarray]:
+    """``_token_ce`` and the channel norms of its gradient on two-channel logits
+    laid out bins outermost, with the bits that ``_token_ce`` and
+    ``_channel_norms(g, axis=(0, 2))`` give on einsum's (H, B, C) layout.
+
+    ``logits`` is a (B, H, C) array and becomes the log-probabilities: the max
+    and the exp-sum reduce its leading axis, adding the bins one after another
+    as numpy does on einsum's layout, in long inner loops over the (h, c)
+    cells.  The gradient lands in ``grad``, a (C, H, B) buffer.  Each
+    channel's squared-gradient sum runs over (h, b), h-major and in order, as
+    the last column of a cumulative sum.  ``cells`` are the (H, C) index
+    grids.  Returns (loss, gradient norm of each channel).
+    """
+    logits -= np.maximum.reduce(logits, axis=0)
+    logits -= np.log(np.add.reduce(np.exp(logits), axis=0))
+    h_idx, c_idx = cells
+    loss = float(-logits[target, h_idx, c_idx].mean())
+    np.exp(logits.transpose(2, 1, 0), out=grad)
+    grad[c_idx, h_idx, target] -= 1.0
+    grad /= target.size
+    return loss, np.sqrt(np.cumsum((grad * grad).reshape(2, -1), axis=1)[:, -1])
+
+
+def _token_step_c2(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
+                   losses, norms, slot, ctx, target, scale, shift, in_norms):
+    """``_token_step`` for a two-channel sample on (L, H, B) working weights,
+    with its loss on (B, H, C) ``logits`` (see ``_token_ce_c2``)."""
+    _token_logits(wt, ctx, stack, logits.transpose(1, 2, 0))
+    logits += token_bias.T[:, :, None]
+    losses[slot], p = _token_ce_c2(logits, target, cells, grad)
+    p *= in_norms
+    g0, g1 = grad
     for l0 in range(0, len(wt), _TOKEN_CHUNK):
         k = min(_TOKEN_CHUNK, len(wt) - l0)
         # lr * (g0*x0 + g1*x1), rounded in einsum's order
@@ -867,15 +900,15 @@ def _token_step_c2(wt, token_bias, lr, stack, out, prod0, prod1, losses, norms, 
         a += b
         a *= lr
         wt[l0:l0 + k] -= a
-    token_bias -= lr * g.sum(axis=1)
-    norms[slot, :len(in_norms)] = np.sqrt(p * p)
+    token_bias -= (g0 + g1) * lr
+    norms[slot, :2] = np.sqrt(p * p)
 
 
 class _TokenKernel:
     """Token SGD.  A step leaves its loss and gradient norms in slot k: a
     (H, C, B) gradient is too large to keep per slot.  A pool of two-channel
     samples only gets the array kernel, on an (L, H, B) working copy of the
-    weights that ``close`` writes back."""
+    weights that ``close`` writes back, with its logits bins-outer."""
 
     def __init__(self, model: LinearForecaster, lr: float, channels: set):
         self.model, self.wt, self.losses = model, None, np.empty(STEP_BLOCK)
@@ -885,11 +918,13 @@ class _TokenKernel:
                                 self.losses, self.norms)
         else:
             self.wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-            stack, out = _token_buffers(self.wt, 2)
+            _, horizon, bins = self.wt.shape
+            stack, _ = _token_buffers(self.wt, 2)
             # the update reuses the forward's product rows, free once it has summed
-            products = stack[1:].reshape((2, _TOKEN_CHUNK) + self.wt.shape[1:])
-            self.step = partial(_token_step_c2, self.wt, model.token_bias, lr, stack, out,
-                                *products, self.losses, self.norms)
+            products = stack[1:].reshape(2, _TOKEN_CHUNK, horizon, bins)
+            self.step = partial(_token_step_c2, self.wt, model.token_bias, lr, stack,
+                                np.empty((bins, horizon, 2)), np.empty((2, horizon, bins)),
+                                np.indices((horizon, 2)), *products, self.losses, self.norms)
 
     def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
         losses[:], norms[:] = self.losses[:len(block)], self.norms[:len(block)]

@@ -4,9 +4,9 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 The benchmark criteria share one full 7-scheme x 3-withheld x 2-model plan on
 the seeded synthetic multi-scale corpus (42 training runs); it executes once
 per session through the CLI and once in-process for the audit log, and the
-two reports must match byte for byte.  That report and the ``wide``
-benchmark workload's must also hash to the sha256s the benchmark records in
-``perfbench/reference.json``.
+two reports must match byte for byte.  That report and the ``token`` and
+``wide`` benchmark workloads' must also hash to the sha256s the benchmark
+records in ``perfbench/reference.json``.
 """
 
 import hashlib
@@ -389,3 +389,13 @@ def test_wide_report_matches_the_benchmark_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["wide"]
+
+
+def test_token_report_matches_the_benchmark_reference(tmp_path):
+    plan, jobs = _benchmark_plan("token")
+    assert jobs == 1 and plan["models"] == ["token_ce"]
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    out = tmp_path / "out"
+    assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["token"]

@@ -42,7 +42,10 @@ from tsnorm.models import (
     DivergedError,
     NonPositiveSigmaError,
     TrainTrace,
+    _channel_norms,
     _token_buffers,
+    _token_ce,
+    _token_ce_c2,
     _token_logits,
     prepare_training_pool,
     token_point_forecast,
@@ -323,6 +326,12 @@ class TestTrain:
             with pytest.raises(DivergedError) as exc:
                 train(model, instances, Scheme.RAW, steps=200, lr=0.01, seed=0)
         assert exc.value.step == 1 and np.isnan(exc.value.loss)
+        # the step-by-step reference goes non-finite at the same step, same bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.RAW, 2, 0.01, 0)
+        assert np.isfinite(ref_losses[0])
+        assert np.float64(exc.value.loss).tobytes() == ref_losses[1].tobytes()
 
     def test_clipped_pool_excludes_rejected(self):
         rng = np.random.default_rng(54)
@@ -577,13 +586,13 @@ def _ref_loss_point(kind, pred, target):
     return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
 
 
-def _ref_loss_gaussian_nll(f, target_raw, stats):
-    mean = f.gauss_mean * stats.scale + stats.shift
-    std = f.gauss_std * stats.scale
+def _ref_loss_gaussian_nll(gauss_mean, gauss_std, target_raw, stats):
+    mean = gauss_mean * stats.scale + stats.shift
+    std = gauss_std * stats.scale
     z = (target_raw - mean) / std
     nll_cells = 0.5 * float(np.log(2.0 * np.pi)) + np.log(std) + 0.5 * z**2
     n = nll_cells.size
-    return float(nll_cells.mean()), (-z / f.gauss_std / n, (1.0 - z**2) / n)
+    return float(nll_cells.mean()), (-z / gauss_std / n, (1.0 - z**2) / n)
 
 
 def _ref_loss_token_ce(logits, target_bins):
@@ -625,8 +634,11 @@ def _sgd_step(model, sample, lr):
         model.bias -= lr * g.sum(axis=1)
         return loss, norms
     if kind is LossKind.GAUSSIAN_NLL:
-        f = forecast(model, ctx)
-        loss, (d_mean, d_log_std) = _ref_loss_gaussian_nll(f, sample.target, sample.stats)
+        # forecast's arithmetic, without the Forecast that rejects a std of 0
+        mean = model.weights @ ctx + model.bias[:, None]
+        std = np.exp(model.sigma_weights @ ctx + model.sigma_bias[:, None])
+        loss, (d_mean, d_log_std) = _ref_loss_gaussian_nll(mean, std, sample.target,
+                                                           sample.stats)
         norms = _per_channel_norms(ctx, d_mean, d_log_std)
         model.weights -= lr * (d_mean @ ctx.T)
         model.bias -= lr * d_mean.sum(axis=1)
@@ -891,6 +903,28 @@ class TestStepBlocks:
                          else "block-end" if step == last - 1
                          else "mid-block" if step > first else "block-start")
 
+    @pytest.mark.parametrize("lr, step, nonfinite", [(1e307, 10, np.isinf), (1e308, 1, np.isnan)],
+                             ids=["inf-loss", "nan-loss"])
+    def test_token_divergence_reports_the_reference_step_and_loss(self, lr, step, nonfinite,
+                                                                  monkeypatch):
+        # the two-channel kernel, whose logits overflow once the weights do
+        monkeypatch.setattr(models, "STEP_BLOCK", self.BLOCK)
+        monkeypatch.setattr(models, "_token_step", None)
+        instances = TestKernelsMatchReference._pool((2,))
+        spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=8, tokenizer=spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.REVIN, 40, lr, 7)
+        assert int(np.flatnonzero(~np.isfinite(ref_losses))[0]) == step
+        assert nonfinite(ref_losses[step])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergedError) as exc:
+                train(model, instances, Scheme.REVIN, steps=40, lr=lr, seed=7)
+        assert exc.value.step == step
+        assert np.float64(exc.value.loss).tobytes() == ref_losses[step].tobytes()
+
     def test_stepping_allocates_the_trace_and_a_few_block_buffers(self, monkeypatch):
         # wide's shape: an eight-channel Gaussian head, H = 24 and L = 96
         length, horizon, channels, steps = 96, 24, 8, 300
@@ -967,6 +1001,63 @@ class TestTokenKernel:
         trained, trace = train(model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
         assert trace.losses.tobytes() == ref_losses.tobytes()
         assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
+
+    @staticmethod
+    def _edge_logits(case, rng, horizon, bins):
+        """(H, C, B) logits of an edge case at C = 2, values only."""
+        shape = (horizon, 2, bins)
+        if case == "scales":
+            values = rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3, (horizon, 2, 1))
+        elif case == "ties":
+            # a handful of values per row: the max repeats within most rows
+            values = rng.integers(-3, 2, shape) * 0.5
+        elif case == "signed-zero-max":
+            # each row's maximum is +0.0 alone, -0.0 alone, or both in either order
+            values = -rng.uniform(1.0, 5.0, shape)
+            for row, zeros in zip(values.reshape(-1, bins),
+                                  [(0.0,), (-0.0,), (0.0, -0.0), (-0.0, 0.0)] * horizon):
+                row[np.sort(rng.choice(bins, len(zeros), replace=False))] = zeros
+        elif case == "underflow":
+            # every bin but one sits 800 or more below it: exp underflows, log_z == 0
+            values = rng.normal(0.0, 1.0, shape) - rng.uniform(800.0, 900.0, shape)
+            top = rng.integers(0, bins, shape[:2])
+            values[np.arange(horizon)[:, None], np.arange(2), top] = rng.normal(0.0, 1.0, shape[:2])
+        else:
+            # overflow: infinities of both signs among finite logits whose range overflows
+            values = rng.normal(0.0, 1.0, shape) * 1e308
+            values[rng.random(shape) < 0.1] = np.inf
+            values[rng.random(shape) < 0.05] = -np.inf
+        return values
+
+    @pytest.mark.parametrize("bins", [16, 128])
+    @pytest.mark.parametrize("case", ["scales", "ties", "signed-zero-max", "underflow",
+                                      "overflow"])
+    def test_bins_outer_loss_matches_token_ce_bit_for_bit(self, case, bins):
+        rng = np.random.default_rng(79)
+        horizon = 24
+        with np.errstate(over="ignore"):
+            values = self._edge_logits(case, rng, horizon, bins)
+        # einsum's layout: (H, C, B) logits in (H, B, C) memory order
+        logits = np.empty((horizon, bins, 2)).transpose(0, 2, 1)
+        logits[...] = values
+        target = rng.integers(0, bins, (horizon, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_loss, want_grad = _token_ce(logits, target)
+            want_norms = _channel_norms(want_grad, axis=(0, 2))
+            grad = np.empty((2, horizon, bins))
+            loss, norms = _token_ce_c2(np.ascontiguousarray(logits.transpose(2, 0, 1)),
+                                       target, np.indices((horizon, 2)), grad)
+        top = logits.max(axis=-1)
+        if case == "ties":
+            assert ((logits == top[..., None]).sum(axis=-1) > 1).any()
+        if case == "signed-zero-max":
+            assert (top == 0.0).all() and np.signbit(top).any() and not np.signbit(top).all()
+        if case == "underflow":
+            assert (np.exp(logits - top[..., None]).sum(axis=-1) == 1.0).all()
+        assert np.isfinite(want_loss) == (case != "overflow")
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == np.ascontiguousarray(want_grad.transpose(1, 0, 2)).tobytes()
+        assert norms.tobytes() == want_norms.tobytes()
 
     @pytest.mark.parametrize("channels", [1, 2, 3])
     def test_forecast_logits_match_einsum_values_and_strides(self, channels):
