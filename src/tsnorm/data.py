@@ -35,6 +35,14 @@ class ParseError(TsnormError):
         self.row, self.col = row, col
 
 
+class RaggedRowError(TsnormError):
+    """A CSV row's cell count differs from the header's; carries its 1-based row."""
+
+    def __init__(self, path, row: int, cells: int, header_cells: int):
+        super().__init__(f"{path}: row {row} has {cells} cells, the header has {header_cells}")
+        self.row = row
+
+
 class TooShortError(TsnormError):
     """A parsed file has too few rows to form a dataset."""
 
@@ -76,6 +84,8 @@ def load_csv(
         skip = 1 if header and header[0].strip().lower() == "timestamp" else 0
         rows = []
         for r, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise RaggedRowError(path, r, len(record), len(header))
             values = []
             for c, cell in enumerate(record[skip:], start=skip + 1):
                 try:

@@ -21,7 +21,6 @@ import os
 import pickle
 import re
 import tempfile
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -483,46 +482,18 @@ def assemble_report(rows) -> EvalReport:
     return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
 
 
-class _CorpusFile(Mapping):
-    """A plan's datasets by reference to a file that holds them, pickled.
-
-    It pickles as the file's path, loaded or not, so a pool task that carries
-    it stays small.  A process loads the file on first use and keeps the
-    datasets until it reads another corpus file, so each pool worker loads
-    the corpus once, whatever number of variants it runs.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-
-    @classmethod
-    def write(cls, datasets: dict, directory: str) -> "_CorpusFile":
-        path = os.path.join(directory, "corpus.pickle")
-        with open(path, "wb") as fh:
-            pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
-        return cls(path)
-
-    def __reduce__(self):
-        return type(self), (self.path,)
-
-    def __getitem__(self, name):
-        return _load_corpus(self.path)[name]
-
-    def __iter__(self):
-        return iter(_load_corpus(self.path))
-
-    def __len__(self) -> int:
-        return len(_load_corpus(self.path))
-
-
 @functools.lru_cache(maxsize=1)
 def _load_corpus(path: str) -> dict:
+    """A corpus file's datasets, kept until another corpus file is read: a pool
+    worker loads the corpus once, whatever number of variants it runs."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
 
 
 def _run_variant_worker(args):
     plan, datasets, scheme, model_kind, withheld = args
+    if isinstance(datasets, str):
+        datasets = _load_corpus(datasets)
     audit = AccessLog()
     trained, trace, rows = run_variant(plan, datasets, scheme, model_kind, withheld, audit)
     return variant_key(model_kind, scheme, withheld), trained, trace, rows, audit
@@ -550,11 +521,12 @@ def run_plan(
     parallel processes; results are collected and ordered deterministically,
     so the report is identical to a serial run.  The datasets then cross to
     the workers once: they are written to a file in a private temporary
-    directory, which each worker loads on its first variant, and the
-    directory is removed once the pool has shut down, on failure too.  A
-    serial run writes no file.  ``on_variant(key, model, trace, rows)`` is
-    called in plan order as each variant's result arrives, so variants that
-    finished before a failure have already been handed on.
+    directory, each task carries only its path, each worker loads it on its
+    first variant, and the directory is removed once the pool has shut down,
+    on failure too.  A serial run writes no file and passes the datasets
+    themselves.  ``on_variant(key, model, trace, rows)`` is called in plan
+    order as each variant's result arrives, so variants that finished before
+    a failure have already been handed on.
     It is the only place a trained model and its trace come out: the result
     keeps neither, so a caller that wants them collects them there.
     """
@@ -576,7 +548,9 @@ def run_plan(
         if jobs > 1 and len(pending) > 1:
             # entered first, so removed after the pool has shut down
             tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="tsnorm-"))
-            corpus = _CorpusFile.write(datasets, tmp)
+            corpus = os.path.join(tmp, "corpus.pickle")
+            with open(corpus, "wb") as fh:
+                pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
             run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         results = run_all(_run_variant_worker,
                           [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])

@@ -29,11 +29,10 @@ The token head is defined by two ``np.einsum`` contractions and computed
 without them where that gives the same bits:
 
 * forward, ``einsum("hbl,lc->hcb", W, x)``: for a C-contiguous (L, C) context
-  with C >= 2 it sums over ``l`` strictly in order, starting from 0.0, and
-  returns (H, C, B) logits stored in (H, B, C) memory order, i.e. strides
-  (B*C*8, 8, C*8).  ``_token_logits`` computes the same sums and copies them
-  into a view the caller lays out: ``forecast`` keeps einsum's strides.  At
-  C = 1 einsum takes a vectorized dot with another summation order, so a
+  with C >= 2 it sums over ``l`` strictly in order, starting from 0.0.
+  ``_token_logits`` computes the same sums and returns them as (C, H, B);
+  the memory order of a forecast's logits is set by ``Forecast``.  At C = 1
+  einsum takes a vectorized dot with another summation order, so a
   one-channel context keeps einsum;
 * loss: on einsum's layout, ``_token_ce``'s max and exp-sum over bins add
   the bins one after another, in numpy inner loops of only C elements.  The
@@ -280,13 +279,15 @@ class CheckpointError(TsnormError):
 CHECKPOINT_FORMAT = 1
 
 
-def _checkpoint_array_names(kind: LossKind) -> tuple[str, ...]:
-    """The ``LinearForecaster`` arrays a checkpoint of ``kind`` holds, in file order."""
+def _checkpoint_arrays(kind: LossKind, L=None, H=None, B=None) -> dict:
+    """The ``LinearForecaster`` arrays a checkpoint of ``kind`` holds, in file
+    order, and their shapes at context length L, horizon H and B token bins."""
+    arrays = {"weights": [H, L], "bias": [H]}
     if kind is LossKind.GAUSSIAN_NLL:
-        return ("weights", "bias", "sigma_weights", "sigma_bias")
+        arrays.update(sigma_weights=[H, L], sigma_bias=[H])
     if kind is LossKind.TOKEN_CE:
-        return ("weights", "bias", "token_weights", "token_bias")
-    return ("weights", "bias")
+        arrays.update(token_weights=[H, B, L], token_bias=[H, B])
+    return arrays
 
 
 def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
@@ -304,7 +305,7 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
     digest = hashlib.sha256()
     arrays = []
     with atomic_open(data_path, "wb") as fh:
-        for name in _checkpoint_array_names(model.loss_kind):
+        for name in _checkpoint_arrays(model.loss_kind):
             a = np.ascontiguousarray(getattr(model, name), dtype="<f8")
             digest.update(a)
             fh.write(a)
@@ -327,8 +328,9 @@ def read_checkpoint(path) -> LinearForecaster:
 
     The arrays are writable and bitwise equal to the ones written.  Raises
     CheckpointError naming the file when the header's format is missing or
-    unknown, or when the data file is missing or its size or sha256 differs
-    from what the header records.
+    unknown, a field is missing or invalid, an array's shape does not fit
+    the header's dimensions (naming the array), or when the data file is
+    missing or its size or sha256 differs from what the header records.
     """
     path = Path(path)
     with open(path) as fh:
@@ -344,11 +346,24 @@ def read_checkpoint(path) -> LinearForecaster:
             f"{path}: unknown checkpoint format {fmt!r} (this version reads "
             f"{CHECKPOINT_FORMAT})"
         )
-    kind = LossKind(header["loss_kind"])
-    names = [a["name"] for a in header["arrays"]]
-    if names != list(_checkpoint_array_names(kind)):
-        raise CheckpointError(f"{path}: arrays {names} do not fit a {kind.value} model")
-    data_path = path.with_name(header["data"]["file"])
+    try:
+        kind = LossKind(header["loss_kind"])
+        tokenizer = (TokenizerSpec.from_dict(header["tokenizer"])
+                     if kind is LossKind.TOKEN_CE else None)
+        L, H = header["context_len"], header["horizon"]
+        want = _checkpoint_arrays(kind, L, H, tokenizer and tokenizer.num_bins)
+        names = [a["name"] for a in header["arrays"]]
+        if names != list(want):
+            raise CheckpointError(f"{path}: arrays {names} do not fit a {kind.value} model")
+        for a in header["arrays"]:
+            if a["shape"] != want[a["name"]]:
+                raise CheckpointError(f"{path}: array {a['name']} has shape {a['shape']}, "
+                                      f"the header's dimensions give {want[a['name']]}")
+        data_path, data_sha256 = path.with_name(header["data"]["file"]), header["data"]["sha256"]
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: no {exc.args[0]!r} field in the header") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad header field: {exc}") from None
     try:
         with open(data_path, "rb") as fh:
             data = bytearray(fh.read())
@@ -360,21 +375,14 @@ def read_checkpoint(path) -> LinearForecaster:
             f"{path}: data file {data_path} holds {len(data)} bytes, "
             f"the header describes {8 * sum(sizes)}"
         )
-    if hashlib.sha256(data).hexdigest() != header["data"]["sha256"]:
+    if hashlib.sha256(data).hexdigest() != data_sha256:
         raise CheckpointError(f"{path}: data file {data_path} does not match its sha256")
     flat = np.frombuffer(data, dtype="<f8")
     arrays, offset = {}, 0
     for a, n in zip(header["arrays"], sizes):
         arrays[a["name"]] = flat[offset:offset + n].reshape(a["shape"])
         offset += n
-    tokenizer = header.get("tokenizer")
-    return LinearForecaster(
-        loss_kind=kind,
-        context_len=header["context_len"],
-        horizon=header["horizon"],
-        tokenizer=TokenizerSpec.from_dict(tokenizer) if tokenizer is not None else None,
-        **arrays,
-    )
+    return LinearForecaster(kind, L, H, tokenizer=tokenizer, **arrays)
 
 
 def _check_context(model: LinearForecaster, context: np.ndarray) -> np.ndarray:
@@ -406,10 +414,12 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
     if feats.shape[1] < 2:
         logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+        logits += model.token_bias[:, None, :]
     else:
         wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-        logits = _token_logits(wt, feats, *_token_buffers(wt, feats.shape[1]))
-    logits += model.token_bias[:, None, :]
+        stack = np.empty((_TOKEN_CHUNK + 1, feats.shape[1], *wt.shape[1:]))
+        logits = _token_logits(wt, feats, stack).transpose(1, 0, 2) + model.token_bias[:, None, :]
+        del stack  # freed before Forecast copies the logits: a lower peak RSS
     return Forecast(
         kind=ForecastKind.TOKEN,
         token_logits=logits,
@@ -832,31 +842,21 @@ def _token_step(token_weights, token_bias, lr, losses, norms, slot,
 _TOKEN_CHUNK = 16
 
 
-def _token_buffers(wt: np.ndarray, channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scratch for ``_token_logits``: the summation stack, and logits laid out as
-    einsum lays them out, an (H, C, B) view of an (H, B, C) buffer."""
-    _, horizon, bins = wt.shape
-    return (np.empty((_TOKEN_CHUNK + 1, channels, horizon, bins)),
-            np.empty((horizon, bins, channels)).transpose(0, 2, 1))
-
-
-def _token_logits(wt, x, stack, dest):
-    """Token logits (H, C, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
+def _token_logits(wt, x, stack):
+    """Token logits (C, H, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
 
     Bitwise equal to ``einsum("hbl,lc->hcb")`` on the (H, B, L) weights for
-    C >= 2: each chunk's products land in ``stack[1:]`` and one reduction
-    over the leading axis adds them, in order, onto the running sum in
-    ``stack[0]``, which starts at 0.0 as einsum's does.  The sum is copied
-    into ``dest``, an (H, C, B) view in whatever memory order the caller
-    chose, and ``dest`` is returned.
+    C >= 2, transposed: each chunk's products land in ``stack[1:]``, a
+    (K + 1, C, H, B) buffer, and one reduction over the leading axis adds
+    them, in order, onto the running sum in ``stack[0]``, which starts at 0.0
+    as einsum's does.  Returns ``stack[0]``.
     """
     stack[0] = 0.0
     for l0 in range(0, len(wt), _TOKEN_CHUNK):
         k = min(_TOKEN_CHUNK, len(wt) - l0)
         np.multiply(wt[l0:l0 + k, None], x[l0:l0 + k, :, None, None], out=stack[1:k + 1])
         np.add.reduce(stack[:k + 1], axis=0, out=stack[0])
-    dest.transpose(1, 0, 2)[...] = stack[0]
-    return dest
+    return stack[0]
 
 
 def _token_ce_c2(logits, target, cells, grad) -> tuple[float, np.ndarray]:
@@ -886,8 +886,7 @@ def _token_step_c2(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
                    losses, norms, slot, ctx, target, scale, shift, in_norms):
     """``_token_step`` for a two-channel sample on (L, H, B) working weights,
     with its loss on (B, H, C) ``logits`` (see ``_token_ce_c2``)."""
-    _token_logits(wt, ctx, stack, logits.transpose(1, 2, 0))
-    logits += token_bias.T[:, :, None]
+    np.add(_token_logits(wt, ctx, stack).T, token_bias.T[:, :, None], out=logits)
     losses[slot], p = _token_ce_c2(logits, target, cells, grad)
     p *= in_norms
     g0, g1 = grad
@@ -919,7 +918,7 @@ class _TokenKernel:
         else:
             self.wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
             _, horizon, bins = self.wt.shape
-            stack, _ = _token_buffers(self.wt, 2)
+            stack = np.empty((_TOKEN_CHUNK + 1, 2, horizon, bins))
             # the update reuses the forward's product rows, free once it has summed
             products = stack[1:].reshape(2, _TOKEN_CHUNK, horizon, bins)
             self.step = partial(_token_step_c2, self.wt, model.token_bias, lr, stack,

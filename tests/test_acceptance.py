@@ -6,7 +6,8 @@ the seeded synthetic multi-scale corpus (42 training runs); it executes once
 per session through the CLI and once in-process for the audit log, and the
 two reports must match byte for byte.  That report and the ``token`` and
 ``wide`` benchmark workloads' must also hash to the sha256s the benchmark
-records in ``perfbench/reference.json``.
+records in ``perfbench/reference.json``, and each of the three ``--out``
+trees, checkpoints, traces and variant files included, to a pinned digest.
 """
 
 import hashlib
@@ -374,11 +375,29 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Digests of the seed-7 ``--out`` trees (see ``_tree_digest``).  A change to
+# any file of a run, not only its report, changes them.
+TREE_DIGESTS = {
+    "acceptance": "c1d0cd77da0c4149a78158716caee6a6abe8eb19f450e6361bdea93e2ebe9371",
+    "token": "8d081b48e719380ec54745c75b8f70e6c452265f67da72212f4e2b813adaf726",
+    "wide": "8a7fc60c1333bddf81d4d8b9709d08d5f529c2a2ad03f27dcb650d68cd80fdeb",
+}
+
+
+def _tree_digest(out: Path) -> str:
+    """sha256 over the sorted lines ``relative/path <sha256 of file>`` of every
+    file under ``out``, each line ending in a newline."""
+    lines = sorted(f"{p.relative_to(out).as_posix()} {_sha256(p)}\n"
+                   for p in out.rglob("*") if p.is_file())
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
 def test_acceptance_report_matches_the_benchmark_reference(bench_run):
     plan, _ = _benchmark_plan("acceptance")
     assert plan == BENCH_PLAN
     out, _, _ = bench_run
     assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["acceptance"]
+    assert _tree_digest(out) == TREE_DIGESTS["acceptance"]
 
 
 def test_wide_report_matches_the_benchmark_reference(tmp_path):
@@ -389,6 +408,7 @@ def test_wide_report_matches_the_benchmark_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["wide"]
+    assert _tree_digest(out) == TREE_DIGESTS["wide"]
 
 
 def test_token_report_matches_the_benchmark_reference(tmp_path):
@@ -399,3 +419,4 @@ def test_token_report_matches_the_benchmark_reference(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["token"]
+    assert _tree_digest(out) == TREE_DIGESTS["token"]

@@ -436,6 +436,19 @@ class TestRun:
         assert named in err
         assert "Traceback" not in err
 
+    def test_ragged_csv_row_exits_2_naming_the_file_and_row(self, tmp_path, capsys):
+        plan = csv_plan(tmp_path)
+        data = Path(plan["datasets"][1]["path"])
+        lines = data.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].rstrip("\n") + ",1.0\n"
+        data.write_text("".join(lines))
+        path = write_plan(tmp_path, plan)
+        argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: row 6 has" in err
+        assert "Traceback" not in err
+
     def test_non_integer_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys,
                                                               monkeypatch):
         path = write_plan(tmp_path)

@@ -18,7 +18,7 @@ from tsnorm import (
     validate_dataset,
 )
 from tsnorm.core import BadPeriodError, BadSplitError, KindMismatchError, NonFiniteError
-from tsnorm.data import ParseError
+from tsnorm.data import ParseError, RaggedRowError
 from tsnorm.models import DivergedError
 
 from conftest import col
@@ -77,6 +77,7 @@ class TestErrorPickling:
         BadSplitError("a", 9, 4),
         BadPeriodError("a", 5, 3),
         ParseError("a.csv", 4, 2, "x"),
+        RaggedRowError("a.csv", 4, 1, 2),
     ], ids=lambda exc: type(exc).__name__)
     def test_round_trip_keeps_message_and_attributes(self, exc):
         again = pickle.loads(pickle.dumps(exc))

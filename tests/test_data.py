@@ -20,6 +20,7 @@ from tsnorm.data import (
     BadSpecError,
     InstanceBatch,
     ParseError,
+    RaggedRowError,
     TooShortError,
     WindowTooLongError,
 )
@@ -51,6 +52,19 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(path, "d", "1h", 1)
         assert exc.value.row == 3 and exc.value.col == 2
+
+    @pytest.mark.parametrize("text, row, cells", [
+        ("a,b\n1,2\n3\n5,6\n", 3, 1),
+        ("a,b\n1,2\n3,4\n5,6,7\n", 4, 3),
+        ("a,b\n1,2\n3,4\n\n", 4, 0),
+    ], ids=["short-row", "long-row", "trailing-blank-line"])
+    def test_ragged_row_named(self, tmp_path, text, row, cells):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(RaggedRowError) as exc:
+            load_csv(path, "d", "1h", 1)
+        assert exc.value.row == row
+        assert str(exc.value) == f"{path}: row {row} has {cells} cells, the header has 2"
 
     def test_too_short(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -729,23 +729,36 @@ class TestCorpusByReference:
         assert pools[0].files == [(), ("corpus.pickle",)]
         assert list(tmp.iterdir()) == []
 
-    def test_loads_once_per_process_and_pickles_as_its_path(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _corpus_file(datasets, tmp_path) -> str:
+        path = str(tmp_path / "corpus.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(datasets, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        return path
+
+    def test_a_path_task_gives_the_rows_of_a_dataset_task(self, tmp_path):
         harness._load_corpus.cache_clear()
         datasets = small_corpus()
-        corpus = harness._CorpusFile.write(datasets, str(tmp_path))
+        path = self._corpus_file(datasets, tmp_path)
+        plan = small_plan(datasets, steps=40)
+        for mk, sc, wh in plan.variants():
+            key, _, _, rows, audit = harness._run_variant_worker((plan, path, sc, mk, wh))
+            want_key, _, _, want_rows, want_audit = harness._run_variant_worker(
+                (plan, datasets, sc, mk, wh))
+            assert key == want_key
+            assert rows == want_rows
+            assert audit.events == want_audit.events
+        harness._load_corpus.cache_clear()
+
+    def test_two_path_tasks_load_the_file_once(self, tmp_path, monkeypatch):
+        harness._load_corpus.cache_clear()
+        datasets = small_corpus()
+        path = self._corpus_file(datasets, tmp_path)
         loads = []
         load = pickle.load
         monkeypatch.setattr(pickle, "load", lambda fh: loads.append(fh.name) or load(fh))
-        task = pickle.loads(pickle.dumps(corpus))
-        assert loads == []  # unpickling reads nothing
-        assert list(task) == list(datasets) and len(task) == 3
-        for name, d in datasets.items():
-            got = task[name]
-            assert got.values.tobytes() == d.values.tobytes()
-            assert (got.name, got.frequency, got.seasonal_period, got.split_index) == (
-                d.name, d.frequency, d.seasonal_period, d.split_index)
-        again = pickle.loads(pickle.dumps(task))  # loaded, it still pickles as its path
-        assert len(pickle.dumps(task)) == len(pickle.dumps(corpus)) < 1_000
-        assert again["synth1"] is task["synth1"]
-        assert loads == [corpus.path]
+        plan = small_plan(datasets, steps=40)
+        for mk, sc, wh in plan.variants()[:2]:
+            harness._run_variant_worker((plan, path, sc, mk, wh))
+        assert loads == [path]
         harness._load_corpus.cache_clear()

@@ -42,8 +42,8 @@ from tsnorm.models import (
     DivergedError,
     NonPositiveSigmaError,
     TrainTrace,
+    _TOKEN_CHUNK,
     _channel_norms,
-    _token_buffers,
     _token_ce,
     _token_ce_c2,
     _token_logits,
@@ -480,6 +480,36 @@ class TestCheckpoint:
         path.write_text(json.dumps(dict(header, loss_kind="gaussian_nll")))
         with pytest.raises(models.CheckpointError, match="do not fit a gaussian_nll model"):
             models.read_checkpoint(path)
+        token_path = tmp_path / "t.json"
+        save_checkpoint(token_path, LinearForecaster.create(LossKind.TOKEN_CE, 8, 4, seed=1))
+        token = json.loads(token_path.read_text())
+
+        def reshaped(h, name, shape):
+            arrays = [dict(a, shape=shape) if a["name"] == name else a for a in h["arrays"]]
+            return dict(h, arrays=arrays)
+
+        cases = [
+            (header, reshaped(header, "weights", [8, 4]), "array weights has shape"),
+            (header, dict(header, horizon=5), "array weights has shape"),
+            (header, reshaped(header, "bias", [2, 2]), "array bias has shape"),
+            (token, {k: v for k, v in token.items() if k != "tokenizer"},
+             "no 'tokenizer' field"),
+            (token, dict(token, tokenizer=dict(token["tokenizer"], num_bins=64)),
+             "array token_weights has shape"),
+            (token, reshaped(token, "token_bias", [4, 64, 2]), "array token_bias has shape"),
+            (header, {k: v for k, v in header.items() if k != "loss_kind"},
+             "no 'loss_kind' field"),
+            (header, {k: v for k, v in header.items() if k != "data"}, "no 'data' field"),
+            (header, dict(header, loss_kind="point_huber"), "'point_huber' is not a valid"),
+            (header, dict(header, data=dict(header["data"], file="sub/m.f64")),
+             "bad header field: Invalid name 'sub/m.f64'"),
+        ]
+        for base, damaged, named in cases:
+            at = token_path if base is token else path
+            at.write_text(json.dumps(damaged))
+            with pytest.raises(models.CheckpointError, match=named) as info:
+                models.read_checkpoint(at)
+            assert str(info.value).startswith(f"{at}: ")
 
 
 def _csv_writer_bytes(trace) -> bytes:
@@ -1068,11 +1098,12 @@ class TestTokenKernel:
         feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
         logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
         if channels > 1:
-            # the kernel's own output keeps einsum's (H, B, C) memory order
+            # the kernel's (C, H, B) sums hold einsum's bits
             wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-            raw = _token_logits(wt, feats, *_token_buffers(wt, channels))
-            assert raw.strides == logits.strides
-            assert raw.tobytes(order="A") == logits.tobytes(order="A")
+            stack = np.empty((_TOKEN_CHUNK + 1, channels, 24, 128))
+            raw = _token_logits(wt, feats, stack)
+            assert raw.shape == (channels, 24, 128)
+            assert raw.tobytes() == logits.transpose(1, 0, 2).tobytes()
         logits += model.token_bias[:, None, :]
         want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
                         token_spec=model.tokenizer).token_logits
