@@ -43,10 +43,10 @@ without them where that gives the same bits:
 * backward, ``einsum("hcb,lc->hbl", g, x)``: at C = 2 it computes
   ``g0*x0 + g1*x1`` rounded in that order (at C = 3 it sums the lanes as
   ``(p0+p2)+p1``).  Only a training pool whose every sample has exactly two
-  channels runs the array kernel, on an (L, H, B) working copy of the token
-  weights that is written back when training ends; any other pool runs the
-  einsum step and ``_token_ce`` unchanged (a one-channel sum over (h, b) is
-  pairwise, not sequential).
+  channels runs the array kernel, on (L, H, B) weights whose (H, B, L) view
+  is the trained model's ``token_weights``, so ``forecast`` copies none; any
+  other pool runs the einsum step and ``_token_ce`` unchanged, on C-contiguous
+  weights (a one-channel sum over (h, b) is pairwise, not sequential).
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ class LinearForecaster:
 
     ``weights`` is (H, L) and ``bias`` is (H,); the Gaussian head adds a
     second (H, L)/(H,) pair producing log-std, and the token head uses
-    (H, B, L)/(H, B) to emit logits over B bins.
+    (H, B, L)/(H, B) to emit logits over B bins; after two-channel training
+    ``token_weights`` is the (H, B, L) view of an (L, H, B) array.
     """
 
     loss_kind: LossKind
@@ -327,25 +328,27 @@ def read_checkpoint(path) -> LinearForecaster:
     """Load the model of the checkpoint header at ``path`` and its data file.
 
     The arrays are writable and bitwise equal to the ones written.  Raises
-    CheckpointError naming the file when the header's format is missing or
-    unknown, a field is missing or invalid, an array's shape does not fit
-    the header's dimensions (naming the array), or when the data file is
-    missing or its size or sha256 differs from what the header records.
+    CheckpointError naming the file when the header is not a JSON object, a
+    field is missing or invalid (the format must be known, the data file a
+    plain file name), an array's shape does not fit the header's dimensions
+    (naming the array), or the data file is missing or its size or sha256
+    differs from what the header records.
     """
     path = Path(path)
-    with open(path) as fh:
-        header = json.load(fh)
+    try:
+        with open(path) as fh:
+            header = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: header is not JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
     fmt = header.get("format")
     if fmt is None:
-        raise CheckpointError(
-            f"{path}: no checkpoint format field; nested-list JSON checkpoints "
-            "are no longer read, rerun the variant to rewrite it"
-        )
+        raise CheckpointError(f"{path}: no checkpoint format field; nested-list JSON "
+                              "checkpoints are no longer read, rerun the variant to rewrite it")
     if fmt != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path}: unknown checkpoint format {fmt!r} (this version reads "
-            f"{CHECKPOINT_FORMAT})"
-        )
+        raise CheckpointError(f"{path}: unknown checkpoint format {fmt!r} "
+                              f"(this version reads {CHECKPOINT_FORMAT})")
     try:
         kind = LossKind(header["loss_kind"])
         tokenizer = (TokenizerSpec.from_dict(header["tokenizer"])
@@ -359,7 +362,10 @@ def read_checkpoint(path) -> LinearForecaster:
             if a["shape"] != want[a["name"]]:
                 raise CheckpointError(f"{path}: array {a['name']} has shape {a['shape']}, "
                                       f"the header's dimensions give {want[a['name']]}")
-        data_path, data_sha256 = path.with_name(header["data"]["file"]), header["data"]["sha256"]
+        data_file, data_sha256 = header["data"]["file"], header["data"]["sha256"]
+        if data_file in (".", ".."):
+            raise ValueError(f"Invalid name {data_file!r}")
+        data_path = path.with_name(data_file)
     except KeyError as exc:
         raise CheckpointError(f"{path}: no {exc.args[0]!r} field in the header") from None
     except ValueError as exc:
@@ -413,7 +419,7 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
     if feats.shape[1] < 2:
-        logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+        logits = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), feats)
         logits += model.token_bias[:, None, :]
     else:
         wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
@@ -821,9 +827,6 @@ class _LinearKernel:
             p = _channel_norms(g, axis=2) * in_norms[:, None]
             norms[at, :c] = np.sqrt(np.add.reduce(p * p, axis=1))
 
-    def close(self):
-        """Nothing to write back: the model's heads are views of the working arrays."""
-
 
 def _token_step(token_weights, token_bias, lr, losses, norms, slot,
                 ctx, target, scale, shift, in_norms):
@@ -906,31 +909,28 @@ def _token_step_c2(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
 class _TokenKernel:
     """Token SGD.  A step leaves its loss and gradient norms in slot k: a
     (H, C, B) gradient is too large to keep per slot.  A pool of two-channel
-    samples only gets the array kernel, on an (L, H, B) working copy of the
-    weights that ``close`` writes back, with its logits bins-outer."""
+    samples only gets the array kernel, with its logits bins-outer, on (L, H, B)
+    weights whose (H, B, L) view becomes the model's ``token_weights``."""
 
     def __init__(self, model: LinearForecaster, lr: float, channels: set):
-        self.model, self.wt, self.losses = model, None, np.empty(STEP_BLOCK)
-        self.norms = np.zeros((STEP_BLOCK, max(channels)))
+        self.losses, self.norms = np.empty(STEP_BLOCK), np.zeros((STEP_BLOCK, max(channels)))
         if channels != {2}:
+            model.token_weights = np.ascontiguousarray(model.token_weights)
             self.step = partial(_token_step, model.token_weights, model.token_bias, lr,
                                 self.losses, self.norms)
         else:
-            self.wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-            _, horizon, bins = self.wt.shape
+            wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+            model.token_weights = wt.transpose(1, 2, 0)
+            _, horizon, bins = wt.shape
             stack = np.empty((_TOKEN_CHUNK + 1, 2, horizon, bins))
             # the update reuses the forward's product rows, free once it has summed
             products = stack[1:].reshape(2, _TOKEN_CHUNK, horizon, bins)
-            self.step = partial(_token_step_c2, self.wt, model.token_bias, lr, stack,
+            self.step = partial(_token_step_c2, wt, model.token_bias, lr, stack,
                                 np.empty((bins, horizon, 2)), np.empty((2, horizon, bins)),
                                 np.indices((horizon, 2)), *products, self.losses, self.norms)
 
     def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
         losses[:], norms[:] = self.losses[:len(block)], self.norms[:len(block)]
-
-    def close(self):
-        if self.wt is not None:
-            self.model.token_weights[...] = self.wt.transpose(1, 2, 0)
 
 
 def train(
@@ -975,7 +975,6 @@ def train(
             bad = np.flatnonzero(~np.isfinite(losses[lo:hi]))
             if len(bad):
                 raise DivergedError(lo + int(bad[0]), float(losses[lo + bad[0]]))
-    kernel.close()
     trace = TrainTrace(
         losses=losses,
         grad_norms=[g[:len(rows[j][-1])] for g, j in zip(norms, slots.tolist())],

@@ -134,6 +134,20 @@ class TestRun:
         assert main(["run", "--plan", str(path), "--out", str(b), "--jobs", "2"]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
+    def test_parallel_jobs_byte_identical_token_trees(self, tmp_path):
+        # two-channel token models keep (L, H, B) weights behind an (H, B, L) view,
+        # which crosses the process pool under --jobs 2
+        path = write_plan(tmp_path, dict(TINY_PLAN, models=["token_ce"]))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--plan", str(path), "--out", str(a)]) == 0
+        assert main(["run", "--plan", str(path), "--out", str(b), "--jobs", "2"]) == 0
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        assert {f.suffix for f in files} == {".json", ".f64", ".csv"}
+        assert len(list((a / "checkpoints").glob("*.f64"))) == 4
+        for f in files:
+            assert (a / f).read_bytes() == (b / f).read_bytes(), f
+
     def test_checkpoints_read_back_as_trained_and_repeat_byte_for_byte(self, tmp_path,
                                                                        monkeypatch):
         plan = dict(TINY_PLAN, steps=20, schemes=["revin"], withheld=["synth0"],

@@ -503,10 +503,17 @@ class TestCheckpoint:
             (header, dict(header, loss_kind="point_huber"), "'point_huber' is not a valid"),
             (header, dict(header, data=dict(header["data"], file="sub/m.f64")),
              "bad header field: Invalid name 'sub/m.f64'"),
+            (header, dict(header, data=dict(header["data"], file="..")),
+             "bad header field: Invalid name '..'"),
+            (header, dict(header, data=dict(header["data"], file=".")),
+             "bad header field: Invalid name '.'"),
+            (header, [header], "header is a JSON list, not an object"),
+            # a truncated header: damaged as text, not as JSON
+            (header, json.dumps(header)[:40], "header is not JSON"),
         ]
         for base, damaged, named in cases:
             at = token_path if base is token else path
-            at.write_text(json.dumps(damaged))
+            at.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
             with pytest.raises(models.CheckpointError, match=named) as info:
                 models.read_checkpoint(at)
             assert str(info.value).startswith(f"{at}: ")
@@ -1019,9 +1026,55 @@ class TestTokenKernel:
         for got, want in zip(trace.grad_norms, ref_norms, strict=True):
             assert got.tobytes() == want.tobytes()
         assert not np.array_equal(trained.token_weights, model.token_weights)
-        assert trained.token_weights.flags.c_contiguous
+        # the model keeps the (L, H, B) weights the kernel trained
+        assert trained.token_weights.transpose(2, 0, 1).flags.c_contiguous
         assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
         assert trained.token_bias.tobytes() == ref_model.token_bias.tobytes()
+
+    def test_forecast_of_a_trained_model_copies_no_weights(self):
+        instances = self._pool()
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        trained, _ = train(model, instances, Scheme.REVIN, steps=4, lr=6e-4, seed=5)
+        ctx = instances[0].context
+        forecast(trained, ctx)  # warm-up: first-call allocations are not counted
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            forecast(trained, ctx)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the summation stack and the logits, not a 2.36 MB copy of the weights
+        assert peak < trained.token_weights.nbytes / 2
+
+    def test_einsum_paths_read_contiguous_weights(self):
+        instances = self._pool()
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        trained, _ = train(model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
+        assert not trained.token_weights.flags.c_contiguous
+        contiguous = copy.deepcopy(trained)
+        contiguous.token_weights = np.ascontiguousarray(trained.token_weights)
+        # a one-channel forecast: einsum on C-contiguous (H, B, L) weights
+        ctx = instances[1].context[:, :1]
+        feats = detokenize(tokenize(ctx, trained.tokenizer), trained.tokenizer)
+        logits = np.einsum("hbl,lc->hcb", contiguous.token_weights, feats)
+        logits += trained.token_bias[:, None, :]
+        want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
+                        token_spec=trained.tokenizer).token_logits
+        assert forecast(trained, ctx).token_logits.tobytes() == want.tobytes()
+        # training again on a pool of one- and two-channel samples: the einsum step
+        rng = np.random.default_rng(73)
+        mixed = instances[:4] + [make_instance(rng, length=96, horizon=24, channels=1)
+                                 for _ in range(4)]
+        again, trace = train(trained, mixed, Scheme.REVIN, steps=20, lr=6e-4, seed=6)
+        want_model, want_trace = train(contiguous, mixed, Scheme.REVIN, steps=20, lr=6e-4,
+                                       seed=6)
+        assert np.isfinite(trace.losses).all()
+        assert trace.losses.tobytes() == want_trace.losses.tobytes()
+        for got, want in zip(trace.grad_norms, want_trace.grad_norms, strict=True):
+            assert got.tobytes() == want.tobytes()
+        for name in ("token_weights", "token_bias"):
+            assert getattr(again, name).tobytes() == getattr(want_model, name).tobytes()
 
     def test_context_not_a_multiple_of_the_chunk(self):
         instances = self._pool(length=37)
