@@ -27,6 +27,11 @@ import numpy as np
 from .core import Dataset, Instance, NormStats, ShapeMismatchError, TsnormError, atomic_open
 
 
+# Largest synthetic corpus, in float64 values (400 MB): a spec beyond it is
+# refused before anything is allocated.
+MAX_SYNTHETIC_VALUES = 50_000_000
+
+
 class ParseError(TsnormError):
     """A CSV cell failed to parse; carries 1-based (row, col)."""
 
@@ -127,7 +132,9 @@ class SyntheticSpec:
     ``scale_exponents`` supplies one decimal exponent per dataset (cycled if
     shorter than ``n_datasets``); every channel of dataset i has amplitude
     ~10^e_i, so the corpus spans the full exponent range.  ``level_shifts``
-    is the number of piecewise level changes injected per channel.
+    is the number of piecewise level changes injected per channel.  The
+    corpus holds n_datasets x channels x length float64 values, at most
+    ``MAX_SYNTHETIC_VALUES``.
     """
 
     n_datasets: int = 4
@@ -156,6 +163,12 @@ class SyntheticSpec:
             raise BadSpecError("frequency and name_prefix must be strings")
         if self.n_datasets < 1 or self.channels < 1:
             raise BadSpecError("n_datasets and channels must be positive")
+        cells = self.n_datasets * self.channels * self.length
+        if cells > MAX_SYNTHETIC_VALUES:
+            raise BadSpecError(
+                f"n_datasets x channels x length = {cells} float64 values exceeds "
+                f"the bound of {MAX_SYNTHETIC_VALUES}"
+            )
         if self.length < 4 * self.seasonal_period:
             raise BadSpecError("length must cover at least four seasonal periods")
         if not self.scale_exponents:

@@ -33,6 +33,7 @@ from .core import (
     EvalEntry,
     EvalReport,
     ForecastKind,
+    NonFiniteError,
     Setting,
     ShapeMismatchError,
     TsnormError,
@@ -48,7 +49,8 @@ from .models import (
     token_point_forecast,
     train,
 )
-from .norm import WINDOW_BLOCK, denormalize, fit_dataset_stats, fit_inference_stats, normalize
+from .norm import (WINDOW_BLOCK, StatsOverflowError, denormalize, fit_dataset_stats,
+                   fit_inference_stats, normalize)
 
 AVERAGE_ID = "average"
 
@@ -314,6 +316,18 @@ def variant_seed(plan_seed: int, model_kind: LossKind, scheme: Scheme, withheld:
     return int.from_bytes(digest[:8], "big")
 
 
+def _memoized(memo: dict | None, dataset: Dataset, key: tuple, fit):
+    """``fit()``, kept in ``memo`` (if any) per (``dataset`` object, ``key``), never
+    per name, which two corpora may share; an entry holds its dataset, so its id
+    is not reused while the memo lives.  A fit that raises stores nothing."""
+    if memo is None:
+        return fit()
+    key = (id(dataset), *key)
+    if key not in memo:
+        memo[key] = (dataset, fit())
+    return memo[key][1]
+
+
 def evaluate(
     model: LinearForecaster,
     scheme: Scheme,
@@ -323,6 +337,7 @@ def evaluate(
     naive_lag: int | None = None,
     audit: AccessLog | None = None,
     variant: str = "",
+    memo: dict | None = None,
 ) -> list:
     """Score non-overlapping windows over a dataset's test rows.
 
@@ -332,7 +347,9 @@ def evaluate(
     and MASE is computed in raw scale against the context's naive MAE.
     Statistics, (de-)normalization and naive MAE run block-wise, on a strided
     view of up to ``WINDOW_BLOCK`` windows at a time, with the same bits as
-    window by window; ``forecast`` and ``mase`` run once per window.
+    window by window; ``forecast`` and ``mase`` run once per window.  The
+    statistics and naive MAE depend on no model: a run's ``memo`` keeps them
+    (see ``run_plan``).  Statistics that overflow raise StatsOverflowError.
     Returns [(offset, mase), ...].
     """
     if horizon > model.horizon:
@@ -348,19 +365,24 @@ def evaluate(
     lag = naive_lag or dataset.seasonal_period
     # windows[i] is test rows [i*H, i*H + window), a (window, C) view
     windows = sliding_window_view(test, window, axis=0)[::horizon].transpose(0, 2, 1)
+    method, starts = scheme.inference_method, range(0, len(windows), WINDOW_BLOCK)
+    try:
+        fits = _memoized(memo, dataset, (method, context_len, horizon, lag), lambda: [
+            (fit_inference_stats(windows[lo : lo + WINDOW_BLOCK, :context_len], method),
+             naive_mae(windows[lo : lo + WINDOW_BLOCK, :context_len], lag)) for lo in starts])
+    except NonFiniteError:  # the contexts are finite, so a statistic overflowed
+        raise StatsOverflowError(dataset.name, method, "test-row contexts") from None
     scores = []
     if audit is not None:
         # one event from the first window's first row to the last window's end
         start = dataset.split_index
         audit.record(variant, "evaluate", dataset.name,
                      start, start + (len(windows) - 1) * horizon + window)
-    for lo in range(0, len(windows), WINDOW_BLOCK):
+    for lo, (stats, naive) in zip(starts, fits):
         block = windows[lo : lo + WINDOW_BLOCK]
         offsets = range(lo * horizon, (lo + len(block)) * horizon, horizon)
-        contexts = block[:, :context_len]
-        stats = fit_inference_stats(contexts, scheme.inference_method)
         preds = []
-        for ctx in normalize(contexts, stats):
+        for ctx in normalize(block[:, :context_len], stats):
             f = forecast(model, ctx)
             if f.kind is ForecastKind.POINT:
                 pred = f.point
@@ -370,7 +392,6 @@ def evaluate(
                 pred = token_point_forecast(f)
             preds.append(pred[:horizon])
         preds = denormalize(np.stack(preds), stats)
-        naive = naive_mae(contexts, lag)
         for i, offset in enumerate(offsets):
             scores.append((offset, mase(preds[i], block[i, context_len:], naive[i])))
     return scores
@@ -383,8 +404,10 @@ def run_variant(
     model_kind: LossKind,
     withheld: str,
     audit: AccessLog | None = None,
+    memo: dict | None = None,
 ) -> tuple[LinearForecaster, TrainTrace, list]:
-    """Train one variant and produce its ZS and ID report entries."""
+    """Train one variant and produce its ZS and ID report entries; a run's
+    ``memo`` keeps the statistics that do not depend on the model."""
     if withheld not in plan.corpus:
         raise MissingDatasetError(f"withheld {withheld!r} not in plan corpus")
     for name in plan.corpus:
@@ -401,7 +424,7 @@ def run_variant(
         stats = None
         if ds_method is not None:
             # fitted on the train rows; the pool normalizes only the rows it builds
-            stats = fit_dataset_stats(d, ds_method)
+            stats = _memoized(memo, d, (ds_method,), lambda: fit_dataset_stats(d, ds_method))
             if audit is not None:
                 audit.record(variant, "fit_stats", name, 0, d.split_index)
         drawn = sample_instances(
@@ -426,7 +449,7 @@ def run_variant(
     for name, setting in [(withheld, Setting.ZS)] + [(n, Setting.ID) for n in train_names]:
         scores = evaluate(
             trained, scheme, datasets[name], plan.context_len,
-            plan.horizons[name], plan.naive_lag, audit, variant,
+            plan.horizons[name], plan.naive_lag, audit, variant, memo,
         )
         rows.append(
             EvalEntry(
@@ -483,19 +506,25 @@ def assemble_report(rows) -> EvalReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _load_corpus(path: str) -> dict:
-    """A corpus file's datasets, kept until another corpus file is read: a pool
-    worker loads the corpus once, whatever number of variants it runs."""
+def _load_corpus(path: str) -> tuple:
+    """A corpus file's datasets and statistics memo, kept until another corpus
+    file is read: a pool worker loads and fits a corpus once, whatever number
+    of variants it runs."""
     with open(path, "rb") as fh:
-        return pickle.load(fh)
+        return pickle.load(fh), {}
+
+
+# The statistics memos of the serial ``run_plan`` calls in progress, innermost last
+_serial_memos: list = []
 
 
 def _run_variant_worker(args):
     plan, datasets, scheme, model_kind, withheld = args
+    memo = _serial_memos[-1] if _serial_memos else None
     if isinstance(datasets, str):
-        datasets = _load_corpus(datasets)
+        datasets, memo = _load_corpus(datasets)
     audit = AccessLog()
-    trained, trace, rows = run_variant(plan, datasets, scheme, model_kind, withheld, audit)
+    trained, trace, rows = run_variant(plan, datasets, scheme, model_kind, withheld, audit, memo)
     return variant_key(model_kind, scheme, withheld), trained, trace, rows, audit
 
 
@@ -528,7 +557,8 @@ def run_plan(
     order as each variant's result arrives, so variants that finished before
     a failure have already been handed on.
     It is the only place a trained model and its trace come out: the result
-    keeps neither, so a caller that wants them collects them there.
+    keeps neither, so a caller that wants them collects them there.  A serial
+    run's statistics memo (see ``evaluate``) is dropped when the run ends.
     """
     problems = plan.validate_against(datasets)
     if problems:
@@ -552,6 +582,9 @@ def run_plan(
             with open(corpus, "wb") as fh:
                 pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
             run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        else:
+            _serial_memos.append({})
+            stack.callback(_serial_memos.pop)
         results = run_all(_run_variant_worker,
                           [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])
         # each variant is handed on as it finishes, so a later failure keeps it

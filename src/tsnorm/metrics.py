@@ -66,8 +66,9 @@ def mase(forecast: np.ndarray, actual: np.ndarray, naive: np.ndarray) -> float:
         )
     if (naive <= 0).any():
         raise ZeroReferenceError("naive MAE must be positive (apply the eps floor)")
-    per_channel = np.abs(forecast - actual).mean(axis=0) / naive
-    return float(per_channel.mean())
+    # np.add.reduce over the count: np.mean's float64 bits, without its dispatch
+    per_channel = np.add.reduce(np.abs(forecast - actual), axis=0) / forecast.shape[0] / naive
+    return float(np.add.reduce(per_channel) / per_channel.shape[0])
 
 
 def improvement(mase_r: float, mase_m: float) -> float:

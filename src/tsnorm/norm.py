@@ -27,6 +27,7 @@ from .core import (
     SCALE_EPS,
     Dataset,
     Method,
+    NonFiniteError,
     NormStats,
     Scope,
     ShapeMismatchError,
@@ -49,6 +50,17 @@ class WrongMethodError(TsnormError):
     """A statistic family was used at a scope it does not support."""
 
 
+class StatsOverflowError(NonFiniteError):
+    """A statistic of a dataset's rows overflows float64; names the dataset
+    and the statistic family."""
+
+    def __init__(self, name: str, method: Method, rows: str):
+        TsnormError.__init__(
+            self, f"dataset {name!r}: {method.value} statistics of its {rows} overflow float64"
+        )
+        self.row = self.col = -1
+
+
 class DegenerateChannelWarning(UserWarning):
     """A channel's pre-guard scale was zero and was replaced by epsilon."""
 
@@ -64,11 +76,13 @@ def _guard_scale(scale: np.ndarray, where: str) -> np.ndarray:
     return np.maximum(scale, SCALE_EPS)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _channel_stats(x: np.ndarray, method: Method) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel (shift, scale) of one statistic family over the rows of ``x``.
 
     Rows are axis -2: a (T, C) matrix gives (C,) vectors, an (N, L, C) block
-    of windows gives (N, C) matrices.
+    of windows gives (N, C) matrices.  A statistic that overflows comes back
+    non-finite, without a warning; its caller refuses it.
     """
     if method is Method.STANDARDIZATION or method is Method.REVIN:
         return x.mean(axis=-2), x.std(axis=-2)  # population std
@@ -91,13 +105,16 @@ def fit_dataset_stats(d: Dataset, method: Method) -> NormStats:
     Standardization: shift=mean, scale=population std per channel.
     MinMax: shift=min, scale=max-min.  MaxAbs: shift=0, scale=max|.|.
     Test rows never contribute.  Statistics that overflow raise
-    NonFiniteError.  Finite ones keep every normalized train value finite:
-    at most 1 in magnitude, or about the square root of the train row count
-    for standardization, so no train row can overflow once the fit succeeds.
+    StatsOverflowError naming the dataset and method.  Finite ones keep
+    every normalized train value finite: at most 1 in magnitude, or about
+    the square root of the train row count for standardization, so no train
+    row can overflow once the fit succeeds.
     """
     if method not in DATASET_METHODS:
         raise WrongMethodError(f"{method} is not a dataset-level method")
     shift, scale = _channel_stats(d.train_values, method)
+    if not (np.isfinite(shift).all() and np.isfinite(scale).all()):
+        raise StatsOverflowError(d.name, method, "train rows")
     scale = _guard_scale(scale, f"fit_dataset_stats({d.name}, {method.value})")
     return NormStats(shift=shift, scale=scale, scope=Scope.DATASET, method=method)
 

@@ -8,6 +8,9 @@ two reports must match byte for byte.  That report and the ``token`` and
 ``wide`` benchmark workloads' must also hash to the sha256s the benchmark
 records in ``perfbench/reference.json``, and each of the three ``--out``
 trees, checkpoints, traces and variant files included, to a pinned digest.
+Criterion 10 holds the whole plan-to-report path to the paper's claim: a
+power-of-two rescale of one dataset leaves every normalizing scheme's report
+rows and checkpoints bitwise equal, and raw, the negative control, moves.
 """
 
 import hashlib
@@ -18,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tsnorm import (
     Dataset,
@@ -41,6 +46,7 @@ from tsnorm import (
     naive_mae,
     normalize,
     denormalize,
+    export_csv,
     raw_stats,
     sample_instances,
     train,
@@ -420,3 +426,131 @@ def test_token_report_matches_the_benchmark_reference(tmp_path):
     assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert _sha256(out / "report.json") == REFERENCE["report_sha256"]["token"]
     assert _tree_digest(out) == TREE_DIGESTS["token"]
+
+
+# Criterion 10: the paper's claim as an exact end-to-end property.  Every
+# normalizing scheme divides by a statistic that scales with the data, so a
+# power-of-two rescale of one dataset, which is exact in float64 (each sum,
+# extremum and correctly rounded sqrt scales by exactly 2^k), leaves every
+# normalized value, hence every trained weight and every MASE, bitwise equal.
+# Exactness ends where an epsilon floor (SCALE_EPS, NAIVE_EPS = 1e-8) takes
+# over a statistic: this corpus's smallest context naive MAE is 3.3e-3, so
+# |k| <= 16 keeps every statistic at least 5x above the floors.
+INVARIANCE_SYNTH = SyntheticSpec(n_datasets=3, channels=2, length=800,
+                                 scale_exponents=(0.0, 0.5, -1.0), seed=11)
+INVARIANCE_PLAN = {
+    "seed": 7,
+    "context_len": 48,
+    "steps": 200,
+    "lr": 1e-4,
+    "instances_per_dataset": 32,
+    "models": ["point_mse", "point_mae", "gaussian_nll", "token_ce"],
+    "withheld": ["synth0"],
+}
+NORMALIZING = ["revin", "meanabs", "hybrid", "standardization", "minmax", "maxabs"]
+
+
+def _run_corpus(root: Path, datasets, schemes) -> tuple[int, Path]:
+    """Export ``datasets`` as CSV under ``root`` and run ``INVARIANCE_PLAN``
+    over them with ``schemes`` through the CLI, in this process."""
+    root.mkdir(parents=True)
+    entries = []
+    for d in datasets:
+        export_csv(d, root / f"{d.name}.csv")
+        entries.append({"name": d.name, "path": str(root / f"{d.name}.csv"),
+                        "frequency": d.frequency, "seasonal_period": d.seasonal_period,
+                        "split_index": d.split_index})
+    plan = root / "plan.json"
+    plan.write_text(json.dumps(dict(INVARIANCE_PLAN, schemes=schemes, datasets=entries)))
+    return main(["run", "--plan", str(plan), "--out", str(root / "out")]), root / "out"
+
+
+def _transformed(name: str, fn) -> list:
+    """The invariance corpus with dataset ``name``'s values replaced by ``fn(values)``;
+    the other datasets are the same objects."""
+    return [Dataset(d.name, fn(d.values), d.frequency, d.seasonal_period, d.split_index)
+            if d.name == name else d for d in _INVARIANCE_CORPUS]
+
+
+def _scheme_rows(out: Path, scheme: str) -> list:
+    return [r for r in json.loads((out / "report.json").read_text())["rows"]
+            if r["method"] == scheme]
+
+
+def _scheme_files(out: Path, scheme: str) -> dict:
+    """Every checkpoint header, checkpoint data file and variant file of ``scheme``."""
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for sub in ("checkpoints", "variants")
+            for p in sorted((out / sub).glob(f"*__{scheme}__*"))}
+
+
+_INVARIANCE_CORPUS = generate_synthetic(INVARIANCE_SYNTH)
+
+
+@pytest.fixture(scope="module")
+def invariance_base(tmp_path_factory):
+    """The untransformed corpus run under every normalizing scheme, and under raw."""
+    root = tmp_path_factory.mktemp("invariance")
+    code, normalizing = _run_corpus(root / "normalizing", _INVARIANCE_CORPUS, NORMALIZING)
+    assert code == 0
+    code, raw = _run_corpus(root / "raw", _INVARIANCE_CORPUS, ["raw"])
+    assert code == 0
+    return root, normalizing, raw
+
+
+@settings(derandomize=True, max_examples=6, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(k=st.integers(-16, 16).filter(bool),
+       name=st.sampled_from([d.name for d in _INVARIANCE_CORPUS]),
+       scheme=st.sampled_from(NORMALIZING))
+# every scheme at least once, a training dataset and the withheld one among them
+@example(k=10, name="synth1", scheme="revin")
+@example(k=-16, name="synth2", scheme="meanabs")
+@example(k=10, name="synth0", scheme="hybrid")
+@example(k=-7, name="synth1", scheme="standardization")
+@example(k=16, name="synth2", scheme="minmax")
+@example(k=-16, name="synth0", scheme="maxabs")
+def test_criterion_10_power_of_two_rescale_is_bitwise_invisible(invariance_base, k, name,
+                                                                scheme):
+    root, base, _ = invariance_base
+    # the rescaled corpus runs in the same process as the original, with the
+    # same dataset names and other values
+    code, out = _run_corpus(root / f"x2^{k}-{name}-{scheme}",
+                            _transformed(name, lambda v: v * 2.0**k), [scheme])
+    assert code == 0
+    rows = _scheme_rows(out, scheme)
+    assert len(rows) == 4 * 3
+    assert rows == _scheme_rows(base, scheme)
+    files = _scheme_files(out, scheme)
+    assert len(files) == 4 * 3  # header, data file and variant file per model kind
+    assert files == _scheme_files(base, scheme)
+
+
+def test_criterion_10_level_shift_moves_mean_removing_schemes_by_rounding_only(
+        invariance_base):
+    root, base, _ = invariance_base
+    schemes = ["revin", "hybrid", "standardization", "minmax"]
+    shifted = [Dataset(d.name, d.values + 1000.0, d.frequency, d.seasonal_period,
+                       d.split_index) if d.name != "synth0" else d
+               for d in _INVARIANCE_CORPUS]
+    code, out = _run_corpus(root / "shift+1000", shifted, schemes)
+    assert code == 0
+    worst = 0.0
+    for scheme in schemes:
+        got, want = _scheme_rows(out, scheme), _scheme_rows(base, scheme)
+        assert [r["dataset"] for r in got] == [r["dataset"] for r in want]
+        got = np.array([r["mase"] for r in got])
+        want = np.array([r["mase"] for r in want])
+        worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= 1e-12
+    ok(f"criterion 10: +1000 on both training datasets moves revin, hybrid, "
+       f"standardization and minmax MASE by at most {worst:.1e} relative")
+
+
+@pytest.mark.parametrize("k", [10, -16])
+def test_criterion_10_raw_changes_or_diverges_under_a_rescale(invariance_base, k):
+    # the negative control: without normalization the same rescale shows
+    root, _, base = invariance_base
+    code, out = _run_corpus(root / f"raw-x2^{k}", _transformed("synth1", lambda v: v * 2.0**k),
+                            ["raw"])
+    assert code == 3 or (code == 0 and _scheme_rows(out, "raw") != _scheme_rows(base, "raw"))

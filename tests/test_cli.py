@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,33 @@ class TestRun:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert f"{data}: row 6 has" in err
+        assert "Traceback" not in err
+
+    def test_oversized_synthetic_corpus_exits_2_naming_the_fields(self, tmp_path, capsys):
+        plan = copy.deepcopy(TINY_PLAN)
+        plan["synthetic"]["channels"] = 10**20
+        path = write_plan(tmp_path, plan)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_datasets x channels x length" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_overflowing_dataset_statistics_exit_2_naming_dataset_and_method(
+            self, tmp_path, capsys):
+        plan = csv_plan(tmp_path)
+        plan["schemes"] = ["standardization"]
+        data = Path(plan["datasets"][1]["path"])
+        lines = data.read_text().splitlines()
+        scaled = [",".join(repr(float(v) * 1e200) for v in line.split(",")) for line in lines[1:]]
+        data.write_text("\n".join([lines[0], *scaled]) + "\n")
+        path = write_plan(tmp_path, plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "dataset 'synth1': standardization statistics of its train rows overflow" in err
         assert "Traceback" not in err
 
     def test_non_integer_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys,

@@ -20,6 +20,7 @@ from tsnorm import (
 from tsnorm.core import BadPeriodError, BadSplitError, KindMismatchError, NonFiniteError
 from tsnorm.data import ParseError, RaggedRowError
 from tsnorm.models import DivergedError
+from tsnorm.norm import StatsOverflowError
 
 from conftest import col
 
@@ -78,6 +79,7 @@ class TestErrorPickling:
         BadPeriodError("a", 5, 3),
         ParseError("a.csv", 4, 2, "x"),
         RaggedRowError("a.csv", 4, 1, 2),
+        StatsOverflowError("a", Method.REVIN, "test-row contexts"),
     ], ids=lambda exc: type(exc).__name__)
     def test_round_trip_keeps_message_and_attributes(self, exc):
         again = pickle.loads(pickle.dumps(exc))

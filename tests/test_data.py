@@ -17,6 +17,7 @@ from tsnorm import (
 )
 from tsnorm.core import ShapeMismatchError, TsnormError
 from tsnorm.data import (
+    MAX_SYNTHETIC_VALUES,
     BadSpecError,
     InstanceBatch,
     ParseError,
@@ -140,6 +141,20 @@ class TestGenerateSynthetic:
             SyntheticSpec(length=10, seasonal_period=24)
         with pytest.raises(BadSpecError):
             SyntheticSpec.from_dict({"bogus_field": 1})
+
+    @pytest.mark.parametrize("size", [
+        dict(channels=10**20),
+        dict(n_datasets=1, channels=1, length=MAX_SYNTHETIC_VALUES + 1),
+        dict(n_datasets=1000, channels=1000, length=1000),
+    ], ids=["channels-1e20", "one-past-the-bound", "1e9-values"])
+    def test_corpus_size_is_bounded_before_anything_is_allocated(self, size):
+        with pytest.raises(BadSpecError, match=r"n_datasets x channels x length = \d+ float64"):
+            SyntheticSpec(**size)
+
+    def test_a_corpus_at_the_bound_is_accepted(self):
+        # the bound is checked on the spec: nothing is generated here
+        spec = SyntheticSpec(n_datasets=1, channels=1, length=MAX_SYNTHETIC_VALUES)
+        assert spec.n_datasets * spec.channels * spec.length == MAX_SYNTHETIC_VALUES
 
 
 class TestSampleInstances:

@@ -2,11 +2,16 @@ import dataclasses
 import gc
 import itertools
 import os
+import json
 import pickle
+import subprocess
+import sys
 import tempfile
+import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,7 @@ from tsnorm import (
     assemble_report,
     denormalize,
     evaluate,
+    export_csv,
     fit_inference_stats,
     forecast,
     generate_synthetic,
@@ -35,6 +41,7 @@ from tsnorm import (
     run_plan,
     run_variant,
 )
+from tsnorm.cli import main
 from tsnorm.core import EvalReport, NonFiniteError, TsnormError
 from tsnorm.data import InstanceBatch
 from tsnorm.harness import (
@@ -48,6 +55,7 @@ from tsnorm.harness import (
 )
 from tsnorm.metrics import improvement
 from tsnorm.models import DivergedError, token_point_forecast
+from tsnorm.norm import StatsOverflowError
 
 
 def small_corpus(seed=13):
@@ -762,3 +770,145 @@ class TestCorpusByReference:
             harness._run_variant_worker((plan, path, sc, mk, wh))
         assert loads == [path]
         harness._load_corpus.cache_clear()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rescaled(datasets: dict, name: str, factor: float) -> dict:
+    """``datasets`` with ``name``'s values times ``factor``, under the same name."""
+    d = datasets[name]
+    return dict(datasets, **{name: Dataset(name, d.values * factor, d.frequency,
+                                           d.seasonal_period, d.split_index)})
+
+
+def _csv_plan_file(root: Path, datasets: dict) -> Path:
+    """A plan file over ``datasets`` exported as CSV under ``root``."""
+    root.mkdir()
+    entries = []
+    for d in datasets.values():
+        export_csv(d, root / f"{d.name}.csv")
+        entries.append({"name": d.name, "path": str(root / f"{d.name}.csv"),
+                        "frequency": d.frequency, "seasonal_period": d.seasonal_period,
+                        "split_index": d.split_index})
+    plan = {"seed": 3, "context_len": 48, "steps": 40, "lr": 1e-4, "instances_per_dataset": 16,
+            "schemes": ["revin", "standardization"], "models": ["point_mse"],
+            "withheld": ["synth0", "synth2"], "datasets": entries}
+    path = root / "plan.json"
+    path.write_text(json.dumps(plan))
+    return path
+
+
+class TestStatisticsMemo:
+    """Dataset and window statistics are fitted once per process and corpus,
+    keyed by the Dataset object, and live no longer than the run."""
+
+    def test_fits_each_dataset_and_method_once_per_run(self, monkeypatch):
+        datasets = small_corpus()
+        schemes = (Scheme.HYBRID, Scheme.STANDARDIZATION, Scheme.MINMAX, Scheme.REVIN)
+        plan = small_plan(datasets, schemes=schemes, withheld=tuple(datasets), steps=5)
+        fits = {"dataset": [], "window": []}
+        fit_dataset_stats, fit_windows = harness.fit_dataset_stats, harness.fit_inference_stats
+        monkeypatch.setattr(harness, "fit_dataset_stats", lambda d, m: (
+            fits["dataset"].append((d.name, m.value)) or fit_dataset_stats(d, m)))
+        monkeypatch.setattr(harness, "fit_inference_stats", lambda c, m: (
+            fits["window"].append(m.value) or fit_windows(c, m)))
+        result = run_plan(plan, datasets)
+        # hybrid and standardization share the standardization dataset step
+        assert sorted(fits["dataset"]) == sorted(
+            (n, m) for n in datasets for m in ("standardization", "minmax"))
+        # one block of windows per dataset and inference method: revin (hybrid
+        # and revin), standardization and minmax
+        assert sorted(fits["window"]) == sorted(3 * ["revin", "standardization", "minmax"])
+        events = [e for e in result.audit.events if e[1] in ("fit_stats", "evaluate")]
+        assert len(events) == 12 * 3 + 9 * 2  # every variant still records its accesses
+
+    def test_two_corpora_with_the_same_names_match_fresh_processes(self, tmp_path):
+        datasets = small_corpus()
+        plans = [_csv_plan_file(tmp_path / "original", datasets),
+                 _csv_plan_file(tmp_path / "rescaled", _rescaled(datasets, "synth1", 3.0))]
+        # back to back in this process, serially
+        for plan in plans:
+            assert main(["run", "--plan", str(plan), "--out", str(plan.parent / "out")]) == 0
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        reports = []
+        for plan in plans:
+            fresh = plan.parent / "fresh"
+            subprocess.run([sys.executable, "-m", "tsnorm", "run", "--plan", str(plan),
+                            "--out", str(fresh)], cwd=ROOT, env=env, check=True,
+                           capture_output=True, timeout=300)
+            report = (plan.parent / "out" / "report.json").read_bytes()
+            assert report == (fresh / "report.json").read_bytes()
+            reports.append(report)
+        assert reports[0] != reports[1]
+
+    def test_a_run_keeps_no_dataset_once_it_returns(self):
+        datasets = small_corpus()
+        refs = [weakref.ref(d) for d in datasets.values()]
+        result = run_plan(small_plan(datasets, schemes=(Scheme.HYBRID,), steps=5), datasets)
+        assert harness._serial_memos == []
+        del datasets
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
+        assert result.report.entries
+
+    def test_direct_evaluate_gives_the_reference_bits(self):
+        datasets = small_corpus()
+        model = LinearForecaster.create(LossKind.MSE, 48, 24, seed=6, init_scale=0.05)
+        for corpus in (datasets, _rescaled(datasets, "synth1", 3.0), datasets):
+            for scheme in (Scheme.REVIN, Scheme.MINMAX):
+                got = evaluate(model, scheme, corpus["synth1"], 48, 24)
+                want = _reference_evaluate(model, scheme, corpus["synth1"], 48, 24)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert harness._serial_memos == []
+
+    def test_a_worker_fits_once_per_loaded_corpus(self, tmp_path, monkeypatch):
+        harness._load_corpus.cache_clear()
+        datasets = small_corpus()
+        path = str(tmp_path / "corpus.pickle")
+        with open(path, "wb") as fh:
+            pickle.dump(datasets, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        plan = small_plan(datasets, schemes=(Scheme.STANDARDIZATION,), steps=5)
+        fits = []
+        fit_dataset_stats = harness.fit_dataset_stats
+        monkeypatch.setattr(harness, "fit_dataset_stats",
+                            lambda d, m: fits.append(d.name) or fit_dataset_stats(d, m))
+        for mk, sc, wh in plan.variants():  # withheld synth0, then synth2
+            harness._run_variant_worker((plan, path, sc, mk, wh))
+        assert sorted(fits) == ["synth0", "synth1", "synth2"]
+        loaded, memo = harness._load_corpus(path)
+        held = {id(entry[0]) for entry in memo.values()}
+        assert held == {id(d) for d in loaded.values()}
+        harness._load_corpus.cache_clear()
+
+
+class TestStatisticsOverflow:
+    @staticmethod
+    def _huge(d: Dataset) -> Dataset:
+        return Dataset(d.name, d.values * 1e200, d.frequency, d.seasonal_period, d.split_index)
+
+    def test_window_fit_names_the_dataset_and_method_and_stores_nothing(self):
+        d = self._huge(small_corpus()["synth2"])
+        model = LinearForecaster.create(LossKind.MSE, 48, 24, seed=6)
+        memo = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StatsOverflowError, match=(
+                    "dataset 'synth2': revin statistics of its test-row contexts overflow")):
+                evaluate(model, Scheme.REVIN, d, 48, 24, memo=memo)
+        assert memo == {}
+
+    def test_dataset_fit_names_the_dataset_and_method_and_stores_nothing(self):
+        datasets = small_corpus()
+        datasets["synth1"] = self._huge(datasets["synth1"])
+        plan = small_plan(datasets, schemes=(Scheme.STANDARDIZATION,), steps=5)
+        memo = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StatsOverflowError, match=(
+                    "dataset 'synth1': standardization statistics of its train rows")):
+                run_variant(plan, datasets, Scheme.STANDARDIZATION, LossKind.MSE, "synth2",
+                            memo=memo)
+        # synth0 was fitted before synth1 failed; nothing of synth1 is kept
+        assert [entry[0].name for entry in memo.values()] == ["synth0"]

@@ -90,6 +90,32 @@ class TestMase:
             mase(col(1, 2), col(1, 2), np.array([1.0, 2.0]))
 
 
+def mean_form_mase(forecast, actual, naive) -> float:
+    """``metrics.mase``'s arithmetic in its ``np.mean`` form: the bitwise
+    reference for its ``np.add.reduce`` form."""
+    per_channel = np.abs(forecast - actual).mean(axis=0) / naive
+    return float(per_channel.mean())
+
+
+class TestMaseMatchesTheMeanForm:
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    @pytest.mark.parametrize("horizon", [1, 24, 96])
+    def test_bitwise_equal_over_every_magnitude(self, horizon, channels):
+        rng = np.random.default_rng(1000 * horizon + channels)
+        with np.errstate(over="ignore"):  # 1e300 / 1e-8 is inf in both forms
+            for _ in range(60):
+                magnitude = 10.0 ** rng.uniform(-300, 300)
+                actual = rng.normal(0.0, 1.0, (horizon, channels)) * magnitude
+                forecast = actual + rng.normal(0.0, 1.0, (horizon, channels)) * magnitude
+                naive = np.abs(rng.normal(0.0, 1.0, channels)) * 10.0 ** rng.uniform(
+                    -300, 300, channels)
+                floored = rng.random(channels) < 0.3
+                naive = np.where(floored, NAIVE_EPS, np.maximum(naive, NAIVE_EPS))
+                got = mase(forecast, actual, naive)
+                want = mean_form_mase(forecast, actual, naive)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestImprovement:
     def test_halving(self):
         assert improvement(2.0, 1.0) == 50.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -28,7 +30,7 @@ from tsnorm.core import (
 )
 from tsnorm.metrics import naive_mae
 from tsnorm.models import prepare_training_pool
-from tsnorm.norm import DegenerateChannelWarning, WrongMethodError
+from tsnorm.norm import DegenerateChannelWarning, StatsOverflowError, WrongMethodError
 
 from conftest import col
 
@@ -78,6 +80,22 @@ class TestFitDatasetStats:
     def test_instance_method_rejected(self):
         with pytest.raises(WrongMethodError):
             fit_dataset_stats(dataset_from(col(1, 2)), Method.REVIN)
+
+    @pytest.mark.parametrize("method, magnitude", [
+        (Method.STANDARDIZATION, 1e200),  # the variance overflows at |x| ~ 1e154
+        (Method.MINMAX, 1.5e308),  # max - min overflows
+    ])
+    def test_overflowing_statistics_name_the_dataset_and_method(self, method, magnitude):
+        noise = np.random.default_rng(0).normal(0.0, 1.0, (500, 2))
+        values = (500.0 + 2.0 * noise) * magnitude if magnitude < 1e300 else np.sign(noise) * magnitude
+        big = Dataset("big", values, "1h", 24, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning leaks
+            with pytest.raises(StatsOverflowError) as raised:
+                fit_dataset_stats(big, method)
+        assert str(raised.value) == (
+            f"dataset 'big': {method.value} statistics of its train rows overflow float64")
+        assert isinstance(raised.value, NonFiniteError)
 
 
 class TestFitInstanceStats:
