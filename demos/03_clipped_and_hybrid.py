@@ -14,7 +14,7 @@ import numpy as np
 
 from tsnorm import (
     Dataset,
-    Instance,
+    InstanceBatch,
     LinearForecaster,
     LossKind,
     Scheme,
@@ -34,18 +34,17 @@ levels = np.repeat([5.0, 50.0, 5.0, 50.0], 300)
 plateau = Dataset("plateau", (levels + rng.normal(0, 1e-3, levels.size))[:, None],
                   frequency="1h", seasonal_period=24, split_index=960)
 
-inside = Instance(context=plateau.values[100:196], horizon=plateau.values[196:220],
-                  origin=("plateau", 100))
-straddle = Instance(context=plateau.values[200:296], horizon=plateau.values[296:320],
-                    origin=("plateau", 200))  # context flat, horizon crosses 5 -> 50
-
+# the windows starting at rows 100 and 200; the second's context is flat and
+# its horizon crosses 5 -> 50
 model = LinearForecaster.create(LossKind.MSE, 96, 24, seed=5)
-for label, inst in (("inside a plateau    ", inside), ("horizon crosses jump", straddle)):
+for label, start in (("inside a plateau    ", 100), ("horizon crosses jump", 200)):
+    context, horizon = plateau.values[start:start + 96], plateau.values[start + 96:start + 120]
     # the whole instance is rescaled with the statistics of its context
-    stats = fit_inference_stats(inst.context, Scheme.REVIN.instance_method)
-    ctx, hor = normalize(inst.context, stats), normalize(inst.horizon, stats)
+    stats = fit_inference_stats(context, Scheme.REVIN.instance_method)
+    ctx, hor = normalize(context, stats), normalize(horizon, stats)
     max_abs = float(instance_max_abs(ctx, hor))
-    _, rejected = prepare_training_pool([inst], Scheme.REVIN, model)
+    window = InstanceBatch([(plateau, [start])], 96, 24)
+    _, rejected = prepare_training_pool(window, Scheme.REVIN, model)
     print(f"{label}: max |normalized| = {max_abs:11.4g}  rejected = {rejected == 1}")
 
 instances = sample_instances(plateau, 96, 24, 400, seed=1)

@@ -23,7 +23,6 @@ from .core import (
     EvalReport,
     Forecast,
     ForecastKind,
-    Instance,
     Method,
     NormStats,
     Scope,
@@ -78,7 +77,6 @@ __all__ = [
     "ExperimentPlan",
     "Forecast",
     "ForecastKind",
-    "Instance",
     "InstanceBatch",
     "LinearForecaster",
     "LossKind",

@@ -1,4 +1,4 @@
-"""Shared domain types: datasets, normalization statistics, instances, forecasts, reports.
+"""Shared domain types: datasets, normalization statistics, forecasts, reports.
 
 All types are immutable after construction and validate their invariants in
 ``__post_init__``; nothing partially valid escapes this module.  Matrices are
@@ -247,46 +247,6 @@ def raw_stats(channels: int) -> NormStats:
         scope=Scope.INSTANCE,
         method=Method.RAW,
     )
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A context window and its forecast horizon cut from one dataset.
-
-    ``context`` is (L, C), ``horizon`` is (H, C); both share the channel axis.
-    ``origin`` records (dataset name, start row of the context).
-    """
-
-    context: np.ndarray
-    horizon: np.ndarray
-    origin: tuple[str, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "context", _as_readonly(self.context))
-        object.__setattr__(self, "horizon", _as_readonly(self.horizon))
-        if self.context.ndim != 2 or self.horizon.ndim != 2:
-            raise ShapeMismatchError("context and horizon must be 2-D (time, channel)")
-        if self.context.shape[0] < 1 or self.horizon.shape[0] < 1:
-            raise ShapeMismatchError("context and horizon need at least one row each")
-        if self.context.shape[1] != self.horizon.shape[1]:
-            raise ShapeMismatchError(
-                f"channel mismatch: context C={self.context.shape[1]}, "
-                f"horizon C={self.horizon.shape[1]}"
-            )
-        if self.origin[1] < 0:
-            raise TsnormError(f"origin start {self.origin[1]} negative")
-
-    @property
-    def context_len(self) -> int:
-        return self.context.shape[0]
-
-    @property
-    def horizon_len(self) -> int:
-        return self.horizon.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.context.shape[1]
 
 
 class ForecastKind(enum.Enum):

@@ -6,25 +6,23 @@ corpus, riding on a baseline level with a drift term, piecewise level shifts,
 and Gaussian noise.  Generation is bit-for-bit reproducible from (spec, seed).
 
 Sampling draws start rows only: ``sample_instances`` returns an
-``InstanceBatch``, a read-only sequence of instances over the dataset's rows
-that builds an ``Instance`` when one is indexed, and stacks the windows of
-many draws with one fancy index for the training pool.  A scheme's dataset
-step travels with the draws as that dataset's fitted statistics and is
-applied to the rows a batch builds, never to the whole dataset.
+``InstanceBatch``, the drawn start rows over the dataset's rows, which stacks
+the windows of many draws with one fancy index for the training pool.  It is
+the one form of training input.  A scheme's dataset step travels with the
+draws as that dataset's fitted statistics and is applied to the rows a batch
+stacks, never to the whole dataset.
 """
 
 from __future__ import annotations
 
 import csv
 import numbers
-import operator
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Instance, NormStats, ShapeMismatchError, TsnormError, atomic_open
+from .core import Dataset, NormStats, ShapeMismatchError, TsnormError, atomic_open
 
 
 # Largest synthetic corpus, in float64 values (400 MB): a spec beyond it is
@@ -227,18 +225,19 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
     return datasets
 
 
-class InstanceBatch(Sequence):
+class InstanceBatch:
     """Training instances held as the start rows drawn from their datasets.
 
-    A read-only ``Sequence[Instance]``: item i is the instance whose context
-    starts at row ``starts[i]`` of its dataset, built (copied and validated)
-    only when it is indexed.  It is made from (dataset, start rows) pairs, in
-    order; every window must lie inside its dataset's rows.  A part may carry
-    a third item, statistics fitted on its dataset (a scheme's dataset step):
-    the batch then normalizes each block of rows it builds with them, with
-    the bits ``normalize`` gives on the whole matrix.  The training pool
-    reads a batch through ``groups`` and ``windows``, which stack the
-    windows of many draws without building any ``Instance``.
+    The i-th instance is the window whose context starts at row
+    ``starts[i]`` of its dataset; ``len(batch)`` counts them.  A batch is
+    made from (dataset, start rows) parts, in order; every window must lie
+    inside its dataset's rows, so hand-made windows are the rows of a small
+    ``Dataset`` that holds them.  A part may carry a third item, statistics
+    fitted on its dataset (a scheme's dataset step): the batch then
+    normalizes each block of rows it stacks with them, with the bits
+    ``normalize`` gives on the whole matrix.  The training pool reads a
+    batch through ``groups`` and ``windows``, which stack the windows of
+    many draws of one part at a time.
     """
 
     def __init__(self, parts, context_len: int, horizon: int):
@@ -284,29 +283,17 @@ class InstanceBatch(Sequence):
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, i) -> Instance:
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError(f"instance {i} out of range for a batch of {n}")
-        i %= n
-        d, _, _, stats = self._spans[bisect_right(self._ends, i)]
-        s, end = int(self.starts[i]), int(self.starts[i]) + self.context_len
-        rows = d.values[s : end + self.horizon_len]
-        if stats is not None:
-            rows = _normalize_rows(rows.copy(), stats)
-        return Instance(context=rows[: self.context_len], horizon=rows[self.context_len :],
-                        origin=(d.name, s))
-
     def groups(self) -> list:
-        """(channel count, instance ids) of each dataset's draws."""
-        return [(d.channels, np.arange(lo, hi)) for d, lo, hi, _ in self._spans]
+        """(dataset, instance ids) of each part, in order."""
+        return [(d, np.arange(lo, hi)) for d, lo, hi, _ in self._spans]
 
     def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Stacked contexts (k, L, C) and horizons (k, H, C) of the draws
-        ``ids``, which must all come from one dataset: one fancy index each
-        into the dataset's rows, normalized in place with its statistics."""
+        ``ids``, which must all come from one part: one fancy index each
+        into its dataset's rows, normalized in place with its statistics."""
         ids = np.asarray(ids)
+        if ids.min() < 0:  # a negative id would index another part's start row
+            raise IndexError(f"draw {ids.min()} is not in the batch")
         d, _, hi, stats = self._spans[bisect_right(self._ends, int(ids.min()))]
         if ids.max() >= hi:
             raise TsnormError("windows are stacked from one dataset's draws at a time")

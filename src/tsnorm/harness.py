@@ -71,6 +71,11 @@ class LeakageError(TsnormError):
     """An audited data access violated the protocol."""
 
 
+class NonFiniteScoreError(TsnormError):
+    """A dataset's test windows score a non-finite MASE: their values
+    overflow float64 in the scheme's arithmetic."""
+
+
 _FREQ_RE = re.compile(r"^\s*(\d+)\s*(min|h|d)\s*$", re.IGNORECASE)
 
 
@@ -328,6 +333,7 @@ def _memoized(memo: dict | None, dataset: Dataset, key: tuple, fit):
     return memo[key][1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(
     model: LinearForecaster,
     scheme: Scheme,
@@ -349,7 +355,9 @@ def evaluate(
     view of up to ``WINDOW_BLOCK`` windows at a time, with the same bits as
     window by window; ``forecast`` and ``mase`` run once per window.  The
     statistics and naive MAE depend on no model: a run's ``memo`` keeps them
-    (see ``run_plan``).  Statistics that overflow raise StatsOverflowError.
+    (see ``run_plan``).  Statistics that overflow raise StatsOverflowError,
+    and a non-finite naive MAE or score, checked once per call, raises
+    NonFiniteScoreError; neither lets a numpy warning out.
     Returns [(offset, mase), ...].
     """
     if horizon > model.horizon:
@@ -394,6 +402,11 @@ def evaluate(
         preds = denormalize(np.stack(preds), stats)
         for i, offset in enumerate(offsets):
             scores.append((offset, mase(preds[i], block[i, context_len:], naive[i])))
+    if not (np.isfinite([s for _, s in scores]).all()
+            and all(np.isfinite(naive).all() for _, naive in fits)):
+        raise NonFiniteScoreError(
+            f"dataset {dataset.name!r}: {scheme.value} MASE of its test windows is not "
+            f"finite; its values overflow float64 when scored")
     return scores
 
 

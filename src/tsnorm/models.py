@@ -56,7 +56,6 @@ import enum
 import hashlib
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -68,9 +67,9 @@ import numpy as np
 from .core import (
     Forecast,
     ForecastKind,
-    Instance,
     KindMismatchError,
     Method,
+    NonFiniteError,
     NormStats,
     ShapeMismatchError,
     TsnormError,
@@ -81,6 +80,7 @@ from .data import InstanceBatch
 from .norm import (
     CLIP_THRESHOLD,
     WINDOW_BLOCK,
+    StatsOverflowError,
     fit_inference_stats,
     instance_max_abs,
     normalize,
@@ -583,25 +583,25 @@ class TrainingPool:
     rows of samples ``ids``; a row is the one form of a training sample, as
     the SGD kernels take it: (inputs, target, scale, shift, input norms),
     scale and shift being None when the loss runs directly on the target.
-    ``build`` works a block of up to ``WINDOW_BLOCK`` stacked windows at a
-    time, and every row is bitwise the same whichever samples share its
-    block.  A row's arrays are rows of its block's arrays, except that a pool
-    made from a plain sequence of instances keeps the instances' own context
-    and horizon arrays where the scheme leaves them un-normalized.
+    ``build`` works a block of up to ``WINDOW_BLOCK`` stacked windows of one
+    batch part at a time, and every row is bitwise the same whichever samples
+    share its block; a row's arrays are rows of its block's arrays.
     ``channels`` holds the channel counts of every admitted sample, built or
-    not.  ``prepare_training_pool`` makes it from the instances' groups and
-    the mask of admitted instances.
+    not.  ``prepare_training_pool`` makes it from the batch and the mask of
+    admitted instances.
     """
 
-    def __init__(self, source, scheme: Scheme, model: LinearForecaster,
-                 groups: list, admitted: np.ndarray):
-        self._source, self._scheme, self._model = source, scheme, model
+    def __init__(self, batch: InstanceBatch, scheme: Scheme, model: LinearForecaster,
+                 admitted: np.ndarray):
+        self._batch, self._scheme, self._model = batch, scheme, model
+        groups = batch.groups()
+        self._datasets = [d for d, _ in groups]
         group_of = np.empty(len(admitted), dtype=np.intp)
         for g, (_, ids) in enumerate(groups):
             group_of[ids] = g
         self._ids = np.flatnonzero(admitted)
         self._group = group_of[self._ids]
-        self.channels = {groups[g][0] for g in set(self._group.tolist())}
+        self.channels = {self._datasets[g].channels for g in set(self._group.tolist())}
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -615,47 +615,19 @@ class TrainingPool:
             at = np.flatnonzero(groups == g)
             for lo in range(0, len(at), WINDOW_BLOCK):
                 part = at[lo:lo + WINDOW_BLOCK]
-                sel = self._ids[ids[part]]
-                windows = self._source.windows(sel)
-                own = (self._source.arrays(sel) if isinstance(self._source, _InstanceList)
-                       else windows)
-                for i, row in zip(part.tolist(),
-                                  _pool_rows(*windows, self._scheme, self._model, own)):
+                windows = self._batch.windows(self._ids[ids[part]])
+                for i, row in zip(part.tolist(), _pool_rows(
+                        *windows, self._scheme, self._model, self._datasets[g].name)):
                     rows[i] = row
         return rows
 
 
-class _InstanceList:
-    """A plain sequence of instances, read as the pool reads an ``InstanceBatch``:
-    grouped by channel count, windows stacked from the instances' arrays.
-    ``arrays`` gives those arrays themselves, which un-normalized rows keep
-    rather than rows of a stacked copy."""
-
-    def __init__(self, instances: Sequence[Instance]):
-        self.instances = instances
-
-    def groups(self) -> list:
-        by_channels: dict = {}
-        for i, inst in enumerate(self.instances):
-            by_channels.setdefault(inst.channels, []).append(i)
-        return [(c, np.array(ids)) for c, ids in by_channels.items()]
-
-    def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        chunk = [self.instances[i] for i in ids.tolist()]
-        return (np.stack([inst.context for inst in chunk]),
-                np.stack([inst.horizon for inst in chunk]))
-
-    def arrays(self, ids) -> tuple[list, list]:
-        chunk = [self.instances[i] for i in ids.tolist()]
-        return [inst.context for inst in chunk], [inst.horizon for inst in chunk]
-
-
 def prepare_training_pool(
-    instances: Sequence[Instance],
+    batch: InstanceBatch,
     scheme: Scheme,
     model: LinearForecaster,
 ) -> tuple[TrainingPool, int]:
-    """Apply a scheme's train-time normalization placement to raw instances.
+    """Apply a scheme's train-time normalization placement to a batch's raw instances.
 
     Returns (pool, number of clip-rejected instances): ``len(pool)`` counts
     the admitted samples and ``pool.build`` gives their rows.  Point models
@@ -665,60 +637,61 @@ def prepare_training_pool(
     prediction with the instance statistics before the loss.  The Gaussian
     head always de-normalizes its distribution; token models quantize after
     the instance step.  A scheme's dataset step comes with the instances:
-    each part of an ``InstanceBatch`` carries its dataset's statistics and
-    normalizes the windows the pool stacks, so dataset-level schemes add no
-    instance step here.
+    each part of the batch carries its dataset's statistics and normalizes
+    the windows the pool stacks, so dataset-level schemes add no instance
+    step here.
 
     The pool is lazy: only the clip decisions are made here, for every
     instance, and a sample's row is computed when ``TrainingPool.build``
     asks for it.  The work is block-wise: the windows of up to
-    ``WINDOW_BLOCK`` instances of one group are stacked at a time, one fancy
-    index per block for an ``InstanceBatch`` (whose groups are its
-    datasets), and each block's statistics, clip decisions and input norms
-    take a few array operations.  Any other sequence of instances is grouped
-    by channel count.  Every row is bitwise equal to what the same steps
-    give on its instance alone, and the pool keeps the instances' order.
+    ``WINDOW_BLOCK`` instances of one batch part are stacked at a time, with
+    one fancy index, and each block's statistics, clip decisions and input
+    norms take a few array operations.  Every row is bitwise equal to what
+    the same steps give on its instance alone, and the pool keeps the
+    batch's order.  Raises TypeError for anything but an ``InstanceBatch``,
+    and StatsOverflowError naming the dataset and method when the instance
+    statistics of its windows overflow float64.
     """
-    if isinstance(instances, InstanceBatch):
-        source, shapes = instances, {(instances.context_len, instances.horizon_len)}
-    else:
-        source = _InstanceList(instances)
-        shapes = {(inst.context_len, inst.horizon_len) for inst in instances}
-    for context_len, horizon in shapes:
-        if (context_len, horizon) != (model.context_len, model.horizon):
-            raise ShapeMismatchError(
-                f"instance ({context_len}, {horizon}) does not match "
-                f"model ({model.context_len}, {model.horizon})"
-            )
-    groups = source.groups()
-    admitted = np.ones(len(instances), dtype=bool)
+    if not isinstance(batch, InstanceBatch):
+        raise TypeError(f"training input must be an InstanceBatch, got {type(batch).__name__}")
+    if (batch.context_len, batch.horizon_len) != (model.context_len, model.horizon):
+        raise ShapeMismatchError(
+            f"instance ({batch.context_len}, {batch.horizon_len}) does not match "
+            f"model ({model.context_len}, {model.horizon})"
+        )
+    admitted = np.ones(len(batch), dtype=bool)
     if model.loss_kind.is_point and scheme.clips:
-        for _, ids in groups:
+        for d, ids in batch.groups():
             for lo in range(0, len(ids), WINDOW_BLOCK):
                 part = ids[lo:lo + WINDOW_BLOCK]
-                admitted[part] = ~_clipped(*source.windows(part), scheme.instance_method)
-    pool = TrainingPool(source, scheme, model, groups, admitted)
-    return pool, len(instances) - len(pool)
+                admitted[part] = ~_clipped(*batch.windows(part), scheme.instance_method,
+                                           d.name)
+    pool = TrainingPool(batch, scheme, model, admitted)
+    return pool, len(batch) - len(pool)
 
 
-def _clipped(contexts: np.ndarray, horizons: np.ndarray, method: Method) -> np.ndarray:
-    """Whether each instance of a block exceeds ``CLIP_THRESHOLD`` once
-    normalized with its context's statistics."""
-    stats = fit_inference_stats(contexts, method)
+def _window_stats(contexts: np.ndarray, method: Method, name: str) -> NormStats:
+    """Per-window statistics of a block of dataset ``name``'s training windows."""
+    try:
+        return fit_inference_stats(contexts, method)
+    except NonFiniteError:  # the windows are finite, so a statistic overflowed
+        raise StatsOverflowError(name, method, "training windows") from None
+
+
+def _clipped(contexts: np.ndarray, horizons: np.ndarray, method: Method,
+             name: str) -> np.ndarray:
+    """Whether each instance of a block of dataset ``name``'s windows exceeds
+    ``CLIP_THRESHOLD`` once normalized with its context's statistics."""
+    stats = _window_stats(contexts, method, name)
     return instance_max_abs(normalize(contexts, stats), normalize(horizons, stats)) > CLIP_THRESHOLD
 
 
 def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
-               model: LinearForecaster, own) -> list:
-    """Pool rows of a block of admitted instances' stacked windows.
-
-    ``own`` holds the instances' (contexts, horizons) as the rows keep them
-    where they stay un-normalized: the stacked arrays themselves, or each
-    instance's own arrays.
-    """
+               model: LinearForecaster, name: str) -> list:
+    """Pool rows of a block of dataset ``name``'s admitted instances' stacked windows."""
     kind, method = model.loss_kind, scheme.instance_method
     if method is not None:
-        stats = fit_inference_stats(contexts, method)
+        stats = _window_stats(contexts, method, name)
         contexts = normalize(contexts, stats)
     none = repeat(None)
     if kind is LossKind.TOKEN_CE:
@@ -734,11 +707,11 @@ def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
         if kind is LossKind.GAUSSIAN_NLL:
             identity = raw_stats(contexts.shape[-1])
             scale, shift = repeat(identity.scale), repeat(identity.shift)
-        return list(zip(*own, scale, shift, norms))
+        return list(zip(contexts, horizons, scale, shift, norms))
     if kind.is_point and scheme.clips:
         return list(zip(contexts, normalize(horizons, stats), none, none, norms))
     # hybrid point models and the Gaussian head de-normalize with the instance stats
-    return list(zip(contexts, own[1], stats.scale, stats.shift, norms))
+    return list(zip(contexts, horizons, stats.scale, stats.shift, norms))
 
 
 def _channel_norms(x: np.ndarray, axis=0) -> np.ndarray:
@@ -935,13 +908,13 @@ class _TokenKernel:
 
 def train(
     model: LinearForecaster,
-    instances: Sequence[Instance],
+    batch: InstanceBatch,
     scheme: Scheme,
     steps: int,
     lr: float,
     seed: int,
 ) -> tuple[LinearForecaster, TrainTrace]:
-    """SGD-train a copy of ``model`` on the scheme-normalized instance pool.
+    """SGD-train a copy of ``model`` on the scheme-normalized pool of ``batch``.
 
     Deterministic given ``seed``: the pool order is a seeded permutation,
     redrawn each epoch, and all reductions are fixed-order.  Every epoch's
@@ -952,7 +925,7 @@ def train(
     model is not mutated.
     """
     model = copy.deepcopy(model)
-    pool, rejected = prepare_training_pool(instances, scheme, model)
+    pool, rejected = prepare_training_pool(batch, scheme, model)
     if not pool:
         raise TsnormError("no admissible training instances after clipping")
     n = len(pool)

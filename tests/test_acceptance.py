@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from tsnorm import (
     Dataset,
     ExperimentPlan,
-    Instance,
     LinearForecaster,
     LossKind,
     Method,
@@ -56,7 +55,7 @@ from tsnorm.core import Forecast, ForecastKind, Scope
 from tsnorm.harness import AVERAGE_ID, run_plan
 from tsnorm.models import prepare_training_pool
 
-from conftest import central_difference
+from conftest import central_difference, window_batch
 from test_metrics import brute_force_mase
 
 BENCH_SYNTH = {
@@ -157,8 +156,8 @@ def test_criterion_2_nll_scale_invariance():
     model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8, seed=5)
     runs = {}
     for c in (1e-3, 1.0, 1e3):
-        inst = Instance(context=c * base[:32], horizon=c * base[32:], origin=("a", 0))
-        runs[c] = train(model, [inst], Scheme.REVIN, steps=25, lr=0.05, seed=1)
+        runs[c] = train(model, window_batch([c * base], 32), Scheme.REVIN, steps=25, lr=0.05,
+                        seed=1)
     ref_model, ref_trace = runs[1.0]
     for c in (1e-3, 1e3):
         m, tr = runs[c]
@@ -180,20 +179,17 @@ def test_criterion_3_token_ce_scale_decoupling():
     base += rng.normal(0, 0.1, base.shape)
     model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=6,
                                     tokenizer=TokenizerSpec())
-    ref_pool, _ = prepare_training_pool(
-        [Instance(context=base[:32], horizon=base[32:], origin=("a", 0))],
-        Scheme.MEANABS, model)
+    ref_pool, _ = prepare_training_pool(window_batch([base], 32), Scheme.MEANABS, model)
     ref_inputs, ref_target, *_ = ref_pool.build([0])[0]
     ref_model, ref_trace = train(
-        model, [Instance(context=base[:32], horizon=base[32:], origin=("a", 0))],
-        Scheme.MEANABS, steps=30, lr=0.1, seed=2)
+        model, window_batch([base], 32), Scheme.MEANABS, steps=30, lr=0.1, seed=2)
     for c in (1e-3, 1e3):
-        inst = Instance(context=c * base[:32], horizon=c * base[32:], origin=("a", 0))
-        pool, _ = prepare_training_pool([inst], Scheme.MEANABS, model)
+        batch = window_batch([c * base], 32)
+        pool, _ = prepare_training_pool(batch, Scheme.MEANABS, model)
         inputs, target, *_ = pool.build([0])[0]
         np.testing.assert_array_equal(target, ref_target)
         np.testing.assert_array_equal(inputs, ref_inputs)
-        trained, trace = train(model, [inst], Scheme.MEANABS, steps=30, lr=0.1, seed=2)
+        trained, trace = train(model, batch, Scheme.MEANABS, steps=30, lr=0.1, seed=2)
         np.testing.assert_array_equal(trace.losses, ref_trace.losses)
         np.testing.assert_array_equal(trained.token_weights, ref_model.token_weights)
         np.testing.assert_array_equal(trained.token_bias, ref_model.token_bias)
@@ -206,11 +202,11 @@ def test_criterion_4_mse_magnitude_bias():
     t = np.arange(40)
     ch1 = np.sin(2 * np.pi * t / 8) + rng.normal(0, 0.1, 40) + 2.0
     series = np.column_stack([ch1, 1e3 * ch1])
-    inst = Instance(context=series[:32], horizon=series[32:], origin=("a", 0))
+    batch = window_batch([series], 32)
     model = LinearForecaster.create(LossKind.MSE, 32, 8, seed=7)
-    _, raw_trace = train(model, [inst], Scheme.RAW, steps=1, lr=0.0, seed=0)
+    _, raw_trace = train(model, batch, Scheme.RAW, steps=1, lr=0.0, seed=0)
     raw_ratio = raw_trace.grad_norms[0][1] / raw_trace.grad_norms[0][0]
-    _, revin_trace = train(model, [inst], Scheme.REVIN, steps=1, lr=0.0, seed=0)
+    _, revin_trace = train(model, batch, Scheme.REVIN, steps=1, lr=0.0, seed=0)
     revin_ratio = revin_trace.grad_norms[0][1] / revin_trace.grad_norms[0][0]
     assert abs(raw_ratio - 1e6) <= 0.01 * 1e6
     assert abs(revin_ratio - 1.0) <= 0.01

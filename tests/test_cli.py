@@ -491,6 +491,31 @@ class TestRun:
         assert "dataset 'synth1': standardization statistics of its train rows overflow" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scheme, which, cell, want", [
+        ("revin", 1, lambda t, c, v: v * 1e200,
+         "dataset 'synth1': revin statistics of its training windows overflow"),
+        ("maxabs", 0, lambda t, c, v: 1.5e308 * np.sin(2 * np.pi * t / 24 + c),
+         "dataset 'synth0': maxabs MASE of its test windows is not finite"),
+    ], ids=["training-windows", "scores"])
+    def test_overflow_in_a_variant_exits_2_naming_dataset_and_method(
+            self, tmp_path, capsys, scheme, which, cell, want):
+        # the first variant trains on synth1 and scores synth0 zero-shot first
+        plan = csv_plan(tmp_path)
+        plan["schemes"] = [scheme]
+        data = Path(plan["datasets"][which]["path"])
+        lines = data.read_text().splitlines()
+        scaled = [",".join(repr(float(cell(t, c, float(v))))
+                           for c, v in enumerate(line.split(",")))
+                  for t, line in enumerate(lines[1:])]
+        data.write_text("\n".join([lines[0], *scaled]) + "\n")
+        path = write_plan(tmp_path, plan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert want in err
+        assert "Traceback" not in err
+
     def test_non_integer_env_seed_exits_2_naming_the_variable(self, tmp_path, capsys,
                                                               monkeypatch):
         path = write_plan(tmp_path)

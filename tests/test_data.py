@@ -5,7 +5,6 @@ import pytest
 
 from tsnorm import (
     Dataset,
-    Instance,
     Method,
     SyntheticSpec,
     export_csv,
@@ -162,98 +161,89 @@ class TestSampleInstances:
         assert len(sample_instances(tiny_dataset, 96, 24, 0, seed=0)) == 0
 
     def test_instances_inside_train_rows(self, tiny_dataset):
-        instances = sample_instances(tiny_dataset, 96, 24, 200, seed=1)
-        for inst in instances:
-            start = inst.origin[1]
-            assert start >= 0
-            assert start + 96 + 24 <= tiny_dataset.split_index
+        starts = sample_instances(tiny_dataset, 96, 24, 200, seed=1).starts
+        assert len(starts) == 200
+        assert starts.min() >= 0
+        assert starts.max() + 96 + 24 <= tiny_dataset.split_index
 
     def test_deterministic_offsets(self, tiny_dataset):
         a = sample_instances(tiny_dataset, 96, 24, 32, seed=9)
         b = sample_instances(tiny_dataset, 96, 24, 32, seed=9)
-        assert [i.origin for i in a] == [i.origin for i in b]
+        assert a.starts.tolist() == b.starts.tolist()
 
     def test_window_too_long(self, tiny_dataset):
         with pytest.raises(WindowTooLongError):
             sample_instances(tiny_dataset, 400, 24, 1, seed=0)
 
     def test_values_match_source(self, tiny_dataset):
-        (inst,) = sample_instances(tiny_dataset, 10, 5, 1, seed=4)
-        start = inst.origin[1]
-        np.testing.assert_array_equal(
-            inst.context, tiny_dataset.values[start : start + 10]
-        )
-        np.testing.assert_array_equal(
-            inst.horizon, tiny_dataset.values[start + 10 : start + 15]
-        )
+        batch = sample_instances(tiny_dataset, 10, 5, 1, seed=4)
+        (start,) = batch.starts.tolist()
+        (context,), (horizon,) = batch.windows([0])
+        np.testing.assert_array_equal(context, tiny_dataset.values[start : start + 10])
+        np.testing.assert_array_equal(horizon, tiny_dataset.values[start + 10 : start + 15])
 
 
-def _instance_list(d, context_len, horizon, count, seed):
-    """The list of ``Instance`` copies sampling used to build, draw for draw."""
+def _draws(d, context_len, horizon, count, seed):
+    """(start, context, horizon) of each window sampling draws, draw for draw,
+    sliced from the dataset's rows."""
     window = context_len + horizon
     starts = np.random.default_rng(seed).integers(0, d.split_index - window + 1, size=count)
-    return [Instance(context=d.values[s : s + context_len],
-                     horizon=d.values[s + context_len : s + window], origin=(d.name, int(s)))
+    return [(int(s), d.values[s : s + context_len], d.values[s + context_len : s + window])
             for s in starts]
 
 
 class TestInstanceBatch:
-    def test_items_equal_the_instance_list(self, tiny_dataset):
+    def test_windows_equal_the_draws(self, tiny_dataset):
         batch = sample_instances(tiny_dataset, 30, 6, 50, seed=5)
-        want = _instance_list(tiny_dataset, 30, 6, 50, seed=5)
+        want = _draws(tiny_dataset, 30, 6, 50, seed=5)
         assert len(batch) == len(want) == 50
-        for got, ref in zip(batch, want, strict=True):
-            assert type(got) is Instance
-            assert got.origin == ref.origin and type(got.origin[1]) is int
-            assert got.context.tobytes() == ref.context.tobytes()
-            assert got.horizon.tobytes() == ref.horizon.tobytes()
-            assert got.context.shape == (30, 2) and got.horizon.shape == (6, 2)
-        assert batch.starts.tolist() == [inst.origin[1] for inst in want]
+        assert batch.starts.tolist() == [s for s, _, _ in want]
+        contexts, horizons = batch.windows(np.arange(50))
+        assert contexts.shape == (50, 30, 2) and horizons.shape == (50, 6, 2)
+        for got_context, got_horizon, (_, context, horizon) in zip(contexts, horizons, want,
+                                                                   strict=True):
+            assert got_context.tobytes() == context.tobytes()
+            assert got_horizon.tobytes() == horizon.tobytes()
 
     def test_concat_keeps_draw_order_across_datasets(self, tiny_dataset):
         other = Dataset("other", tiny_dataset.values[:, :1] * 3.0, "1h", 24, 300)
         a = sample_instances(tiny_dataset, 30, 6, 7, seed=1)
         b = sample_instances(other, 30, 6, 5, seed=2)
         both = InstanceBatch.concat([a, b])
-        want = _instance_list(tiny_dataset, 30, 6, 7, 1) + _instance_list(other, 30, 6, 5, 2)
+        want = _draws(tiny_dataset, 30, 6, 7, 1) + _draws(other, 30, 6, 5, 2)
         assert len(both) == 12
-        for got, ref in zip(both, want, strict=True):
-            assert got.origin == ref.origin
-            assert got.context.tobytes() == ref.context.tobytes()
-            assert got.horizon.tobytes() == ref.horizon.tobytes()
-        assert [(c, ids.tolist()) for c, ids in both.groups()] == [
-            (2, list(range(7))), (1, list(range(7, 12)))]
-        contexts, horizons = both.windows([9, 7, 11])
-        for row, i in enumerate([9, 7, 11]):
-            assert contexts[row].tobytes() == want[i].context.tobytes()
-            assert horizons[row].tobytes() == want[i].horizon.tobytes()
+        assert both.starts.tolist() == [s for s, _, _ in want]
+        assert [(d, ids.tolist()) for d, ids in both.groups()] == [
+            (tiny_dataset, list(range(7))), (other, list(range(7, 12)))]
+        for ids in (range(7), range(7, 12), [9, 7, 11]):
+            contexts, horizons = both.windows(list(ids))
+            for row, i in enumerate(ids):
+                assert contexts[row].tobytes() == want[i][1].tobytes()
+                assert horizons[row].tobytes() == want[i][2].tobytes()
         assert contexts.flags.c_contiguous and horizons.flags.c_contiguous
         with pytest.raises(TsnormError, match="one dataset"):
             both.windows([6, 7])
+        for outside in ([-1], [12]):
+            with pytest.raises(IndexError):
+                both.windows(outside)
         with pytest.raises(ShapeMismatchError):
             InstanceBatch.concat([a, sample_instances(other, 30, 5, 1, seed=3)])
 
     def test_read_only(self, tiny_dataset):
         batch = sample_instances(tiny_dataset, 30, 6, 4, seed=3)
-        with pytest.raises(TypeError):
-            batch[0] = batch[1]
         with pytest.raises(ValueError):
             batch.starts[0] = 0
-        inst = batch[0]
-        assert not inst.context.flags.writeable and not inst.horizon.flags.writeable
-        assert not np.shares_memory(inst.context, tiny_dataset.values)
+        contexts, horizons = batch.windows([0, 1])
+        assert not np.shares_memory(contexts, tiny_dataset.values)
+        assert not np.shares_memory(horizons, tiny_dataset.values)
 
-    def test_index_bounds(self, tiny_dataset):
+    def test_not_read_as_a_sequence(self, tiny_dataset):
+        # a batch is read through ``groups`` and ``windows`` only
         batch = sample_instances(tiny_dataset, 30, 6, 4, seed=3)
-        assert batch[-1].origin == batch[3].origin
-        assert batch[-4].origin == batch[np.int64(0)].origin
-        for bad in (4, -5, 100):
-            with pytest.raises(IndexError):
-                batch[bad]
         with pytest.raises(TypeError):
-            batch[1:3]
-        with pytest.raises(IndexError):
-            sample_instances(tiny_dataset, 30, 6, 0, seed=3)[0]
+            batch[0]
+        with pytest.raises(TypeError):
+            iter(batch)
 
     def test_windows_must_fit_their_dataset(self, tiny_dataset):
         InstanceBatch([(tiny_dataset, [0, 400 - 36])], 30, 6)  # the last rows fit
@@ -289,10 +279,6 @@ class TestDatasetStepInTheBatch:
             want_context, want_horizon = whole[s : s + 48], whole[s + 48 : s + 60]
             assert contexts[row].tobytes() == want_context.tobytes()
             assert horizons[row].tobytes() == want_horizon.tobytes()
-            inst = batch[i]
-            assert inst.origin == (d.name, s)
-            assert inst.context.tobytes() == want_context.tobytes()
-            assert inst.horizon.tobytes() == want_horizon.tobytes()
         s = int(batch.starts[ids[-1]])
         assert not np.array_equal(contexts[-1], d.values[s : s + 48])  # normalized
         assert not d.values.flags.writeable  # the dataset's rows are never written
@@ -307,7 +293,7 @@ class TestDatasetStepInTheBatch:
         for i in range(12):
             s = int(both.starts[i])
             values = whole if i < 7 else other.values
-            assert both[i].context.tobytes() == values[s : s + 30].tobytes()
+            assert both.windows([i])[0][0].tobytes() == values[s : s + 30].tobytes()
         contexts, _ = both.windows([8, 9])
         assert contexts.tobytes() == np.stack(
             [other.values[s : s + 30] for s in both.starts[[8, 9]]]).tobytes()

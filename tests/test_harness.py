@@ -40,6 +40,8 @@ from tsnorm import (
     normalize,
     run_plan,
     run_variant,
+    sample_instances,
+    train,
 )
 from tsnorm.cli import main
 from tsnorm.core import EvalReport, NonFiniteError, TsnormError
@@ -51,6 +53,7 @@ from tsnorm.harness import (
     EmptyInputError,
     LeakageError,
     MissingDatasetError,
+    NonFiniteScoreError,
     variant_seed,
 )
 from tsnorm.metrics import improvement
@@ -330,7 +333,7 @@ class TestRunVariant:
                 starts = drawn.starts.copy()
                 starts[7] = d.split_index - window + 1  # its last row is the first test row
                 drawn = InstanceBatch([(d, starts, stats)], context_len, horizon)
-                assert drawn[7].origin == (d.name, d.split_index - window + 1)
+                assert drawn.starts[7] == d.split_index - window + 1
             return drawn
 
         monkeypatch.setattr(harness, "sample_instances", one_draw_crosses_the_split)
@@ -912,3 +915,29 @@ class TestStatisticsOverflow:
                             memo=memo)
         # synth0 was fitted before synth1 failed; nothing of synth1 is kept
         assert [entry[0].name for entry in memo.values()] == ["synth0"]
+
+    @pytest.mark.parametrize("kind, scheme", [
+        (LossKind.MSE, Scheme.REVIN), (LossKind.MSE, Scheme.HYBRID),
+        (LossKind.GAUSSIAN_NLL, Scheme.REVIN)], ids=["clip", "hybrid", "gaussian"])
+    def test_training_window_fit_names_the_dataset_and_method(self, kind, scheme):
+        # the clip decision, and the rows of a point and a Gaussian pool
+        rng = np.random.default_rng(5)
+        big = Dataset("big", rng.normal(500.0, 2.0, (400, 2)) * 1e200, "1h", 24, 320)
+        model = LinearForecaster.create(kind, 32, 8, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StatsOverflowError, match=(
+                    "dataset 'big': revin statistics of its training windows overflow")):
+                train(model, sample_instances(big, 32, 8, 16, seed=0), scheme, 5, 1e-3, 0)
+
+    def test_non_finite_scores_name_the_dataset_and_method(self):
+        t = np.arange(600)
+        huge = 1.5e308 * np.column_stack([np.sin(2 * np.pi * t / 24),
+                                          np.cos(2 * np.pi * t / 24)])
+        d = Dataset("huge", huge, "1h", 24, 480)
+        model = LinearForecaster.create(LossKind.MSE, 48, 24, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteScoreError, match=(
+                    "dataset 'huge': maxabs MASE of its test windows is not finite")):
+                evaluate(model, Scheme.MAXABS, d, 48, 24)

@@ -14,7 +14,6 @@ from tsnorm import (
     Dataset,
     Forecast,
     ForecastKind,
-    Instance,
     LinearForecaster,
     LossKind,
     Method,
@@ -36,7 +35,7 @@ from tsnorm import (
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError
 from tsnorm.data import InstanceBatch
-from tsnorm.norm import WINDOW_BLOCK, fit_dataset_stats
+from tsnorm.norm import WINDOW_BLOCK, fit_dataset_stats, normalize
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
@@ -51,17 +50,17 @@ from tsnorm.models import (
     token_point_forecast,
 )
 
-from conftest import central_difference, col
+from conftest import batch_windows, central_difference, col, window_batch
 
 HALF_LOG_2PI = 0.9189385332046727
 
 
-def make_instance(rng, length=32, horizon=8, channels=1, scale=1.0, offset=0.0):
+def make_window(rng, length=32, horizon=8, channels=1, scale=1.0, offset=0.0):
+    """A noisy sinusoid window, (length + horizon, channels): context rows first."""
     t = np.arange(length + horizon)
     base = np.sin(2 * np.pi * t / 8.0)[:, None] * np.ones(channels)
     noise = rng.normal(0, 0.1, (length + horizon, channels))
-    series = scale * (base + noise) + offset
-    return Instance(context=series[:length], horizon=series[length:], origin=("t", 0))
+    return scale * (base + noise) + offset
 
 
 class TestSchemeTable:
@@ -281,22 +280,22 @@ class TestTokenCrossEntropy:
 class TestTrain:
     def test_zero_lr_leaves_model_unchanged(self):
         rng = np.random.default_rng(50)
-        inst = make_instance(rng)
+        batch = window_batch([make_window(rng)], 32)
         model = LinearForecaster.create(LossKind.MSE, 32, 8, seed=1)
-        trained, trace = train(model, [inst], Scheme.REVIN, steps=10, lr=0.0, seed=0)
+        trained, trace = train(model, batch, Scheme.REVIN, steps=10, lr=0.0, seed=0)
         np.testing.assert_array_equal(trained.weights, model.weights)
         assert np.ptp(trace.losses) == 0.0
 
     def test_single_instance_overfit(self):
         rng = np.random.default_rng(51)
-        inst = make_instance(rng)
+        batch = window_batch([make_window(rng)], 32)
         model = LinearForecaster.create(LossKind.MSE, 32, 8, seed=2)
-        trained, trace = train(model, [inst], Scheme.REVIN, steps=500, lr=0.1, seed=0)
+        trained, trace = train(model, batch, Scheme.REVIN, steps=500, lr=0.1, seed=0)
         assert trace.losses[-1] < 1e-3
 
     def test_same_seed_bitwise_identical(self):
         rng = np.random.default_rng(52)
-        instances = [make_instance(rng) for _ in range(4)]
+        instances = window_batch([make_window(rng) for _ in range(4)], 32)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8, seed=3)
         a, _ = train(model, instances, Scheme.REVIN, steps=50, lr=0.05, seed=9)
         b, _ = train(model, instances, Scheme.REVIN, steps=50, lr=0.05, seed=9)
@@ -305,21 +304,20 @@ class TestTrain:
 
     def test_divergence_reports_step(self):
         rng = np.random.default_rng(53)
-        inst = make_instance(rng, scale=1e3)
+        batch = window_batch([make_window(rng, scale=1e3)], 32)
         model = LinearForecaster.create(LossKind.MSE, 32, 8, seed=4)
         with pytest.raises(DivergedError) as exc:
-            train(model, [inst], Scheme.RAW, steps=200, lr=1.0, seed=0)
+            train(model, batch, Scheme.RAW, steps=200, lr=1.0, seed=0)
         assert 0 < exc.value.step < 200 and not np.isfinite(exc.value.loss)
         assert f"step {exc.value.step} " in str(exc.value)
 
     def test_gaussian_std_underflow_is_a_divergence(self):
         # the predicted std underflows to 0 at step 1: a NaN loss, not a bad input
         rng = np.random.default_rng(0)
-        instances = [
-            Instance(context=rng.normal(0, 1, (32, 2)) * 1e3,
-                     horizon=rng.normal(0, 1, (8, 2)) * 1e3, origin=("t", 0))
+        instances = window_batch([
+            np.concatenate([rng.normal(0, 1, (32, 2)) * 1e3, rng.normal(0, 1, (8, 2)) * 1e3])
             for _ in range(8)
-        ]
+        ], 32)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -329,17 +327,18 @@ class TestTrain:
         # the step-by-step reference goes non-finite at the same step, same bits
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.RAW, 2, 0.01, 0)
+            _, ref_losses, _, _ = _reference_train(model, batch_windows(instances),
+                                                   Scheme.RAW, 2, 0.01, 0)
         assert np.isfinite(ref_losses[0])
         assert np.float64(exc.value.loss).tobytes() == ref_losses[1].tobytes()
 
     def test_clipped_pool_excludes_rejected(self):
         rng = np.random.default_rng(54)
-        good = make_instance(rng)
-        flat = Instance(context=np.zeros((32, 1)),
-                        horizon=np.full((8, 1), 100.0), origin=("t", 0))
+        good = make_window(rng)
+        flat = np.concatenate([np.zeros((32, 1)), np.full((8, 1), 100.0)])
         model = LinearForecaster.create(LossKind.MSE, 32, 8)
-        pool, rejected = prepare_training_pool([good, flat], Scheme.REVIN, model)
+        pool, rejected = prepare_training_pool(window_batch([good, flat], 32), Scheme.REVIN,
+                                               model)
         assert rejected == 1 and len(pool) == 1
         rows = pool.build(np.arange(len(pool)))
         assert max(np.abs(inputs).max() for inputs, *_ in rows) <= 10.0
@@ -349,13 +348,11 @@ class TestTrain:
 class TestScaleSensitivity:
     def test_nll_gradients_invariant_under_revin(self):
         rng = np.random.default_rng(60)
-        base = make_instance(rng, channels=2)
+        base = make_window(rng, channels=2)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8, seed=5)
         results = {}
         for c in (1e-3, 1.0, 1e3):
-            scaled = Instance(context=c * base.context, horizon=c * base.horizon,
-                              origin=base.origin)
-            trained, trace = train(model, [scaled], Scheme.REVIN,
+            trained, trace = train(model, window_batch([c * base], 32), Scheme.REVIN,
                                    steps=5, lr=0.05, seed=1)
             results[c] = (trained, trace)
         ref_model, ref_trace = results[1.0]
@@ -370,20 +367,19 @@ class TestScaleSensitivity:
 
     def test_token_ce_bitwise_invariant_under_meanabs(self):
         rng = np.random.default_rng(61)
-        base = make_instance(rng, channels=2, offset=1.0)
+        base = make_window(rng, channels=2, offset=1.0)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=6)
         ref_inputs, ref_target, *_ = prepare_training_pool(
-            [base], Scheme.MEANABS, model)[0].build([0])[0]
-        ref_trained, ref_trace = train(model, [base], Scheme.MEANABS,
+            window_batch([base], 32), Scheme.MEANABS, model)[0].build([0])[0]
+        ref_trained, ref_trace = train(model, window_batch([base], 32), Scheme.MEANABS,
                                        steps=20, lr=0.1, seed=2)
         for c in (1e-3, 1e3):
-            scaled = Instance(context=c * base.context, horizon=c * base.horizon,
-                              origin=base.origin)
-            pool, _ = prepare_training_pool([scaled], Scheme.MEANABS, model)
+            scaled = window_batch([c * base], 32)
+            pool, _ = prepare_training_pool(scaled, Scheme.MEANABS, model)
             inputs, target, *_ = pool.build([0])[0]
             np.testing.assert_array_equal(target, ref_target)
             np.testing.assert_array_equal(inputs, ref_inputs)
-            trained, trace = train(model, [scaled], Scheme.MEANABS,
+            trained, trace = train(model, scaled, Scheme.MEANABS,
                                    steps=20, lr=0.1, seed=2)
             np.testing.assert_array_equal(trace.losses, ref_trace.losses)
             np.testing.assert_array_equal(trained.token_weights, ref_trained.token_weights)
@@ -394,9 +390,8 @@ class TestScaleSensitivity:
         t = np.arange(40)
         ch1 = np.sin(2 * np.pi * t / 8.0) + rng.normal(0, 0.1, 40) + 2.0
         series = np.column_stack([ch1, 1e3 * ch1])
-        inst = Instance(context=series[:32], horizon=series[32:], origin=("t", 0))
         model = LinearForecaster.create(loss_kind, 32, 8, seed=7)
-        _, trace = train(model, [inst], scheme, steps=1, lr=0.0, seed=0)
+        _, trace = train(model, window_batch([series], 32), scheme, steps=1, lr=0.0, seed=0)
         norms = trace.grad_norms[0]
         return norms[1] / norms[0]
 
@@ -562,9 +557,9 @@ class TestSerialization:
 
     def test_trace_csv(self, tmp_path):
         rng = np.random.default_rng(12)
-        inst = make_instance(rng, channels=2)
+        batch = window_batch([make_window(rng, channels=2)], 32)
         model = LinearForecaster.create(LossKind.MSE, 32, 8)
-        _, trace = train(model, [inst], Scheme.REVIN, steps=5, lr=0.01, seed=0)
+        _, trace = train(model, batch, Scheme.REVIN, steps=5, lr=0.01, seed=0)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -576,7 +571,7 @@ class TestSerialization:
 
     def test_trace_csv_bytes_match_reference_formatter(self, tmp_path):
         rng = np.random.default_rng(13)
-        instances = [make_instance(rng, channels=c) for c in (1, 3, 2)]
+        instances = window_batch([make_window(rng, channels=c) for c in (1, 3, 2)], 32)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 32, 8)
         _, trace = train(model, instances, Scheme.REVIN, steps=30, lr=0.01, seed=0)
         path = tmp_path / "trace.csv"
@@ -587,8 +582,8 @@ class TestSerialization:
     def test_trace_csv_bytes_match_reference_uniform_and_empty(self, tmp_path):
         rng = np.random.default_rng(14)
         model = LinearForecaster.create(LossKind.MSE, 32, 8)
-        _, uniform = train(model, [make_instance(rng, channels=2) for _ in range(3)],
-                           Scheme.REVIN, steps=40, lr=0.01, seed=0)
+        _, uniform = train(model, window_batch([make_window(rng, channels=2) for _ in range(3)],
+                                               32), Scheme.REVIN, steps=40, lr=0.01, seed=0)
         empty = TrainTrace(losses=np.empty(0), grad_norms=[], rejected=0,
                            pool_size=1, seed=0, lr=0.1)
         for trace in (uniform, empty):
@@ -717,36 +712,37 @@ def _ref_normalize(x, stats):
     return (x - stats.shift) / stats.scale
 
 
-def _reference_pool(instances, scheme, model, clip_threshold=10.0):
+def _reference_pool(windows, scheme, model, clip_threshold=10.0):
+    """Reference samples of (context, horizon) windows, in their order, and the
+    number rejected."""
     samples, rejected = [], 0
     kind = model.loss_kind
     inst_method = scheme.instance_method
-    for inst in instances:
+    for context, horizon in windows:
         if kind.is_point:
             if scheme in (Scheme.REVIN, Scheme.MEANABS):
-                stats = _ref_instance_stats(inst.context, inst_method)
-                ctx = _ref_normalize(inst.context, stats)
-                hor = _ref_normalize(inst.horizon, stats)
+                stats = _ref_instance_stats(context, inst_method)
+                ctx = _ref_normalize(context, stats)
+                hor = _ref_normalize(horizon, stats)
                 if max(np.abs(ctx).max(), np.abs(hor).max()) > clip_threshold:
                     rejected += 1
                     continue
                 samples.append(RefSample(ctx, hor))
             elif scheme is Scheme.HYBRID:
-                stats = _ref_instance_stats(inst.context, Method.REVIN)
-                samples.append(
-                    RefSample(_ref_normalize(inst.context, stats), inst.horizon, stats))
+                stats = _ref_instance_stats(context, Method.REVIN)
+                samples.append(RefSample(_ref_normalize(context, stats), horizon, stats))
             else:
-                samples.append(RefSample(inst.context, inst.horizon))
+                samples.append(RefSample(context, horizon))
         elif kind is LossKind.GAUSSIAN_NLL:
             if inst_method is not None:
-                stats = _ref_instance_stats(inst.context, inst_method)
-                ctx = _ref_normalize(inst.context, stats)
+                stats = _ref_instance_stats(context, inst_method)
+                ctx = _ref_normalize(context, stats)
             else:
-                stats, ctx = raw_stats(inst.channels), inst.context
-            samples.append(RefSample(ctx, inst.horizon, stats))
+                stats, ctx = raw_stats(context.shape[1]), context
+            samples.append(RefSample(ctx, horizon, stats))
         else:
             spec = model.tokenizer
-            ctx, hor = inst.context, inst.horizon
+            ctx, hor = context, horizon
             if inst_method is not None:
                 stats = _ref_instance_stats(ctx, inst_method)
                 ctx, hor = _ref_normalize(ctx, stats), _ref_normalize(hor, stats)
@@ -754,9 +750,9 @@ def _reference_pool(instances, scheme, model, clip_threshold=10.0):
     return samples, rejected
 
 
-def _reference_train(model, instances, scheme, steps, lr, seed):
+def _reference_train(model, windows, scheme, steps, lr, seed):
     model = copy.deepcopy(model)
-    samples, rejected = _reference_pool(instances, scheme, model)
+    samples, rejected = _reference_pool(windows, scheme, model)
     rng = np.random.default_rng(seed)
     losses, grad_norms = np.empty(steps), []
     perm = rng.permutation(len(samples))
@@ -778,16 +774,14 @@ class TestKernelsMatchReference:
     def _pool(channels):
         rng = np.random.default_rng(70)
         pool = [
-            make_instance(rng, channels=channels[i % len(channels)],
-                          scale=10.0 ** rng.uniform(-1, 1), offset=rng.normal(0, 3))
+            make_window(rng, channels=channels[i % len(channels)],
+                        scale=10.0 ** rng.uniform(-1, 1), offset=rng.normal(0, 3))
             for i in range(6)
         ]
         # a horizon spike far past the clip threshold once RevIN-normalized
-        spiked = make_instance(rng, channels=channels[0])
-        hor = spiked.horizon.copy()
-        hor[3] += 40.0
-        pool.append(Instance(context=spiked.context, horizon=hor, origin=spiked.origin))
-        return pool
+        spiked = make_window(rng, channels=channels[0])
+        spiked[32 + 3] += 40.0
+        return window_batch(pool + [spiked], 32)
 
     @pytest.mark.parametrize("channels", [(2,), (1, 3)], ids=["C2", "C1+C3"])
     @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.RAW],
@@ -798,7 +792,7 @@ class TestKernelsMatchReference:
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
         ref_model, ref_losses, ref_norms, ref_rejected = _reference_train(
-            model, instances, scheme, steps=40, lr=1e-3, seed=4)
+            model, batch_windows(instances), scheme, steps=40, lr=1e-3, seed=4)
         trained, trace = train(model, instances, scheme, steps=40, lr=1e-3, seed=4)
         assert np.isfinite(ref_losses).all()
         if kind.is_point and scheme is Scheme.REVIN:
@@ -834,9 +828,10 @@ class TestLazyTraining:
         instances = TestKernelsMatchReference._pool(channels)
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
-        steps = len(_reference_pool(instances, scheme, model)[0]) + offset
+        windows = batch_windows(instances)
+        steps = len(_reference_pool(windows, scheme, model)[0]) + offset
         ref_model, ref_losses, ref_norms, ref_rejected = _reference_train(
-            model, instances, scheme, steps=steps, lr=1e-3, seed=6)
+            model, windows, scheme, steps=steps, lr=1e-3, seed=6)
         trained, trace = train(model, instances, scheme, steps=steps, lr=1e-3, seed=6)
         assert trace.rejected == ref_rejected
         assert trace.losses.tobytes() == ref_losses.tobytes()
@@ -848,16 +843,14 @@ class TestLazyTraining:
             if want is not None:
                 assert getattr(trained, name).tobytes() == want.tobytes(), name
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "list"])
     @pytest.mark.parametrize("scheme", [Scheme.RAW, Scheme.HYBRID, Scheme.REVIN],
                              ids=lambda s: s.value)
-    def test_only_drawn_samples_are_built(self, scheme, batched, monkeypatch):
+    def test_only_drawn_samples_are_built(self, scheme, monkeypatch):
         rng = np.random.default_rng(76)
         datasets = [Dataset(f"d{i}", rng.normal(0.0, 1.0, (400, 2)), "1h", 24, 320)
                     for i in range(3)]
         batch = InstanceBatch.concat(sample_instances(d, 32, 8, 100, seed=i)
                                      for i, d in enumerate(datasets))
-        instances = batch if batched else list(batch)
         built = []
         pool_rows = models._pool_rows
 
@@ -867,13 +860,12 @@ class TestLazyTraining:
 
         monkeypatch.setattr(models, "_pool_rows", counted)
         model = LinearForecaster.create(LossKind.MAE, 32, 8, seed=1)
-        pool, rejected = prepare_training_pool(instances, scheme, model)
+        pool, rejected = prepare_training_pool(batch, scheme, model)
         assert built == [] and len(pool) == 300 - rejected and pool.channels == {2}
         # 40 steps into a first epoch of 300 visit 40 distinct samples
-        _, trace = train(model, instances, scheme, steps=40, lr=1e-3, seed=2)
+        _, trace = train(model, batch, scheme, steps=40, lr=1e-3, seed=2)
         assert sum(built) == 40 and trace.pool_size == len(pool)
-        if batched:  # one block per dataset the drawn samples come from
-            assert len(built) == 3
+        assert len(built) == 3  # one block per dataset the drawn samples come from
 
 
 class TestStepBlocks:
@@ -897,7 +889,7 @@ class TestStepBlocks:
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
         ref_model, ref_losses, ref_norms, _ = _reference_train(
-            model, instances, scheme, steps=steps, lr=1e-3, seed=7)
+            model, batch_windows(instances), scheme, steps=steps, lr=1e-3, seed=7)
         trained, trace = train(model, instances, scheme, steps=steps, lr=1e-3, seed=7)
         assert trace.losses.tobytes() == ref_losses.tobytes()
         for got, want in zip(trace.grad_norms, ref_norms, strict=True):
@@ -920,12 +912,13 @@ class TestStepBlocks:
                                                            where, monkeypatch):
         monkeypatch.setattr(models, "STEP_BLOCK", self.BLOCK)
         rng = np.random.default_rng(53)
-        instances = [make_instance(rng, channels=channels[i % len(channels)], scale=1e3)
-                     for i in range(2 * len(channels))]
+        instances = window_batch([make_window(rng, channels=channels[i % len(channels)], scale=1e3)
+                                  for i in range(2 * len(channels))], 32)
         model = LinearForecaster.create(kind, 32, 8, seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.RAW, steps, lr, 0)
+            _, ref_losses, _, _ = _reference_train(model, batch_windows(instances), Scheme.RAW,
+                                                   steps, lr, 0)
         step = int(np.flatnonzero(~np.isfinite(ref_losses))[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -952,7 +945,8 @@ class TestStepBlocks:
         model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=8, tokenizer=spec)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, ref_losses, _, _ = _reference_train(model, instances, Scheme.REVIN, 40, lr, 7)
+            _, ref_losses, _, _ = _reference_train(model, batch_windows(instances),
+                                                   Scheme.REVIN, 40, lr, 7)
         assert int(np.flatnonzero(~np.isfinite(ref_losses))[0]) == step
         assert nonfinite(ref_losses[step])
         with warnings.catch_warnings():
@@ -966,11 +960,9 @@ class TestStepBlocks:
         # wide's shape: an eight-channel Gaussian head, H = 24 and L = 96
         length, horizon, channels, steps = 96, 24, 8, 300
         rng = np.random.default_rng(78)
-        values = rng.normal(0.0, 1.0, (6000, channels))
+        values = Dataset("t", rng.normal(0.0, 1.0, (6000, channels)), "1h", 24, 4800)
         starts = rng.integers(0, 6000 - length - horizon, 256)
-        instances = [Instance(context=values[s:s + length],
-                              horizon=values[s + length:s + length + horizon],
-                              origin=("t", int(s))) for s in starts]
+        instances = InstanceBatch([(values, starts)], length, horizon)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, length, horizon, seed=1)
         built_at = []
         build = models.TrainingPool.build
@@ -999,11 +991,11 @@ class TestTokenKernel:
     """The einsum-free token kernel at the production head: H=24, B=128, L=96."""
 
     @staticmethod
-    def _pool(length=96):
+    def _windows(length=96):
         rng = np.random.default_rng(71)
         return [
-            make_instance(rng, length=length, horizon=24, channels=2,
-                          scale=10.0 ** rng.uniform(-2, 1), offset=rng.normal(0, 3))
+            make_window(rng, length=length, horizon=24, channels=2,
+                        scale=10.0 ** rng.uniform(-2, 1), offset=rng.normal(0, 3))
             for _ in range(8)
         ]
 
@@ -1016,10 +1008,10 @@ class TestTokenKernel:
             raise AssertionError("a two-channel pool must not take the einsum step")
 
         monkeypatch.setattr(models, "_token_step", no_einsum_step)
-        instances = self._pool()
+        instances = window_batch(self._windows(), 96)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
         ref_model, ref_losses, ref_norms, _ = _reference_train(
-            model, instances, scheme, steps=60, lr=6e-4, seed=5)
+            model, batch_windows(instances), scheme, steps=60, lr=6e-4, seed=5)
         trained, trace = train(model, instances, scheme, steps=60, lr=6e-4, seed=5)
         assert np.isfinite(ref_losses).all()
         assert trace.losses.tobytes() == ref_losses.tobytes()
@@ -1032,10 +1024,11 @@ class TestTokenKernel:
         assert trained.token_bias.tobytes() == ref_model.token_bias.tobytes()
 
     def test_forecast_of_a_trained_model_copies_no_weights(self):
-        instances = self._pool()
+        windows = self._windows()
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
-        trained, _ = train(model, instances, Scheme.REVIN, steps=4, lr=6e-4, seed=5)
-        ctx = instances[0].context
+        trained, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=4, lr=6e-4,
+                           seed=5)
+        ctx = windows[0][:96]
         forecast(trained, ctx)  # warm-up: first-call allocations are not counted
         tracemalloc.start()
         try:
@@ -1048,14 +1041,15 @@ class TestTokenKernel:
         assert peak < trained.token_weights.nbytes / 2
 
     def test_einsum_paths_read_contiguous_weights(self):
-        instances = self._pool()
+        windows = self._windows()
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
-        trained, _ = train(model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
+        trained, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=20, lr=6e-4,
+                           seed=5)
         assert not trained.token_weights.flags.c_contiguous
         contiguous = copy.deepcopy(trained)
         contiguous.token_weights = np.ascontiguousarray(trained.token_weights)
         # a one-channel forecast: einsum on C-contiguous (H, B, L) weights
-        ctx = instances[1].context[:, :1]
+        ctx = windows[1][:96, :1]
         feats = detokenize(tokenize(ctx, trained.tokenizer), trained.tokenizer)
         logits = np.einsum("hbl,lc->hcb", contiguous.token_weights, feats)
         logits += trained.token_bias[:, None, :]
@@ -1064,8 +1058,8 @@ class TestTokenKernel:
         assert forecast(trained, ctx).token_logits.tobytes() == want.tobytes()
         # training again on a pool of one- and two-channel samples: the einsum step
         rng = np.random.default_rng(73)
-        mixed = instances[:4] + [make_instance(rng, length=96, horizon=24, channels=1)
-                                 for _ in range(4)]
+        mixed = window_batch(windows[:4] + [make_window(rng, length=96, horizon=24, channels=1)
+                                            for _ in range(4)], 96)
         again, trace = train(trained, mixed, Scheme.REVIN, steps=20, lr=6e-4, seed=6)
         want_model, want_trace = train(contiguous, mixed, Scheme.REVIN, steps=20, lr=6e-4,
                                        seed=6)
@@ -1077,10 +1071,10 @@ class TestTokenKernel:
             assert getattr(again, name).tobytes() == getattr(want_model, name).tobytes()
 
     def test_context_not_a_multiple_of_the_chunk(self):
-        instances = self._pool(length=37)
+        instances = window_batch(self._windows(length=37), 37)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 37, 24, seed=9)
         ref_model, ref_losses, _, _ = _reference_train(
-            model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
+            model, batch_windows(instances), Scheme.REVIN, steps=20, lr=6e-4, seed=5)
         trained, trace = train(model, instances, Scheme.REVIN, steps=20, lr=6e-4, seed=5)
         assert trace.losses.tobytes() == ref_losses.tobytes()
         assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
@@ -1166,6 +1160,23 @@ class TestTokenKernel:
         assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
+def _assert_rows_equal_reference(rows, ref):
+    """Pool rows equal reference samples, bit for bit, input norms included."""
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        inputs, target, scale, shift, in_norms = row
+        for name, a, b in (("inputs", inputs, want.inputs), ("target", target, want.target)):
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), name
+        assert (scale is None) == (shift is None) == (want.stats is None)
+        if want.stats is not None:
+            assert scale.tobytes() == want.stats.scale.tobytes()
+            assert shift.tobytes() == want.stats.shift.tobytes()
+        # the input norms train used to compute per sample
+        want_norms = np.sqrt(np.add.reduce(want.inputs * want.inputs, axis=0))
+        assert in_norms.tobytes() == want_norms.tobytes()
+
+
 class TestPoolMatchesReference:
     """Block-wise pools equal the per-instance reference pool, bit for bit."""
 
@@ -1173,25 +1184,21 @@ class TestPoolMatchesReference:
     def _instances(channels, length=37, horizon=8):
         rng = np.random.default_rng(73)
         pool = [
-            make_instance(rng, length=length, horizon=horizon, channels=channels[i % len(channels)],
-                          scale=10.0 ** rng.uniform(-3, 2), offset=rng.normal(0, 5))
+            make_window(rng, length=length, horizon=horizon, channels=channels[i % len(channels)],
+                        scale=10.0 ** rng.uniform(-3, 2), offset=rng.normal(0, 5))
             for i in range(24)
         ]
         c = channels[0]
         # channel 0 constant over context and horizon: the eps guard, admitted
-        flat = make_instance(rng, length=length, horizon=horizon, channels=c)
-        ctx, hor = flat.context.copy(), flat.horizon.copy()
-        ctx[:, 0] = hor[:, 0] = 3.0
-        pool.insert(5, Instance(context=ctx, horizon=hor, origin=("t", 0)))
+        flat = make_window(rng, length=length, horizon=horizon, channels=c)
+        flat[:, 0] = 3.0
+        pool.insert(5, flat)
         # a constant context under a moving horizon, and a horizon spike:
         # both far past the clip threshold once RevIN-normalized
-        pool.insert(9, Instance(context=np.full((length, c), 2.0),
-                                horizon=np.full((horizon, c), 2.5), origin=("t", 0)))
-        spiked = make_instance(rng, length=length, horizon=horizon, channels=c)
-        hor = spiked.horizon.copy()
-        hor[3] += 40.0
-        pool.append(Instance(context=spiked.context, horizon=hor, origin=("t", 0)))
-        return pool
+        pool.insert(9, np.concatenate([np.full((length, c), 2.0), np.full((horizon, c), 2.5)]))
+        spiked = make_window(rng, length=length, horizon=horizon, channels=c)
+        spiked[length + 3] += 40.0
+        return window_batch(pool + [spiked], length)
 
     @pytest.mark.parametrize("channels", [(1,), (2,), (3,), (8,), (1, 3)],
                              ids=["C1", "C2", "C3", "C8", "C1+C3"])
@@ -1201,7 +1208,7 @@ class TestPoolMatchesReference:
                                                         monkeypatch):
         instances = self._instances(channels)
         model = LinearForecaster.create(kind, 37, 8, seed=8)
-        ref, ref_rejected = _reference_pool(instances, scheme, model)
+        ref, ref_rejected = _reference_pool(batch_windows(instances), scheme, model)
         if kind.is_point and scheme in (Scheme.REVIN, Scheme.MEANABS):
             assert ref_rejected >= 1
         # one block per channel count, then blocks of 4 that split each group
@@ -1211,33 +1218,31 @@ class TestPoolMatchesReference:
             assert rejected == ref_rejected
             rows = pool.build(np.arange(len(pool)))
             assert len(pool) == len(ref) == len(rows)
-            for i, want in enumerate(ref):
-                # each sample built alone, and within the whole pool's blocks
-                for row in (pool.build([i])[0], rows[i]):
-                    inputs, target, scale, shift, in_norms = row
-                    for name, a, b in (("inputs", inputs, want.inputs),
-                                       ("target", target, want.target)):
-                        assert a.shape == b.shape and a.dtype == b.dtype, name
-                        assert a.tobytes() == b.tobytes(), name
-                    assert (scale is None) == (shift is None) == (want.stats is None)
-                    if want.stats is not None:
-                        assert scale.tobytes() == want.stats.scale.tobytes()
-                        assert shift.tobytes() == want.stats.shift.tobytes()
-                    # the input norms train used to compute per sample
-                    want_norms = np.sqrt(np.add.reduce(want.inputs * want.inputs, axis=0))
-                    assert in_norms.tobytes() == want_norms.tobytes()
+            # each sample built alone, and within the whole pool's blocks
+            _assert_rows_equal_reference([pool.build([i])[0] for i in range(len(pool))], ref)
+            _assert_rows_equal_reference(rows, ref)
 
     def test_shape_mismatch_rejected_before_any_work(self):
         rng = np.random.default_rng(75)
         model = LinearForecaster.create(LossKind.MSE, 32, 8)
-        instances = [make_instance(rng), make_instance(rng, length=31)]
         with pytest.raises(ShapeMismatchError):
-            prepare_training_pool(instances, Scheme.REVIN, model)
+            prepare_training_pool(window_batch([make_window(rng, length=31)], 31),
+                                  Scheme.REVIN, model)
+
+    def test_only_an_instance_batch_is_training_input(self):
+        rng = np.random.default_rng(75)
+        model = LinearForecaster.create(LossKind.MSE, 32, 8)
+        window = make_window(rng)
+        for instances in ([window], [(window[:32], window[32:])]):
+            with pytest.raises(TypeError, match="InstanceBatch"):
+                prepare_training_pool(instances, Scheme.REVIN, model)
+            with pytest.raises(TypeError, match="InstanceBatch"):
+                train(model, instances, Scheme.REVIN, steps=1, lr=1e-3, seed=0)
 
 
 class TestPoolSources:
-    """A pool over an ``InstanceBatch`` and a pool over the list of its
-    instances give the same rows, bit for bit."""
+    """A pool over sampled batch parts, with and without a dataset step,
+    equals the per-instance reference pool fed the same windows, bit for bit."""
 
     @staticmethod
     def _batch():
@@ -1253,30 +1258,28 @@ class TestPoolSources:
         # the first two parts carry a dataset step, the last carries none
         stats = [fit_dataset_stats(datasets[0], Method.STANDARDIZATION),
                  fit_dataset_stats(datasets[1], Method.MINMAX), None]
-        return InstanceBatch.concat(sample_instances(d, 32, 8, 30, seed=i, stats=st)
-                                    for i, (d, st) in enumerate(zip(datasets, stats)))
+        batch = InstanceBatch.concat(sample_instances(d, 32, 8, 30, seed=i, stats=st)
+                                     for i, (d, st) in enumerate(zip(datasets, stats)))
+        # the reference reads each dataset-step part from its whole normalized matrix
+        wholes = {d.name: normalize(d.values, st)
+                  for d, st in zip(datasets, stats) if st is not None}
+        return batch, batch_windows(batch, wholes)
 
     @pytest.mark.parametrize("block", [WINDOW_BLOCK, 4])
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
-    def test_batch_and_list_give_the_same_rows(self, kind, scheme, block, monkeypatch):
+    def test_batch_rows_equal_the_reference_pool(self, kind, scheme, block, monkeypatch):
         monkeypatch.setattr(models, "WINDOW_BLOCK", block)
-        batch = self._batch()
+        batch, windows = self._batch()
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
         pool, rejected = prepare_training_pool(batch, scheme, model)
-        listed, listed_rejected = prepare_training_pool(list(batch), scheme, model)
-        assert rejected == listed_rejected
+        ref, ref_rejected = _reference_pool(windows, scheme, model)
+        assert rejected == ref_rejected
         if kind.is_point and scheme.clips:
             assert rejected > 0
-        assert len(pool) == len(listed) and pool.channels == listed.channels == {2, 3}
-        every = np.arange(len(pool))
-        for got, want in zip(pool.build(every), listed.build(every), strict=True):
-            for a, b in zip(got, want, strict=True):
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.shape == b.shape and a.dtype == b.dtype
-                    assert a.tobytes() == b.tobytes()
+        assert len(pool) == len(ref) and pool.channels == {2, 3}
+        _assert_rows_equal_reference(pool.build(np.arange(len(pool))), ref)
 
 
 class TestPoolMemory:
@@ -1289,16 +1292,14 @@ class TestPoolMemory:
     def test_peak_is_output_plus_a_bounded_block(self, scheme):
         length, horizon, channels, count = 96, 24, 8, 5120
         rng = np.random.default_rng(74)
-        values = rng.normal(0.0, 1.0, (6000, channels))
+        values = Dataset("t", rng.normal(0.0, 1.0, (6000, channels)), "1h", 24, 4800)
         starts = rng.integers(0, 6000 - length - horizon, count)
-        instances = [Instance(context=values[s:s + length],
-                              horizon=values[s + length:s + length + horizon],
-                              origin=("t", int(s))) for s in starts]
+        batch = InstanceBatch([(values, starts)], length, horizon)
         model = LinearForecaster.create(LossKind.MAE, length, horizon)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            pool, _ = prepare_training_pool(instances, scheme, model)
+            pool, _ = prepare_training_pool(batch, scheme, model)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -1314,11 +1315,8 @@ class TestPoolMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # RevIN's normalized contexts and horizons are new arrays; raw keeps
-        # the instances' own and adds only the input norms
-        output = count * window_bytes if scheme is Scheme.REVIN else 0
+        # RevIN's normalized contexts and horizons are new arrays; raw's rows
+        # are rows of its fancy-indexed blocks, which the rows keep alive
+        output = count * window_bytes
         assert len(rows) == count
         assert peak <= output + 4 * WINDOW_BLOCK * window_bytes + 512 * count
-        if scheme is Scheme.RAW:
-            assert all(row[0] is inst.context and row[1] is inst.horizon
-                       for row, inst in zip(rows, instances))

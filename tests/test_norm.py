@@ -6,7 +6,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tsnorm import (
     Dataset,
-    Instance,
     LinearForecaster,
     LossKind,
     Method,
@@ -32,7 +31,7 @@ from tsnorm.metrics import naive_mae
 from tsnorm.models import prepare_training_pool
 from tsnorm.norm import DegenerateChannelWarning, StatsOverflowError, WrongMethodError
 
-from conftest import col
+from conftest import col, window_batch
 
 HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 
@@ -263,11 +262,12 @@ class TestDenormalizeGaussian:
             loss_gaussian_nll(f, np.zeros((2, 1)), raw_stats(1))
 
 
-def _point_pool(inst, scheme):
-    """(rows, rejected) of one instance under ``scheme`` for a point model: the
-    pool's rows (inputs, target, scale, shift, input norms), none if rejected."""
-    model = LinearForecaster.create(LossKind.MSE, inst.context_len, inst.horizon_len)
-    pool, rejected = prepare_training_pool([inst], scheme, model)
+def _point_pool(window, context_len, scheme):
+    """(rows, rejected) of one (L + H, C) window, context rows first, under
+    ``scheme`` for a point model: the pool's rows (inputs, target, scale,
+    shift, input norms), none if rejected."""
+    model = LinearForecaster.create(LossKind.MSE, context_len, len(window) - context_len)
+    pool, rejected = prepare_training_pool(window_batch([window], context_len), scheme, model)
     return pool.build(np.arange(len(pool))), rejected
 
 
@@ -276,29 +276,24 @@ class TestClippedInstanceNormalize:
     context's statistics and reject an instance beyond the clip threshold."""
 
     def test_near_constant_context_rejected(self):
-        inst = Instance(context=col(0, 0, 0), horizon=col(100), origin=("d", 0))
-        rows, rejected = _point_pool(inst, Scheme.REVIN)
+        rows, rejected = _point_pool(col(0, 0, 0, 100), 3, Scheme.REVIN)
         assert rejected == 1 and rows == []  # 100 / eps is far beyond 10
 
     def test_plain_window_accepted(self):
-        inst = Instance(context=col(10, 12, 14), horizon=col(12), origin=("d", 0))
-        rows, rejected = _point_pool(inst, Scheme.REVIN)
+        rows, rejected = _point_pool(col(10, 12, 14, 12), 3, Scheme.REVIN)
         assert rejected == 0
         _, target, *_ = rows[0]
         assert abs(target[0, 0]) < 1e-12
 
     def test_threshold_boundary(self):
         # the context has mean 0 and std 1, so the horizon keeps its value
-        at = Instance(context=col(-1, 1), horizon=col(10.0), origin=("d", 0))
-        above = Instance(context=col(-1, 1), horizon=col(10.000001), origin=("d", 0))
-        assert _point_pool(at, Scheme.REVIN)[1] == 0
-        assert _point_pool(above, Scheme.REVIN)[1] == 1
+        assert _point_pool(col(-1, 1, 10.0), 2, Scheme.REVIN)[1] == 0
+        assert _point_pool(col(-1, 1, 10.000001), 2, Scheme.REVIN)[1] == 1
 
     def test_any_channel_violation_rejects(self):
         ctx = np.column_stack([[10.0, 12.0, 14.0], [0.0, 0.0, 0.0]])
         hor = np.array([[12.0, 100.0]])
-        inst = Instance(context=ctx, horizon=hor, origin=("d", 0))
-        assert _point_pool(inst, Scheme.REVIN)[1] == 1
+        assert _point_pool(np.vstack([ctx, hor]), 3, Scheme.REVIN)[1] == 1
 
 
 class TestHybridNormalize:
@@ -311,8 +306,7 @@ class TestHybridNormalize:
         standardized = normalize(window, ds)
         ctx, hor = standardized[:-1], standardized[-1:]
         stats = fit_inference_stats(ctx, Method.REVIN)
-        rows, rejected = _point_pool(Instance(context=ctx, horizon=hor, origin=("d", 0)),
-                                     Scheme.HYBRID)
+        rows, rejected = _point_pool(standardized, len(window) - 1, Scheme.HYBRID)
         assert rejected == 0
         return rows[0], normalize(ctx, stats), stats, hor
 
@@ -320,8 +314,7 @@ class TestHybridNormalize:
         window = col(10, 12, 14, 13)
         ds = NormStats([0.0], [1.0], Scope.DATASET, Method.STANDARDIZATION)
         (inputs, _, scale, shift, _), _, stats, _ = self._by_hand(window, ds)
-        plain, _ = _point_pool(Instance(context=window[:-1], horizon=window[-1:],
-                                        origin=("d", 0)), Scheme.REVIN)
+        plain, _ = _point_pool(window, len(window) - 1, Scheme.REVIN)
         assert inputs.tobytes() == plain[0][0].tobytes()
         # the row de-normalizes with the context's RevIN statistics
         assert scale.tobytes() == stats.scale.tobytes()
