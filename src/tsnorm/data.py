@@ -7,10 +7,11 @@ and Gaussian noise.  Generation is bit-for-bit reproducible from (spec, seed).
 
 Sampling draws start rows only: ``sample_instances`` returns an
 ``InstanceBatch``, the drawn start rows over the dataset's rows, which stacks
-the windows of many draws with one fancy index for the training pool.  It is
-the one form of training input.  A scheme's dataset step travels with the
-draws as that dataset's fitted statistics and is applied to the rows a batch
-stacks, never to the whole dataset.
+the windows of many draws with one fancy index.  It is the one form of
+training input, and the training pool is the batch of its admitted draws.  A
+scheme's dataset step travels with the draws as that dataset's fitted
+statistics and is applied to the rows a batch stacks, never to the whole
+dataset.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, NormStats, ShapeMismatchError, TsnormError, atomic_open
+from .norm import WINDOW_BLOCK
 
 
 # Largest synthetic corpus, in float64 values (400 MB): a spec beyond it is
@@ -236,8 +238,8 @@ class InstanceBatch:
     fitted on its dataset (a scheme's dataset step): the batch then
     normalizes each block of rows it stacks with them, with the bits
     ``normalize`` gives on the whole matrix.  The training pool reads a
-    batch through ``groups`` and ``windows``, which stack the windows of
-    many draws of one part at a time.
+    batch through ``blocks``, which stacks the windows of many draws of one
+    part at a time, and ``select`` keeps the draws it admits.
     """
 
     def __init__(self, parts, context_len: int, horizon: int):
@@ -286,6 +288,29 @@ class InstanceBatch:
     def groups(self) -> list:
         """(dataset, instance ids) of each part, in order."""
         return [(d, np.arange(lo, hi)) for d, lo, hi, _ in self._spans]
+
+    def select(self, keep) -> "InstanceBatch":
+        """The draws where the boolean mask ``keep`` is true, in order; every
+        part stays, with its dataset and statistics, even if it keeps no draw."""
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != self.starts.shape:
+            raise ShapeMismatchError(f"a mask of shape {keep.shape} does not fit {len(self)} draws")
+        parts = [(d, self.starts[lo:hi][keep[lo:hi]], st) for d, lo, hi, st in self._spans]
+        return InstanceBatch(parts, self.context_len, self.horizon_len)
+
+    def blocks(self, ids):
+        """Yield (dataset, positions in ``ids``, stacked windows) for the draws
+        ``ids``, part by part in order, up to ``WINDOW_BLOCK`` draws at a time,
+        positions ascending; the windows are those ``windows`` gives."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
+            raise IndexError(f"draws {ids.min()}..{ids.max()} are not all in the batch")
+        part_of = np.searchsorted(self._ends, ids, side="right")
+        for p, (d, *_) in enumerate(self._spans):
+            at = np.flatnonzero(part_of == p)
+            for lo in range(0, len(at), WINDOW_BLOCK):
+                block = at[lo:lo + WINDOW_BLOCK]
+                yield d, block, self.windows(ids[block])
 
     def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Stacked contexts (k, L, C) and horizons (k, H, C) of the draws

@@ -21,6 +21,7 @@ import os
 import pickle
 import re
 import tempfile
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -38,7 +39,7 @@ from .core import (
     ShapeMismatchError,
     TsnormError,
 )
-from .data import InstanceBatch, sample_instances
+from .data import MAX_SYNTHETIC_VALUES, InstanceBatch, sample_instances
 from .metrics import improvement, mase, naive_mae
 from .models import (
     LinearForecaster,
@@ -161,9 +162,10 @@ class ExperimentPlan:
     ``naive_lag`` overrides the per-dataset seasonal period for the MASE
     denominator when set; it must be at least 1.  The integer fields and the
     ``horizons`` values take Python or numpy integers (not ``bool``), stored
-    as ``int``; every horizon is at least 1.  ``lr`` is a finite positive
-    real number.  The field defaults are the defaults of a plan file (see
-    ``from_dict``).
+    as ``int``; every horizon is at least 1.  ``steps`` and
+    ``instances_per_dataset`` size arrays, so each is at most
+    ``MAX_SYNTHETIC_VALUES``.  ``lr`` is a finite positive real number.  The
+    field defaults are the defaults of a plan file (see ``from_dict``).
     """
 
     corpus: tuple
@@ -217,6 +219,10 @@ class ExperimentPlan:
             raise TsnormError(f"lr must be positive, got {lr!r}")
         if self.context_len < 1 or self.steps < 0 or self.instances_per_dataset < 1:
             raise TsnormError("context_len, steps, instances_per_dataset out of range")
+        for name in ("steps", "instances_per_dataset"):
+            if getattr(self, name) > MAX_SYNTHETIC_VALUES:
+                raise TsnormError(f"{name} must be at most {MAX_SYNTHETIC_VALUES}, "
+                                  f"got {getattr(self, name)}")
         if self.naive_lag is not None and self.naive_lag < 1:
             raise TsnormError(f"naive_lag must be at least 1 when set, got {self.naive_lag}")
 
@@ -321,16 +327,22 @@ def variant_seed(plan_seed: int, model_kind: LossKind, scheme: Scheme, withheld:
     return int.from_bytes(digest[:8], "big")
 
 
-def _memoized(memo: dict | None, dataset: Dataset, key: tuple, fit):
-    """``fit()``, kept in ``memo`` (if any) per (``dataset`` object, ``key``), never
-    per name, which two corpora may share; an entry holds its dataset, so its id
-    is not reused while the memo lives.  A fit that raises stores nothing."""
-    if memo is None:
-        return fit()
-    key = (id(dataset), *key)
-    if key not in memo:
-        memo[key] = (dataset, fit())
-    return memo[key][1]
+# The model-free fits of each live Dataset, by id(dataset), then key.  A Dataset
+# is frozen with read-only values, so a fit depends on the object alone; its
+# entry goes when the dataset is collected, so no dataset is held.
+_fits: dict = {}
+
+
+def _fitted(dataset: Dataset, key: tuple, fit):
+    """``fit()``, kept per (``dataset`` object, ``key``) while the dataset lives,
+    never per name, which two corpora may share.  A fit that raises stores nothing."""
+    fits = _fits.get(id(dataset), {})
+    if key not in fits:
+        fits[key] = fit()
+        if id(dataset) not in _fits:
+            _fits[id(dataset)] = fits
+            weakref.finalize(dataset, _fits.pop, id(dataset), None)
+    return fits[key]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -343,7 +355,6 @@ def evaluate(
     naive_lag: int | None = None,
     audit: AccessLog | None = None,
     variant: str = "",
-    memo: dict | None = None,
 ) -> list:
     """Score non-overlapping windows over a dataset's test rows.
 
@@ -354,10 +365,11 @@ def evaluate(
     Statistics, (de-)normalization and naive MAE run block-wise, on a strided
     view of up to ``WINDOW_BLOCK`` windows at a time, with the same bits as
     window by window; ``forecast`` and ``mase`` run once per window.  The
-    statistics and naive MAE depend on no model: a run's ``memo`` keeps them
-    (see ``run_plan``).  Statistics that overflow raise StatsOverflowError,
-    and a non-finite naive MAE or score, checked once per call, raises
-    NonFiniteScoreError; neither lets a numpy warning out.
+    statistics and naive MAE depend on no model: they are fitted once per
+    ``dataset`` object and kept while it lives.  Statistics that overflow
+    raise StatsOverflowError, and a non-finite naive MAE or score, checked
+    once per call, raises NonFiniteScoreError; neither lets a numpy warning
+    out.
     Returns [(offset, mase), ...].
     """
     if horizon > model.horizon:
@@ -375,7 +387,7 @@ def evaluate(
     windows = sliding_window_view(test, window, axis=0)[::horizon].transpose(0, 2, 1)
     method, starts = scheme.inference_method, range(0, len(windows), WINDOW_BLOCK)
     try:
-        fits = _memoized(memo, dataset, (method, context_len, horizon, lag), lambda: [
+        fits = _fitted(dataset, (method, context_len, horizon, lag), lambda: [
             (fit_inference_stats(windows[lo : lo + WINDOW_BLOCK, :context_len], method),
              naive_mae(windows[lo : lo + WINDOW_BLOCK, :context_len], lag)) for lo in starts])
     except NonFiniteError:  # the contexts are finite, so a statistic overflowed
@@ -417,10 +429,9 @@ def run_variant(
     model_kind: LossKind,
     withheld: str,
     audit: AccessLog | None = None,
-    memo: dict | None = None,
 ) -> tuple[LinearForecaster, TrainTrace, list]:
-    """Train one variant and produce its ZS and ID report entries; a run's
-    ``memo`` keeps the statistics that do not depend on the model."""
+    """Train one variant and produce its ZS and ID report entries; each
+    dataset's statistics are fitted once per dataset object (see ``evaluate``)."""
     if withheld not in plan.corpus:
         raise MissingDatasetError(f"withheld {withheld!r} not in plan corpus")
     for name in plan.corpus:
@@ -437,7 +448,7 @@ def run_variant(
         stats = None
         if ds_method is not None:
             # fitted on the train rows; the pool normalizes only the rows it builds
-            stats = _memoized(memo, d, (ds_method,), lambda: fit_dataset_stats(d, ds_method))
+            stats = _fitted(d, (ds_method,), lambda: fit_dataset_stats(d, ds_method))
             if audit is not None:
                 audit.record(variant, "fit_stats", name, 0, d.split_index)
         drawn = sample_instances(
@@ -462,7 +473,7 @@ def run_variant(
     for name, setting in [(withheld, Setting.ZS)] + [(n, Setting.ID) for n in train_names]:
         scores = evaluate(
             trained, scheme, datasets[name], plan.context_len,
-            plan.horizons[name], plan.naive_lag, audit, variant, memo,
+            plan.horizons[name], plan.naive_lag, audit, variant,
         )
         rows.append(
             EvalEntry(
@@ -519,25 +530,19 @@ def assemble_report(rows) -> EvalReport:
 
 
 @functools.lru_cache(maxsize=1)
-def _load_corpus(path: str) -> tuple:
-    """A corpus file's datasets and statistics memo, kept until another corpus
-    file is read: a pool worker loads and fits a corpus once, whatever number
-    of variants it runs."""
+def _load_corpus(path: str) -> dict:
+    """A corpus file's datasets, kept until another corpus file is read: a pool
+    worker loads and fits a corpus once, whatever number of variants it runs."""
     with open(path, "rb") as fh:
-        return pickle.load(fh), {}
-
-
-# The statistics memos of the serial ``run_plan`` calls in progress, innermost last
-_serial_memos: list = []
+        return pickle.load(fh)
 
 
 def _run_variant_worker(args):
     plan, datasets, scheme, model_kind, withheld = args
-    memo = _serial_memos[-1] if _serial_memos else None
     if isinstance(datasets, str):
-        datasets, memo = _load_corpus(datasets)
+        datasets = _load_corpus(datasets)
     audit = AccessLog()
-    trained, trace, rows = run_variant(plan, datasets, scheme, model_kind, withheld, audit, memo)
+    trained, trace, rows = run_variant(plan, datasets, scheme, model_kind, withheld, audit)
     return variant_key(model_kind, scheme, withheld), trained, trace, rows, audit
 
 
@@ -570,8 +575,8 @@ def run_plan(
     order as each variant's result arrives, so variants that finished before
     a failure have already been handed on.
     It is the only place a trained model and its trace come out: the result
-    keeps neither, so a caller that wants them collects them there.  A serial
-    run's statistics memo (see ``evaluate``) is dropped when the run ends.
+    keeps neither, so a caller that wants them collects them there.  The
+    datasets' statistics (see ``evaluate``) are dropped with the datasets.
     """
     problems = plan.validate_against(datasets)
     if problems:
@@ -595,9 +600,6 @@ def run_plan(
             with open(corpus, "wb") as fh:
                 pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
             run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
-        else:
-            _serial_memos.append({})
-            stack.callback(_serial_memos.pop)
         results = run_all(_run_variant_worker,
                           [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])
         # each variant is handed on as it finishes, so a later failure keeps it

@@ -17,12 +17,12 @@ raised at the end of its block, with the same step and loss), and the
 Gaussian heads are stacked into one array.  Every reduction runs in a fixed
 order, so identical seeds give bitwise-identical weights, losses and
 gradient norms.
-Those per-sample arrays come from the lazy pool of ``prepare_training_pool``,
-which is a length and a ``build`` method: it makes every clip decision up
-front, and ``train`` has it build only the rows of the samples the seeded
-permutations draw, stacking their windows a block at a time and computing
-statistics and input norms in a few array operations, with the bits each
-instance alone would give.  A row, (inputs, target, scale, shift, input
+Those per-sample arrays come from the pool of ``prepare_training_pool``,
+the ``InstanceBatch`` of the admitted draws: it makes every clip decision up
+front, and ``train`` has ``build_rows`` build only the rows of the draws the
+seeded permutations visit, stacking their windows a block at a time and
+computing statistics and input norms in a few array operations, with the bits
+each instance alone would give.  A row, (inputs, target, scale, shift, input
 norms), is the one form of a training sample.
 
 The token head is defined by two ``np.einsum`` contractions and computed
@@ -79,7 +79,6 @@ from .core import (
 from .data import InstanceBatch
 from .norm import (
     CLIP_THRESHOLD,
-    WINDOW_BLOCK,
     StatsOverflowError,
     fit_inference_stats,
     instance_max_abs,
@@ -576,81 +575,31 @@ class TrainTrace:
             fh.write("\r\n".join(lines) + "\r\n")
 
 
-class TrainingPool:
-    """The admitted samples of a training pool, in instance order, built on request.
-
-    ``len(pool)`` counts the admitted samples and ``build(ids)`` computes the
-    rows of samples ``ids``; a row is the one form of a training sample, as
-    the SGD kernels take it: (inputs, target, scale, shift, input norms),
-    scale and shift being None when the loss runs directly on the target.
-    ``build`` works a block of up to ``WINDOW_BLOCK`` stacked windows of one
-    batch part at a time, and every row is bitwise the same whichever samples
-    share its block; a row's arrays are rows of its block's arrays.
-    ``channels`` holds the channel counts of every admitted sample, built or
-    not.  ``prepare_training_pool`` makes it from the batch and the mask of
-    admitted instances.
-    """
-
-    def __init__(self, batch: InstanceBatch, scheme: Scheme, model: LinearForecaster,
-                 admitted: np.ndarray):
-        self._batch, self._scheme, self._model = batch, scheme, model
-        groups = batch.groups()
-        self._datasets = [d for d, _ in groups]
-        group_of = np.empty(len(admitted), dtype=np.intp)
-        for g, (_, ids) in enumerate(groups):
-            group_of[ids] = g
-        self._ids = np.flatnonzero(admitted)
-        self._group = group_of[self._ids]
-        self.channels = {self._datasets[g].channels for g in set(self._group.tolist())}
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def build(self, ids) -> list:
-        """The rows of samples ``ids``, in that order."""
-        ids = np.asarray(ids, dtype=np.intp)
-        groups = self._group[ids]
-        rows = [None] * len(ids)
-        for g in set(groups.tolist()):
-            at = np.flatnonzero(groups == g)
-            for lo in range(0, len(at), WINDOW_BLOCK):
-                part = at[lo:lo + WINDOW_BLOCK]
-                windows = self._batch.windows(self._ids[ids[part]])
-                for i, row in zip(part.tolist(), _pool_rows(
-                        *windows, self._scheme, self._model, self._datasets[g].name)):
-                    rows[i] = row
-        return rows
-
-
 def prepare_training_pool(
     batch: InstanceBatch,
     scheme: Scheme,
     model: LinearForecaster,
-) -> tuple[TrainingPool, int]:
+) -> tuple[InstanceBatch, int]:
     """Apply a scheme's train-time normalization placement to a batch's raw instances.
 
-    Returns (pool, number of clip-rejected instances): ``len(pool)`` counts
-    the admitted samples and ``pool.build`` gives their rows.  Point models
-    under a scheme that ``clips`` normalize context and horizon with
-    the context's statistics, keep the loss in normalized space and discard
-    instances beyond ``CLIP_THRESHOLD``; under hybrid they de-normalize the
-    prediction with the instance statistics before the loss.  The Gaussian
-    head always de-normalizes its distribution; token models quantize after
-    the instance step.  A scheme's dataset step comes with the instances:
-    each part of the batch carries its dataset's statistics and normalizes
-    the windows the pool stacks, so dataset-level schemes add no instance
-    step here.
+    Returns (pool, number of clip-rejected instances): the pool is the
+    ``InstanceBatch`` of the admitted draws, in the batch's order, and
+    ``build_rows`` gives their rows.  Point models under a scheme that
+    ``clips`` normalize context and horizon with the context's statistics,
+    keep the loss in normalized space and discard instances beyond
+    ``CLIP_THRESHOLD``; under hybrid they de-normalize the prediction with
+    the instance statistics before the loss.  The Gaussian head always
+    de-normalizes its distribution; token models quantize after the instance
+    step.  A scheme's dataset step comes with the instances: each part of the
+    batch carries its dataset's statistics and normalizes the windows the
+    pool stacks, so dataset-level schemes add no instance step here.
 
     The pool is lazy: only the clip decisions are made here, for every
-    instance, and a sample's row is computed when ``TrainingPool.build``
-    asks for it.  The work is block-wise: the windows of up to
-    ``WINDOW_BLOCK`` instances of one batch part are stacked at a time, with
-    one fancy index, and each block's statistics, clip decisions and input
-    norms take a few array operations.  Every row is bitwise equal to what
-    the same steps give on its instance alone, and the pool keeps the
-    batch's order.  Raises TypeError for anything but an ``InstanceBatch``,
-    and StatsOverflowError naming the dataset and method when the instance
-    statistics of its windows overflow float64.
+    instance, a block of ``batch.blocks`` at a time, and when nothing clips
+    the pool is ``batch`` itself.  Each block's statistics and clip
+    decisions take a few array operations.  Raises TypeError for anything
+    but an ``InstanceBatch``, and StatsOverflowError naming the dataset and
+    method when the instance statistics of its windows overflow float64.
     """
     if not isinstance(batch, InstanceBatch):
         raise TypeError(f"training input must be an InstanceBatch, got {type(batch).__name__}")
@@ -659,15 +608,28 @@ def prepare_training_pool(
             f"instance ({batch.context_len}, {batch.horizon_len}) does not match "
             f"model ({model.context_len}, {model.horizon})"
         )
-    admitted = np.ones(len(batch), dtype=bool)
-    if model.loss_kind.is_point and scheme.clips:
-        for d, ids in batch.groups():
-            for lo in range(0, len(ids), WINDOW_BLOCK):
-                part = ids[lo:lo + WINDOW_BLOCK]
-                admitted[part] = ~_clipped(*batch.windows(part), scheme.instance_method,
-                                           d.name)
-    pool = TrainingPool(batch, scheme, model, admitted)
-    return pool, len(batch) - len(pool)
+    if not (model.loss_kind.is_point and scheme.clips):
+        return batch, 0
+    admitted = np.empty(len(batch), dtype=bool)
+    for d, at, (contexts, horizons) in batch.blocks(np.arange(len(batch))):
+        stats = _window_stats(contexts, scheme.instance_method, d.name)
+        admitted[at] = ~(instance_max_abs(normalize(contexts, stats), normalize(horizons, stats))
+                         > CLIP_THRESHOLD)
+    return batch.select(admitted), len(batch) - int(np.count_nonzero(admitted))
+
+
+def build_rows(pool: InstanceBatch, ids, scheme: Scheme, model: LinearForecaster) -> list:
+    """The rows of draws ``ids`` of a training pool under ``scheme``, in that
+    order, built a block of ``pool.blocks`` at a time.  A row is the one form
+    of a training sample, as the SGD kernels take it: (inputs, target, scale,
+    shift, input norms), scale and shift None when the loss runs on the target.
+    Every row is bitwise equal to what the same steps give on its instance
+    alone, whichever draws share its block; its arrays are rows of its block's."""
+    rows = [None] * len(ids)
+    for d, at, windows in pool.blocks(ids):
+        for i, row in zip(at.tolist(), _pool_rows(*windows, scheme, model, d.name)):
+            rows[i] = row
+    return rows
 
 
 def _window_stats(contexts: np.ndarray, method: Method, name: str) -> NormStats:
@@ -676,14 +638,6 @@ def _window_stats(contexts: np.ndarray, method: Method, name: str) -> NormStats:
         return fit_inference_stats(contexts, method)
     except NonFiniteError:  # the windows are finite, so a statistic overflowed
         raise StatsOverflowError(name, method, "training windows") from None
-
-
-def _clipped(contexts: np.ndarray, horizons: np.ndarray, method: Method,
-             name: str) -> np.ndarray:
-    """Whether each instance of a block of dataset ``name``'s windows exceeds
-    ``CLIP_THRESHOLD`` once normalized with its context's statistics."""
-    stats = _window_stats(contexts, method, name)
-    return instance_max_abs(normalize(contexts, stats), normalize(horizons, stats)) > CLIP_THRESHOLD
 
 
 def _pool_rows(contexts: np.ndarray, horizons: np.ndarray, scheme: Scheme,
@@ -918,26 +872,26 @@ def train(
 
     Deterministic given ``seed``: the pool order is a seeded permutation,
     redrawn each epoch, and all reductions are fixed-order.  Every epoch's
-    permutation is drawn before the first step, and only the samples the
-    steps visit are built.  Steps run in blocks of ``STEP_BLOCK``; raises
-    DivergedError, with the index and loss of the first step whose loss
-    leaves the finite range, at the end of that step's block.  The input
-    model is not mutated.
+    permutation is drawn before the first step, and ``build_rows`` builds
+    only the pool draws the steps visit.  Steps run in blocks of
+    ``STEP_BLOCK``; raises DivergedError, with the index and loss of the
+    first step whose loss leaves the finite range, at the end of that step's
+    block.  The input model is not mutated.
     """
     model = copy.deepcopy(model)
     pool, rejected = prepare_training_pool(batch, scheme, model)
     if not pool:
         raise TsnormError("no admissible training instances after clipping")
-    n = len(pool)
+    n, channels = len(pool), {d.channels for d, ids in pool.groups() if len(ids)}
     rng = np.random.default_rng(seed)
     # the permutations stepping through the pool epoch by epoch would draw
     epochs = max(1, -(-steps // n))
     order = np.concatenate([rng.permutation(n) for _ in range(epochs)])[:steps]
     drawn, slots = np.unique(order, return_inverse=True)
-    rows = pool.build(drawn)
-    losses, norms = np.empty(steps), np.zeros((steps, max(pool.channels)))
+    rows = build_rows(pool, drawn, scheme, model)
+    losses, norms = np.empty(steps), np.zeros((steps, max(channels)))
     kernel = (_TokenKernel if model.loss_kind is LossKind.TOKEN_CE else _LinearKernel)(
-        model, lr, pool.channels)
+        model, lr, channels)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, steps, STEP_BLOCK):
             block = [rows[j] for j in slots[lo:lo + STEP_BLOCK].tolist()]

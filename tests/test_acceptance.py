@@ -53,7 +53,7 @@ from tsnorm import (
 from tsnorm.cli import _report_to_json, _write_json, main
 from tsnorm.core import Forecast, ForecastKind, Scope
 from tsnorm.harness import AVERAGE_ID, run_plan
-from tsnorm.models import prepare_training_pool
+from tsnorm.models import build_rows, prepare_training_pool
 
 from conftest import central_difference, window_batch
 from test_metrics import brute_force_mase
@@ -180,13 +180,13 @@ def test_criterion_3_token_ce_scale_decoupling():
     model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=6,
                                     tokenizer=TokenizerSpec())
     ref_pool, _ = prepare_training_pool(window_batch([base], 32), Scheme.MEANABS, model)
-    ref_inputs, ref_target, *_ = ref_pool.build([0])[0]
+    ref_inputs, ref_target, *_ = build_rows(ref_pool, [0], Scheme.MEANABS, model)[0]
     ref_model, ref_trace = train(
         model, window_batch([base], 32), Scheme.MEANABS, steps=30, lr=0.1, seed=2)
     for c in (1e-3, 1e3):
         batch = window_batch([c * base], 32)
         pool, _ = prepare_training_pool(batch, Scheme.MEANABS, model)
-        inputs, target, *_ = pool.build([0])[0]
+        inputs, target, *_ = build_rows(pool, [0], Scheme.MEANABS, model)[0]
         np.testing.assert_array_equal(target, ref_target)
         np.testing.assert_array_equal(inputs, ref_inputs)
         trained, trace = train(model, batch, Scheme.MEANABS, steps=30, lr=0.1, seed=2)
@@ -279,7 +279,7 @@ def test_criterion_6_clipping_contract():
     assert pool, "some instances must survive clipping"
     worst = max(
         max(np.abs(inputs).max(), np.abs(target).max())
-        for inputs, target, *_ in pool.build(np.arange(len(pool)))
+        for inputs, target, *_ in build_rows(pool, np.arange(len(pool)), Scheme.REVIN, model)
     )
     assert worst <= 10.0
     trained, trace = train(model, instances, Scheme.REVIN, steps=50, lr=1e-3, seed=4)

@@ -13,6 +13,7 @@ import tsnorm.cli as cli
 import tsnorm.harness as harness
 from tsnorm import ExperimentPlan, LinearForecaster, LossKind, read_checkpoint
 from tsnorm.cli import _write_json, main
+from tsnorm.data import MAX_SYNTHETIC_VALUES
 from tsnorm.models import write_checkpoint_data
 
 TINY_SYNTH = {
@@ -354,6 +355,19 @@ class TestRun:
         assert ("horizons" if field == "horizon_overrides" else "lr") in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 10**20), ("steps", MAX_SYNTHETIC_VALUES + 1),
+        ("instances_per_dataset", 10**20), ("instances_per_dataset", MAX_SYNTHETIC_VALUES + 1),
+    ], ids=["steps-1e20", "steps-bound+1", "instances-1e20", "instances-bound+1"])
+    def test_unbounded_plan_size_exits_2_at_dry_run(self, tmp_path, capsys, field, value):
+        # refused while the plan is built: nothing is sampled or trained
+        path = write_plan(tmp_path, dict(TINY_PLAN, **{field: value}))
+        assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert f"{field} must be at most {MAX_SYNTHETIC_VALUES}" in captured.err
+        assert "Traceback" not in captured.err and "runs:" not in captured.out
 
     @pytest.mark.parametrize("plan, named", [
         ([TINY_PLAN], "plan must be a JSON object"),

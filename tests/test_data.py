@@ -3,9 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import tsnorm.data as data
 from tsnorm import (
     Dataset,
+    LinearForecaster,
+    LossKind,
     Method,
+    Scheme,
     SyntheticSpec,
     export_csv,
     fit_dataset_stats,
@@ -24,6 +28,8 @@ from tsnorm.data import (
     TooShortError,
     WindowTooLongError,
 )
+from tsnorm.models import prepare_training_pool
+from tsnorm.norm import WINDOW_BLOCK
 
 
 class TestLoadCsv:
@@ -252,6 +258,70 @@ class TestInstanceBatch:
                 InstanceBatch([(tiny_dataset, starts)], 30, 6)
         with pytest.raises(ShapeMismatchError):
             InstanceBatch([(tiny_dataset, [0])], 0, 6)
+
+
+class TestBlocksAndSelect:
+    """``blocks`` walks draws part by part, a block of windows at a time, and
+    ``select`` keeps a subset of the draws with each part's dataset."""
+
+    @staticmethod
+    def _batch(tiny_dataset):
+        other = Dataset("other", tiny_dataset.values[:, :1] * 3.0, "1h", 24, 300)
+        stats = fit_dataset_stats(tiny_dataset, Method.MINMAX)
+        return InstanceBatch.concat([sample_instances(tiny_dataset, 30, 6, 11, seed=1),
+                                     sample_instances(other, 30, 6, 9, seed=2),
+                                     sample_instances(tiny_dataset, 30, 6, 6, seed=3,
+                                                      stats=stats)])
+
+    @pytest.mark.parametrize("block", [WINDOW_BLOCK, 4])
+    def test_blocks_cover_every_position_once_part_by_part(self, tiny_dataset, block,
+                                                           monkeypatch):
+        monkeypatch.setattr(data, "WINDOW_BLOCK", block)
+        batch = self._batch(tiny_dataset)
+        ids = np.concatenate([np.random.default_rng(5).permutation(26), [3, 25]])
+        seen, parts = [], []
+        for d, at, (contexts, horizons) in batch.blocks(ids):
+            assert 1 <= len(at) <= block and np.all(np.diff(at) > 0)
+            seen.extend(at.tolist())
+            part = int(np.searchsorted([11, 20, 26], ids[at[0]], side="right"))
+            assert d is batch.groups()[part][0]
+            assert all(int(np.searchsorted([11, 20, 26], i, side="right")) == part
+                       for i in ids[at].tolist())
+            parts.append(part)
+            want_contexts, want_horizons = batch.windows(ids[at])
+            assert contexts.tobytes() == want_contexts.tobytes()
+            assert horizons.tobytes() == want_horizons.tobytes()
+        assert sorted(seen) == list(range(len(ids)))
+        assert parts == sorted(parts) and set(parts) == {0, 1, 2}
+        assert list(batch.blocks([])) == []
+        for outside in ([-1], [26]):
+            with pytest.raises(IndexError):
+                list(batch.blocks(outside))
+
+    def test_select_keeps_order_parts_and_statistics(self, tiny_dataset):
+        batch = self._batch(tiny_dataset)
+        keep = np.ones(26, dtype=bool)
+        keep[[0, 4, 10, 25]] = False
+        keep[11:20] = False  # every draw of the middle part
+        kept = batch.select(keep)
+        assert kept.starts.tolist() == batch.starts[keep].tolist()
+        assert (kept.context_len, kept.horizon_len) == (30, 6)
+        assert [(d, len(ids)) for d, ids in kept.groups()] == [
+            (d, int(keep[ids].sum())) for d, ids in batch.groups()]
+        for new, old in enumerate(np.flatnonzero(keep).tolist()):
+            assert kept.windows([new])[0].tobytes() == batch.windows([old])[0].tobytes()
+        assert len(batch.select(np.zeros(26, dtype=bool))) == 0
+        with pytest.raises(ShapeMismatchError):
+            batch.select(keep[:-1])
+
+    @pytest.mark.parametrize("kind, scheme", [
+        (LossKind.MSE, Scheme.HYBRID), (LossKind.MSE, Scheme.RAW),
+        (LossKind.GAUSSIAN_NLL, Scheme.REVIN), (LossKind.TOKEN_CE, Scheme.MEANABS)])
+    def test_a_pool_that_does_not_clip_is_the_batch(self, tiny_dataset, kind, scheme):
+        batch = self._batch(tiny_dataset)
+        model = LinearForecaster.create(kind, 30, 6)
+        pool, rejected = prepare_training_pool(batch, scheme, model)
+        assert pool is batch and rejected == 0
 
 
 class TestDatasetStepInTheBatch:

@@ -45,7 +45,7 @@ from tsnorm import (
 )
 from tsnorm.cli import main
 from tsnorm.core import EvalReport, NonFiniteError, TsnormError
-from tsnorm.data import InstanceBatch
+from tsnorm.data import MAX_SYNTHETIC_VALUES, InstanceBatch
 from tsnorm.harness import (
     AVERAGE_ID,
     AccessLog,
@@ -125,6 +125,15 @@ class TestPlan:
         long_plan = raw_plan(datasets, context_len=470)
         problems = long_plan.validate_against(datasets)
         assert problems and any("test rows" in p for p in problems)
+
+    @pytest.mark.parametrize("field", ["steps", "instances_per_dataset"])
+    def test_array_sizes_are_bounded(self, field):
+        datasets = small_corpus()
+        assert getattr(raw_plan(datasets, **{field: MAX_SYNTHETIC_VALUES}),
+                       field) == MAX_SYNTHETIC_VALUES
+        for value in (MAX_SYNTHETIC_VALUES + 1, 10**20):
+            with pytest.raises(TsnormError, match=f"{field} must be at most"):
+                raw_plan(datasets, **{field: value})
 
     def test_integer_fields_take_python_and_numpy_ints(self):
         datasets = small_corpus()
@@ -804,7 +813,7 @@ def _csv_plan_file(root: Path, datasets: dict) -> Path:
 
 class TestStatisticsMemo:
     """Dataset and window statistics are fitted once per process and corpus,
-    keyed by the Dataset object, and live no longer than the run."""
+    keyed by the Dataset object, and live no longer than the dataset."""
 
     def test_fits_each_dataset_and_method_once_per_run(self, monkeypatch):
         datasets = small_corpus()
@@ -850,10 +859,12 @@ class TestStatisticsMemo:
         datasets = small_corpus()
         refs = [weakref.ref(d) for d in datasets.values()]
         result = run_plan(small_plan(datasets, schemes=(Scheme.HYBRID,), steps=5), datasets)
-        assert harness._serial_memos == []
+        assert {id(d) for d in datasets.values()} <= set(harness._fits)
+        ids = [id(d) for d in datasets.values()]
         del datasets
         gc.collect()
         assert [ref() for ref in refs] == [None, None, None]
+        assert not set(ids) & set(harness._fits)  # each entry went with its dataset
         assert result.report.entries
 
     def test_direct_evaluate_gives_the_reference_bits(self):
@@ -864,7 +875,6 @@ class TestStatisticsMemo:
                 got = evaluate(model, scheme, corpus["synth1"], 48, 24)
                 want = _reference_evaluate(model, scheme, corpus["synth1"], 48, 24)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
-        assert harness._serial_memos == []
 
     def test_a_worker_fits_once_per_loaded_corpus(self, tmp_path, monkeypatch):
         harness._load_corpus.cache_clear()
@@ -880,9 +890,20 @@ class TestStatisticsMemo:
         for mk, sc, wh in plan.variants():  # withheld synth0, then synth2
             harness._run_variant_worker((plan, path, sc, mk, wh))
         assert sorted(fits) == ["synth0", "synth1", "synth2"]
-        loaded, memo = harness._load_corpus(path)
-        held = {id(entry[0]) for entry in memo.values()}
-        assert held == {id(d) for d in loaded.values()}
+        loaded = harness._load_corpus(path)
+        assert {id(d) for d in loaded.values()} <= set(harness._fits)
+        # another corpus file evicts the first, and its fits go with its datasets
+        other = str(tmp_path / "other.pickle")
+        with open(other, "wb") as fh:
+            pickle.dump(small_corpus(), fh, protocol=pickle.HIGHEST_PROTOCOL)
+        ids = {id(d) for d in loaded.values()}
+        del loaded
+        harness._load_corpus(other)
+        gc.collect()
+        assert not ids & set(harness._fits)
+        for mk, sc, wh in plan.variants():
+            harness._run_variant_worker((plan, other, sc, mk, wh))
+        assert sorted(fits[3:]) == ["synth0", "synth1", "synth2"]
         harness._load_corpus.cache_clear()
 
 
@@ -894,27 +915,24 @@ class TestStatisticsOverflow:
     def test_window_fit_names_the_dataset_and_method_and_stores_nothing(self):
         d = self._huge(small_corpus()["synth2"])
         model = LinearForecaster.create(LossKind.MSE, 48, 24, seed=6)
-        memo = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StatsOverflowError, match=(
                     "dataset 'synth2': revin statistics of its test-row contexts overflow")):
-                evaluate(model, Scheme.REVIN, d, 48, 24, memo=memo)
-        assert memo == {}
+                evaluate(model, Scheme.REVIN, d, 48, 24)
+        assert id(d) not in harness._fits
 
     def test_dataset_fit_names_the_dataset_and_method_and_stores_nothing(self):
         datasets = small_corpus()
         datasets["synth1"] = self._huge(datasets["synth1"])
         plan = small_plan(datasets, schemes=(Scheme.STANDARDIZATION,), steps=5)
-        memo = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StatsOverflowError, match=(
                     "dataset 'synth1': standardization statistics of its train rows")):
-                run_variant(plan, datasets, Scheme.STANDARDIZATION, LossKind.MSE, "synth2",
-                            memo=memo)
+                run_variant(plan, datasets, Scheme.STANDARDIZATION, LossKind.MSE, "synth2")
         # synth0 was fitted before synth1 failed; nothing of synth1 is kept
-        assert [entry[0].name for entry in memo.values()] == ["synth0"]
+        assert [id(datasets[n]) in harness._fits for n in datasets] == [True, False, False]
 
     @pytest.mark.parametrize("kind, scheme", [
         (LossKind.MSE, Scheme.REVIN), (LossKind.MSE, Scheme.HYBRID),

@@ -32,6 +32,7 @@ from tsnorm import (
     tokenize,
     train,
 )
+import tsnorm.data as data
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError
 from tsnorm.data import InstanceBatch
@@ -46,6 +47,7 @@ from tsnorm.models import (
     _token_ce,
     _token_ce_c2,
     _token_logits,
+    build_rows,
     prepare_training_pool,
     token_point_forecast,
 )
@@ -340,7 +342,7 @@ class TestTrain:
         pool, rejected = prepare_training_pool(window_batch([good, flat], 32), Scheme.REVIN,
                                                model)
         assert rejected == 1 and len(pool) == 1
-        rows = pool.build(np.arange(len(pool)))
+        rows = build_rows(pool, np.arange(len(pool)), Scheme.REVIN, model)
         assert max(np.abs(inputs).max() for inputs, *_ in rows) <= 10.0
         assert max(np.abs(target).max() for _, target, *_ in rows) <= 10.0
 
@@ -369,14 +371,14 @@ class TestScaleSensitivity:
         rng = np.random.default_rng(61)
         base = make_window(rng, channels=2, offset=1.0)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=6)
-        ref_inputs, ref_target, *_ = prepare_training_pool(
-            window_batch([base], 32), Scheme.MEANABS, model)[0].build([0])[0]
+        ref_pool, _ = prepare_training_pool(window_batch([base], 32), Scheme.MEANABS, model)
+        ref_inputs, ref_target, *_ = build_rows(ref_pool, [0], Scheme.MEANABS, model)[0]
         ref_trained, ref_trace = train(model, window_batch([base], 32), Scheme.MEANABS,
                                        steps=20, lr=0.1, seed=2)
         for c in (1e-3, 1e3):
             scaled = window_batch([c * base], 32)
             pool, _ = prepare_training_pool(scaled, Scheme.MEANABS, model)
-            inputs, target, *_ = pool.build([0])[0]
+            inputs, target, *_ = build_rows(pool, [0], Scheme.MEANABS, model)[0]
             np.testing.assert_array_equal(target, ref_target)
             np.testing.assert_array_equal(inputs, ref_inputs)
             trained, trace = train(model, scaled, Scheme.MEANABS,
@@ -824,7 +826,7 @@ class TestLazyTraining:
                                                             offset, monkeypatch):
         # blocks of three samples: every build crosses blocks and ends on a
         # partial one, and the order of drawn ids interleaves channel counts
-        monkeypatch.setattr(models, "WINDOW_BLOCK", 3)
+        monkeypatch.setattr(data, "WINDOW_BLOCK", 3)
         instances = TestKernelsMatchReference._pool(channels)
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
@@ -861,7 +863,8 @@ class TestLazyTraining:
         monkeypatch.setattr(models, "_pool_rows", counted)
         model = LinearForecaster.create(LossKind.MAE, 32, 8, seed=1)
         pool, rejected = prepare_training_pool(batch, scheme, model)
-        assert built == [] and len(pool) == 300 - rejected and pool.channels == {2}
+        assert built == [] and len(pool) == 300 - rejected
+        assert {d.channels for d, ids in pool.groups() if len(ids)} == {2}
         # 40 steps into a first epoch of 300 visit 40 distinct samples
         _, trace = train(model, batch, scheme, steps=40, lr=1e-3, seed=2)
         assert sum(built) == 40 and trace.pool_size == len(pool)
@@ -965,15 +968,15 @@ class TestStepBlocks:
         instances = InstanceBatch([(values, starts)], length, horizon)
         model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, length, horizon, seed=1)
         built_at = []
-        build = models.TrainingPool.build
+        build = models.build_rows
 
-        def built(pool, ids):
-            rows = build(pool, ids)
+        def built(*args):
+            rows = build(*args)
             built_at.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.reset_peak()
             return rows
 
-        monkeypatch.setattr(models.TrainingPool, "build", built)
+        monkeypatch.setattr(models, "build_rows", built)
         tracemalloc.start()
         try:
             _, trace = train(model, instances, Scheme.REVIN, steps=steps, lr=1e-4, seed=3)
@@ -1213,13 +1216,14 @@ class TestPoolMatchesReference:
             assert ref_rejected >= 1
         # one block per channel count, then blocks of 4 that split each group
         for block in (WINDOW_BLOCK, 4):
-            monkeypatch.setattr(models, "WINDOW_BLOCK", block)
+            monkeypatch.setattr(data, "WINDOW_BLOCK", block)
             pool, rejected = prepare_training_pool(instances, scheme, model)
             assert rejected == ref_rejected
-            rows = pool.build(np.arange(len(pool)))
+            rows = build_rows(pool, np.arange(len(pool)), scheme, model)
             assert len(pool) == len(ref) == len(rows)
             # each sample built alone, and within the whole pool's blocks
-            _assert_rows_equal_reference([pool.build([i])[0] for i in range(len(pool))], ref)
+            _assert_rows_equal_reference(
+                [build_rows(pool, [i], scheme, model)[0] for i in range(len(pool))], ref)
             _assert_rows_equal_reference(rows, ref)
 
     def test_shape_mismatch_rejected_before_any_work(self):
@@ -1269,7 +1273,7 @@ class TestPoolSources:
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_batch_rows_equal_the_reference_pool(self, kind, scheme, block, monkeypatch):
-        monkeypatch.setattr(models, "WINDOW_BLOCK", block)
+        monkeypatch.setattr(data, "WINDOW_BLOCK", block)
         batch, windows = self._batch()
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(kind, 32, 8, seed=8, tokenizer=spec)
@@ -1278,8 +1282,9 @@ class TestPoolSources:
         assert rejected == ref_rejected
         if kind.is_point and scheme.clips:
             assert rejected > 0
-        assert len(pool) == len(ref) and pool.channels == {2, 3}
-        _assert_rows_equal_reference(pool.build(np.arange(len(pool))), ref)
+        assert len(pool) == len(ref)
+        assert {d.channels for d, ids in pool.groups() if len(ids)} == {2, 3}
+        _assert_rows_equal_reference(build_rows(pool, np.arange(len(pool)), scheme, model), ref)
 
 
 class TestPoolMemory:
@@ -1311,7 +1316,7 @@ class TestPoolMemory:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            rows = pool.build(every)
+            rows = build_rows(pool, every, scheme, model)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -28,7 +28,7 @@ from tsnorm.core import (
     ShapeMismatchError,
 )
 from tsnorm.metrics import naive_mae
-from tsnorm.models import prepare_training_pool
+from tsnorm.models import build_rows, prepare_training_pool
 from tsnorm.norm import DegenerateChannelWarning, StatsOverflowError, WrongMethodError
 
 from conftest import col, window_batch
@@ -268,7 +268,7 @@ def _point_pool(window, context_len, scheme):
     shift, input norms), none if rejected."""
     model = LinearForecaster.create(LossKind.MSE, context_len, len(window) - context_len)
     pool, rejected = prepare_training_pool(window_batch([window], context_len), scheme, model)
-    return pool.build(np.arange(len(pool))), rejected
+    return build_rows(pool, np.arange(len(pool)), scheme, model), rejected
 
 
 class TestClippedInstanceNormalize:
