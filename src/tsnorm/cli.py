@@ -3,7 +3,9 @@
 Configuration is JSON (plans are unwieldy as flags); a handful of flags
 override scalars.  Exit codes: 0 success, 2 validation error, 3 training
 divergence, 4 I/O error.  The TSNORM_SEED environment variable overrides the
-plan seed.
+plan seed.  ``RunStore`` owns the ``--out`` tree of ``tsnorm run``: its
+layout, its write order, and the read-back that decides on a rerun which
+variants are reused.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .core import Setting, TsnormError, atomic_open
+from .core import EvalEntry, Setting, TsnormError, atomic_open
 from .data import SyntheticSpec, export_csv, generate_synthetic, load_csv
 from .harness import (
     AVERAGE_ID,
@@ -27,8 +29,7 @@ from .harness import (
     variant_key,
     variant_seed,
 )
-from .core import EvalEntry
-from .models import DivergedError, Scheme, write_checkpoint_data
+from .models import DivergedError, Scheme, read_checkpoint, write_checkpoint_data
 
 SCHEMA_VERSION = 1
 
@@ -136,29 +137,6 @@ def _rows_to_json(entries) -> list:
     ]
 
 
-def _rows_from_json(rows) -> list:
-    return [
-        EvalEntry(
-            model_id=r["model"],
-            method=r["method"],
-            dataset=r["dataset"],
-            setting=Setting(r["setting"]),
-            mase=r["mase"],
-            withheld=r["withheld"],
-        )
-        for r in rows
-    ]
-
-
-def _load_variant_rows(path: Path) -> list | None:
-    """Rows of a persisted variant, or None if the file is unreadable or has none."""
-    try:
-        rows = _rows_from_json(_read_json(path)["rows"])
-    except (ValueError, KeyError, TypeError):
-        return None
-    return rows or None
-
-
 def _report_to_json(report, plan: ExperimentPlan) -> dict:
     aggregates: dict = {}
     for (model, method, setting), (mean, std) in sorted(report.aggregates.items()):
@@ -182,9 +160,80 @@ def _report_to_json(report, plan: ExperimentPlan) -> dict:
     }
 
 
-def _variant_filename(key: str, suffix: str = ".json") -> str:
-    """File name of a variant's checkpoint, trace or rows: its key with "|" as "__"."""
-    return key.replace("|", "__") + suffix
+class RunStore:
+    """The ``--out`` tree of ``tsnorm run``: its layout, write order and resume read.
+
+    A variant keyed ``<key>`` ("|" written as "__") leaves
+    ``checkpoints/<key>.json`` with its data file ``<key>.f64``,
+    ``traces/<key>.csv`` and, last, ``variants/<key>.json`` with its rows; the
+    run ends with ``report.json`` and ``manifest.json``.  Each variant
+    computed or reused prints a progress line ``[i/n] key: ...`` on stderr.
+    """
+
+    def __init__(self, out, plan: ExperimentPlan):
+        self.out, self.plan, self._done = Path(out), plan, 0
+        for sub in ("variants", "checkpoints", "traces"):
+            (self.out / sub).mkdir(parents=True, exist_ok=True)
+
+    def _path(self, sub: str, key: str, suffix: str = ".json") -> Path:
+        return self.out / sub / (key.replace("|", "__") + suffix)
+
+    def _progress(self, key: str, what: str) -> None:
+        self._done += 1
+        print(f"[{self._done}/{len(self.plan.variants())}] {key}: {what}",
+              file=sys.stderr, flush=True)
+
+    def _read_back(self, key: str) -> list | None:
+        """The rows of ``key`` if its variant file holds valid rows of that
+        variant, ``read_checkpoint`` accepts its checkpoint and its trace has a
+        line per step plus the header; else None, naming the first bad file."""
+        what, path = "variant file", self._path("variants", key)
+        if not path.exists():
+            return None
+        try:
+            rows = [EvalEntry(r["model"], r["method"], r["dataset"], Setting(r["setting"]),
+                              r["mase"], r["withheld"]) for r in _read_json(path)["rows"]]
+            if rows and all(f"{r.model_id}|{r.method}|{r.withheld}" == key for r in rows):
+                what, path = "checkpoint", self._path("checkpoints", key)
+                read_checkpoint(path)
+                what, path = "trace", self._path("traces", key, ".csv")
+                if path.read_bytes().count(b"\n") == self.plan.steps + 1:
+                    return rows
+        except (TsnormError, OSError, ValueError, KeyError, TypeError):
+            pass
+        print(f"recomputing unreadable {what} {path}", file=sys.stderr)
+        return None
+
+    def completed(self) -> dict:
+        """Rows by key of the variants that read back whole; the rest are recomputed."""
+        keys = [variant_key(*v) for v in self.plan.variants()]
+        completed = {k: rows for k in keys if (rows := self._read_back(k)) is not None}
+        for key in completed:
+            self._progress(key, "resumed")
+        return completed
+
+    def persist(self, key: str, model, trace, rows) -> None:
+        """Write a trained variant's checkpoint data, header, trace and rows, in that order."""
+        checkpoint = self._path("checkpoints", key)
+        _write_json(checkpoint, write_checkpoint_data(checkpoint, model))
+        trace.to_csv(self._path("traces", key, ".csv"))
+        _write_json(self._path("variants", key), {"rows": _rows_to_json(rows)})
+        losses = trace.losses
+        loss = f"{losses[0]:.6g} -> {losses[-1]:.6g}" if len(losses) else "none"
+        self._progress(key, f"computed, pool {trace.pool_size}, rejected {trace.rejected}, "
+                            f"loss {loss}")
+
+    def finish(self, report) -> Path:
+        """Write ``report.json``, then ``manifest.json``; return the report's path."""
+        _write_json(self.out / "report.json", _report_to_json(report, self.plan))
+        _write_json(self.out / "manifest.json", {
+            "kind": "benchmark-run",
+            "plan": self.plan.to_dict(),
+            "variant_seeds": {variant_key(*v): variant_seed(self.plan.seed, *v)
+                              for v in self.plan.variants()},
+            "version": __version__,
+        })
+        return self.out / "report.json"
 
 
 def cmd_run(args) -> int:
@@ -213,65 +262,14 @@ def cmd_run(args) -> int:
             print(f"  {variant_key(mk, sc, wh)}")
         return 0
 
-    out = Path(args.out)
-    variants_dir = out / "variants"
-    checkpoints_dir = out / "checkpoints"
-    traces_dir = out / "traces"
-    for p in (out, variants_dir, checkpoints_dir, traces_dir):
-        p.mkdir(parents=True, exist_ok=True)
-
-    # resume: variants already persisted are not re-trained
-    completed = {}
-    for mk, sc, wh in plan.variants():
-        key = variant_key(mk, sc, wh)
-        path = variants_dir / _variant_filename(key)
-        if path.exists():
-            rows = _load_variant_rows(path)
-            if rows is None:
-                print(f"recomputing unreadable variant file {path}", file=sys.stderr)
-            else:
-                completed[key] = rows
-
-    total = len(plan.variants())
-    finished = 0
-
-    def progress(key: str, what: str) -> None:
-        nonlocal finished
-        finished += 1
-        print(f"[{finished}/{total}] {key}: {what}", file=sys.stderr, flush=True)
-
-    for key in completed:
-        progress(key, "resumed")
-
-    def collect(key, trained, trace, rows):
-        # the variant file marks the variant done, so it is written last
-        checkpoint = checkpoints_dir / _variant_filename(key)
-        _write_json(checkpoint, write_checkpoint_data(checkpoint, trained))
-        trace.to_csv(traces_dir / _variant_filename(key, ".csv"))
-        _write_json(variants_dir / _variant_filename(key), {"rows": _rows_to_json(rows)})
-        losses = trace.losses
-        loss = f"{losses[0]:.6g} -> {losses[-1]:.6g}" if len(losses) else "none"
-        progress(key, f"computed, pool {trace.pool_size}, rejected {trace.rejected}, "
-                      f"loss {loss}")
-
-    result = run_plan(plan, datasets, jobs=args.jobs, completed=completed, on_variant=collect)
-
-    _write_json(out / "report.json", _report_to_json(result.report, plan))
-    _write_json(out / "manifest.json", {
-        "kind": "benchmark-run",
-        "plan": plan.to_dict(),
-        "variant_seeds": {
-            variant_key(mk, sc, wh): variant_seed(plan.seed, mk, sc, wh)
-            for mk, sc, wh in plan.variants()
-        },
-        "version": __version__,
-    })
+    store = RunStore(args.out, plan)
+    completed = store.completed()
+    result = run_plan(plan, datasets, jobs=args.jobs, completed=completed,
+                      on_variant=store.persist)
+    report_path = store.finish(result.report)
     skipped = len(completed)
-    print(
-        f"completed {len(plan.variants()) - skipped} runs"
-        + (f" (resumed past {skipped})" if skipped else "")
-        + f"; report at {out / 'report.json'}"
-    )
+    resumed = f" (resumed past {skipped})" if skipped else ""
+    print(f"completed {len(plan.variants()) - skipped} runs{resumed}; report at {report_path}")
     return 0
 
 

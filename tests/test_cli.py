@@ -12,9 +12,10 @@ import pytest
 import tsnorm.cli as cli
 import tsnorm.harness as harness
 from tsnorm import ExperimentPlan, LinearForecaster, LossKind, read_checkpoint
+from tsnorm.core import EvalEntry, Setting
 from tsnorm.cli import _write_json, main
 from tsnorm.data import MAX_SYNTHETIC_VALUES
-from tsnorm.models import write_checkpoint_data
+from tsnorm.models import TrainTrace, write_checkpoint_data
 
 TINY_SYNTH = {
     "n_datasets": 3,
@@ -38,6 +39,10 @@ TINY_PLAN = {
     "withheld": ["synth0", "synth2"],
     "synthetic": TINY_SYNTH,
 }
+
+
+# one model kind and scheme, each dataset withheld once
+THREE_VARIANTS = dict(TINY_PLAN, schemes=["revin"], withheld=["synth0", "synth1", "synth2"])
 
 
 def write_plan(tmp_path, plan=None, name="plan.json"):
@@ -65,6 +70,11 @@ def csv_plan(tmp_path):
         for name, info in manifest["files"].items()
     ]
     return plan
+
+
+def _tree(out):
+    """Every file under ``out`` by relative path, with its bytes."""
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
 class TestSynth:
@@ -252,6 +262,66 @@ class TestRun:
         assert (partial / "report.json").read_bytes() == (full / "report.json").read_bytes()
         for f in (truncated, empty):
             assert f.read_bytes() == (full / "variants" / f.name).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["data files deleted", "data file altered",
+                                        "header deleted", "trace emptied",
+                                        "trace cut short"])
+    def test_resume_recomputes_variants_whose_files_do_not_read_back(self, tmp_path, capsys,
+                                                                     damage):
+        path = write_plan(tmp_path, THREE_VARIANTS)
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(full)]) == 0
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        data = sorted((out / "checkpoints").glob("*.f64"))
+        trace = sorted((out / "traces").glob("*.csv"))[1]
+        if damage == "data files deleted":
+            for f in data:
+                f.unlink()
+            trace.write_text("")
+            named = [f.with_suffix(".json") for f in data]
+        elif damage == "data file altered":
+            raw = bytearray(data[0].read_bytes())
+            raw[0] ^= 1
+            data[0].write_bytes(bytes(raw))
+            named = [data[0].with_suffix(".json")]
+        elif damage == "header deleted":
+            data[2].with_suffix(".json").unlink()
+            named = [data[2].with_suffix(".json")]
+        else:
+            lines = trace.read_bytes().split(b"\r\n")
+            # a trace cut short keeps its header and all rows but the last
+            trace.write_bytes(b"" if damage == "trace emptied"
+                              else b"\r\n".join(lines[:-2]) + b"\r\n")
+            named = [trace]
+        capsys.readouterr()
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        kind = "trace" if named == [trace] else "checkpoint"
+        assert [line for line in captured.err.splitlines() if line.startswith("recomputing")] == [
+            f"recomputing unreadable {kind} {f}" for f in named]
+        resumed = 3 - len(named)
+        assert captured.out.startswith(f"completed {len(named)} runs"
+                                       + (f" (resumed past {resumed})" if resumed else "") + ";")
+        assert _tree(out) == _tree(full)
+
+    # None puts another variant's rows in the file
+    @pytest.mark.parametrize("mase", [-1.0, float("nan"), "0.5", None])
+    def test_resume_recomputes_variant_file_with_invalid_rows(self, tmp_path, capsys, mase):
+        path = write_plan(tmp_path)
+        full, out = tmp_path / "full", tmp_path / "out"
+        assert main(["run", "--plan", str(path), "--out", str(full)]) == 0
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        victim, other = sorted((out / "variants").glob("*.json"))[:2]
+        doc = json.loads((victim if mase is not None else other).read_text())
+        if mase is not None:
+            doc["rows"][0]["mase"] = mase
+        victim.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert f"recomputing unreadable variant file {victim}" in captured.err.splitlines()
+        assert "completed 1 runs (resumed past 3)" in captured.out
+        assert _tree(out) == _tree(full)
 
     def test_progress_line_per_finished_variant(self, tmp_path, capsys):
         path = write_plan(tmp_path)
@@ -553,6 +623,57 @@ class TestRun:
         for f in dataclasses.fields(ExperimentPlan):
             if f.default is not dataclasses.MISSING:
                 assert f"| `{f.name}` | `{json.dumps(f.default)}` |" in readme
+
+
+class TestRunStore:
+    def _plan(self, tmp_path):
+        return cli._load_plan_file(write_plan(tmp_path), None)[0]
+
+    def test_write_order_per_variant_then_report_and_manifest(self, tmp_path, monkeypatch):
+        out, writes = tmp_path / "out", []
+
+        def recording(fn, name_of):
+            def wrapped(*args):
+                writes.append(name_of(*args).relative_to(out).as_posix())
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(cli, "write_checkpoint_data", recording(
+            cli.write_checkpoint_data, lambda path, model: path.with_suffix(".f64")))
+        monkeypatch.setattr(cli, "_write_json", recording(
+            cli._write_json, lambda path, payload: path))
+        monkeypatch.setattr(TrainTrace, "to_csv", recording(
+            TrainTrace.to_csv, lambda trace, path: path))
+        path = write_plan(tmp_path, THREE_VARIANTS)
+        assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
+        names = [k.replace("|", "__") for k in
+                 ("point_mse|revin|synth0", "point_mse|revin|synth1", "point_mse|revin|synth2")]
+        assert writes == [
+            *(f for n in names for f in (f"checkpoints/{n}.f64", f"checkpoints/{n}.json",
+                                         f"traces/{n}.csv", f"variants/{n}.json")),
+            "report.json", "manifest.json"]
+
+    def test_completed_on_a_fresh_tree_is_empty_and_silent(self, tmp_path, capsys):
+        store = cli.RunStore(tmp_path / "out", self._plan(tmp_path))
+        assert store.completed() == {}
+        assert capsys.readouterr() == ("", "")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "checkpoints", "traces", "variants"]
+
+    def test_persisted_variant_reads_back_its_rows(self, tmp_path, capsys):
+        plan, key = self._plan(tmp_path), "point_mse|raw|synth2"
+        rows = [EvalEntry("point_mse", "raw", name, setting, 0.25 * i, "synth2")
+                for i, (name, setting) in enumerate([("synth0", Setting.ID),
+                                                     ("synth2", Setting.ZS)])]
+        trace = TrainTrace(losses=np.linspace(2.0, 1.0, plan.steps),
+                           grad_norms=[np.ones(2)] * plan.steps,
+                           rejected=1, pool_size=47, seed=5, lr=plan.lr)
+        model = LinearForecaster.create(LossKind.MSE, plan.context_len, 6, seed=3)
+        cli.RunStore(tmp_path / "out", plan).persist(key, model, trace, rows)
+        assert capsys.readouterr().err == (
+            f"[1/4] {key}: computed, pool 47, rejected 1, loss 2 -> 1\n")
+        assert cli.RunStore(tmp_path / "out", plan).completed() == {key: rows}
+        assert capsys.readouterr().err == f"[1/4] {key}: resumed\n"
 
 
 class TestReport:
