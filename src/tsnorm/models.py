@@ -25,28 +25,19 @@ computing statistics and input norms in a few array operations, with the bits
 each instance alone would give.  A row, (inputs, target, scale, shift, input
 norms), is the one form of a training sample.
 
-The token head is defined by two ``np.einsum`` contractions and computed
-without them where that gives the same bits:
+The token head is one array kernel for every channel count C, on (L, H, B)
+weights whose (H, B, L) view is the model's ``token_weights``:
 
-* forward, ``einsum("hbl,lc->hcb", W, x)``: for a C-contiguous (L, C) context
-  with C >= 2 it sums over ``l`` strictly in order, starting from 0.0.
-  ``_token_logits`` computes the same sums and returns them as (C, H, B);
-  the memory order of a forecast's logits is set by ``Forecast``.  At C = 1
-  einsum takes a vectorized dot with another summation order, so a
-  one-channel context keeps einsum;
-* loss: on einsum's layout, ``_token_ce``'s max and exp-sum over bins add
-  the bins one after another, in numpy inner loops of only C elements.  The
-  training kernel lays its logits out (B, H, C), bins outermost, where the
-  same reductions run over the leading axis in the same order, in inner
-  loops over all H*C cells; its channel gradient norms keep the sequential
-  (h, b), h-major order too (see ``_token_ce_c2``);
-* backward, ``einsum("hcb,lc->hbl", g, x)``: at C = 2 it computes
-  ``g0*x0 + g1*x1`` rounded in that order (at C = 3 it sums the lanes as
-  ``(p0+p2)+p1``).  Only a training pool whose every sample has exactly two
-  channels runs the array kernel, on (L, H, B) weights whose (H, B, L) view
-  is the trained model's ``token_weights``, so ``forecast`` copies none; any
-  other pool runs the einsum step and ``_token_ce`` unchanged, on C-contiguous
-  weights (a one-channel sum over (h, b) is pairwise, not sequential).
+* forward: each logit sums its products over ``l`` in order, starting from 0.0
+  (``_token_logits``);
+* loss: the logits are laid out (B, H, C), bins outermost, so the softmax's
+  max and exp-sum add the bins one after another, and each channel's
+  gradient norm sums over (h, b) in order, h-major (``_token_ce_norms``);
+* backward: ``lr * (g0*x0 + g1*x1 + ... + g_{C-1}*x_{C-1})``, the lanes added
+  in order, and the bias moves by ``np.add.reduce(grad, axis=0) * lr``.
+
+At C = 2 these are the bits of ``einsum("hbl,lc->hcb", W, x)`` forward,
+``_token_ce`` on einsum's layout and ``einsum("hcb,lc->hbl", g, x)`` backward.
 """
 
 from __future__ import annotations
@@ -56,6 +47,7 @@ import enum
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import repeat
@@ -171,6 +163,11 @@ class DivergedError(TsnormError):
         self.loss = loss
 
 
+def _is_a(value, kind) -> bool:
+    """``isinstance(value, kind)``, except that a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TokenizerSpec:
     """Uniform quantization grid over a fixed normalized-value range.
@@ -184,8 +181,10 @@ class TokenizerSpec:
     hi: float = 10.0
 
     def __post_init__(self):
-        if self.num_bins < 1:
-            raise TsnormError(f"num_bins must be positive, got {self.num_bins}")
+        if not _is_a(self.num_bins, numbers.Integral) or self.num_bins < 1:
+            raise TsnormError(f"num_bins must be a positive integer, got {self.num_bins!r}")
+        if not all(_is_a(v, numbers.Real) and math.isfinite(v) for v in (self.lo, self.hi)):
+            raise TsnormError(f"lo and hi must be finite numbers, got {self.lo!r} and {self.hi!r}")
         if not self.lo < self.hi:
             raise TsnormError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -223,7 +222,7 @@ class LinearForecaster:
 
     ``weights`` is (H, L) and ``bias`` is (H,); the Gaussian head adds a
     second (H, L)/(H,) pair producing log-std, and the token head uses
-    (H, B, L)/(H, B) to emit logits over B bins; after two-channel training
+    (H, B, L)/(H, B) to emit logits over B bins; after training
     ``token_weights`` is the (H, B, L) view of an (L, H, B) array.
     """
 
@@ -323,13 +322,23 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
     return header
 
 
+def _field(obj, key: str, kind: type):
+    """``obj[key]`` of a checkpoint header; a ValueError unless it is a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not an object with a {key!r} field")
+    if not _is_a(obj[key], kind):
+        raise ValueError(f"{key!r} is {obj[key]!r}, not of type {kind.__name__}")
+    return obj[key]
+
+
 def read_checkpoint(path) -> LinearForecaster:
     """Load the model of the checkpoint header at ``path`` and its data file.
 
     The arrays are writable and bitwise equal to the ones written.  Raises
     CheckpointError naming the file when the header is not a JSON object, a
-    field is missing or invalid (the format must be known, the data file a
-    plain file name), an array's shape does not fit the header's dimensions
+    field is missing, of the wrong JSON type or invalid (the format must be
+    known, the tokenizer a valid ``TokenizerSpec``, the data file a plain
+    file name), an array's shape does not fit the header's dimensions
     (naming the array), or the data file is missing or its size or sha256
     differs from what the header records.
     """
@@ -350,31 +359,33 @@ def read_checkpoint(path) -> LinearForecaster:
                               f"(this version reads {CHECKPOINT_FORMAT})")
     try:
         kind = LossKind(header["loss_kind"])
-        tokenizer = (TokenizerSpec.from_dict(header["tokenizer"])
+        L, H = _field(header, "context_len", int), _field(header, "horizon", int)
+        tokenizer = (TokenizerSpec.from_dict(_field(header, "tokenizer", dict))
                      if kind is LossKind.TOKEN_CE else None)
-        L, H = header["context_len"], header["horizon"]
-        want = _checkpoint_arrays(kind, L, H, tokenizer and tokenizer.num_bins)
-        names = [a["name"] for a in header["arrays"]]
-        if names != list(want):
-            raise CheckpointError(f"{path}: arrays {names} do not fit a {kind.value} model")
-        for a in header["arrays"]:
-            if a["shape"] != want[a["name"]]:
-                raise CheckpointError(f"{path}: array {a['name']} has shape {a['shape']}, "
-                                      f"the header's dimensions give {want[a['name']]}")
-        data_file, data_sha256 = header["data"]["file"], header["data"]["sha256"]
+        arrays, data = _field(header, "arrays", list), _field(header, "data", dict)
+        layout = [(_field(a, "name", str), a["shape"]) for a in arrays]
+        data_file, data_sha256 = _field(data, "file", str), _field(data, "sha256", str)
         if data_file in (".", ".."):
             raise ValueError(f"Invalid name {data_file!r}")
         data_path = path.with_name(data_file)
     except KeyError as exc:
         raise CheckpointError(f"{path}: no {exc.args[0]!r} field in the header") from None
-    except ValueError as exc:
+    except (ValueError, TsnormError) as exc:
         raise CheckpointError(f"{path}: bad header field: {exc}") from None
+    want = _checkpoint_arrays(kind, L, H, tokenizer and tokenizer.num_bins)
+    names = [name for name, _ in layout]
+    if names != list(want):
+        raise CheckpointError(f"{path}: arrays {names} do not fit a {kind.value} model")
+    for name, shape in layout:
+        if shape != want[name]:
+            raise CheckpointError(f"{path}: array {name} has shape {shape}, "
+                                  f"the header's dimensions give {want[name]}")
     try:
         with open(data_path, "rb") as fh:
             data = bytearray(fh.read())
     except FileNotFoundError:
         raise CheckpointError(f"{path}: data file {data_path} is missing") from None
-    sizes = [math.prod(a["shape"]) for a in header["arrays"]]
+    sizes = [math.prod(shape) for shape in want.values()]
     if len(data) != 8 * sum(sizes):
         raise CheckpointError(
             f"{path}: data file {data_path} holds {len(data)} bytes, "
@@ -384,8 +395,8 @@ def read_checkpoint(path) -> LinearForecaster:
         raise CheckpointError(f"{path}: data file {data_path} does not match its sha256")
     flat = np.frombuffer(data, dtype="<f8")
     arrays, offset = {}, 0
-    for a, n in zip(header["arrays"], sizes):
-        arrays[a["name"]] = flat[offset:offset + n].reshape(a["shape"])
+    for (name, shape), n in zip(want.items(), sizes):
+        arrays[name] = flat[offset:offset + n].reshape(shape)
         offset += n
     return LinearForecaster(kind, L, H, tokenizer=tokenizer, **arrays)
 
@@ -417,14 +428,10 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
         )
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
-    if feats.shape[1] < 2:
-        logits = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), feats)
-        logits += model.token_bias[:, None, :]
-    else:
-        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-        stack = np.empty((_TOKEN_CHUNK + 1, feats.shape[1], *wt.shape[1:]))
-        logits = _token_logits(wt, feats, stack).transpose(1, 0, 2) + model.token_bias[:, None, :]
-        del stack  # freed before Forecast copies the logits: a lower peak RSS
+    wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+    stack = _token_stack(feats.shape[1], *wt.shape[1:])
+    logits = _token_logits(wt, feats, stack).transpose(1, 0, 2) + model.token_bias[:, None, :]
+    del stack  # freed before Forecast copies the logits: a lower peak RSS
     return Forecast(
         kind=ForecastKind.TOKEN,
         token_logits=logits,
@@ -755,52 +762,47 @@ class _LinearKernel:
             norms[at, :c] = np.sqrt(np.add.reduce(p * p, axis=1))
 
 
-def _token_step(token_weights, token_bias, lr, losses, norms, slot,
-                ctx, target, scale, shift, in_norms):
-    logits = np.einsum("hbl,lc->hcb", token_weights, ctx)
-    logits += token_bias[:, None, :]
-    losses[slot], g = _token_ce(logits, target)
-    p = _channel_norms(g, axis=(0, 2)) * in_norms
-    token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
-    token_bias -= lr * g.sum(axis=1)
-    norms[slot, :len(in_norms)] = np.sqrt(p * p)
+def _token_stack(channels: int, horizon: int, bins: int) -> np.ndarray:
+    """A (K + 1, max(C, 2), H, B) summation stack for ``_token_logits`` at
+    C = ``channels``.
 
-
-# l-rows per chunk of the token kernels: large enough to amortize the per-call
-# cost of a ufunc, small enough that a chunk's (K, C, H, B) products stay in
-# cache at the default 24 x 128 head.
-_TOKEN_CHUNK = 16
+    K, the l-rows of a chunk, makes its products 32 (H, B) planes: enough to
+    amortize the per-call cost of a ufunc, few enough to stay in cache at the
+    default 24 x 128 head.  A row spans at least two planes: when one-channel
+    products fill contiguous rows, numpy's multiply of the chunk takes about
+    twice as long (numpy 2.4, timeit).
+    """
+    return np.empty((max(1, 32 // channels) + 1, max(channels, 2), horizon, bins))
 
 
 def _token_logits(wt, x, stack):
     """Token logits (C, H, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
 
-    Bitwise equal to ``einsum("hbl,lc->hcb")`` on the (H, B, L) weights for
-    C >= 2, transposed: each chunk's products land in ``stack[1:]``, a
-    (K + 1, C, H, B) buffer, and one reduction over the leading axis adds
-    them, in order, onto the running sum in ``stack[0]``, which starts at 0.0
-    as einsum's does.  Returns ``stack[0]``.
+    Each logit sums its products over ``l`` in order, starting from 0.0: each
+    chunk's products land in the first C planes of ``stack[1:]``, a
+    ``_token_stack``, and one reduction over the leading axis adds them, in
+    order, onto the running sum in ``stack[0]``.  Returns ``stack[0]``.
     """
+    stack = stack[:, :x.shape[1]]
     stack[0] = 0.0
-    for l0 in range(0, len(wt), _TOKEN_CHUNK):
-        k = min(_TOKEN_CHUNK, len(wt) - l0)
+    for l0 in range(0, len(wt), len(stack) - 1):
+        k = min(len(stack) - 1, len(wt) - l0)
         np.multiply(wt[l0:l0 + k, None], x[l0:l0 + k, :, None, None], out=stack[1:k + 1])
         np.add.reduce(stack[:k + 1], axis=0, out=stack[0])
     return stack[0]
 
 
-def _token_ce_c2(logits, target, cells, grad) -> tuple[float, np.ndarray]:
-    """``_token_ce`` and the channel norms of its gradient on two-channel logits
-    laid out bins outermost, with the bits that ``_token_ce`` and
-    ``_channel_norms(g, axis=(0, 2))`` give on einsum's (H, B, C) layout.
+def _token_ce_norms(logits, target, cells, grad) -> tuple[float, np.ndarray]:
+    """``_token_ce`` and the channel norms of its gradient, on logits laid out
+    bins outermost.
 
     ``logits`` is a (B, H, C) array and becomes the log-probabilities: the max
-    and the exp-sum reduce its leading axis, adding the bins one after another
-    as numpy does on einsum's layout, in long inner loops over the (h, c)
-    cells.  The gradient lands in ``grad``, a (C, H, B) buffer.  Each
-    channel's squared-gradient sum runs over (h, b), h-major and in order, as
-    the last column of a cumulative sum.  ``cells`` are the (H, C) index
-    grids.  Returns (loss, gradient norm of each channel).
+    and the exp-sum reduce its leading axis, adding the bins one after
+    another, in long inner loops over the (h, c) cells.  The gradient lands in
+    ``grad``, a (C, H, B) buffer.  Each channel's squared-gradient sum runs
+    over (h, b), h-major and in order, as the last column of a cumulative sum.
+    ``cells`` are the (H, C) index grids.  Returns (loss, gradient norm of
+    each channel).
     """
     logits -= np.maximum.reduce(logits, axis=0)
     logits -= np.log(np.add.reduce(np.exp(logits), axis=0))
@@ -809,52 +811,49 @@ def _token_ce_c2(logits, target, cells, grad) -> tuple[float, np.ndarray]:
     np.exp(logits.transpose(2, 1, 0), out=grad)
     grad[c_idx, h_idx, target] -= 1.0
     grad /= target.size
-    return loss, np.sqrt(np.cumsum((grad * grad).reshape(2, -1), axis=1)[:, -1])
+    return loss, np.sqrt(np.cumsum((grad * grad).reshape(len(grad), -1), axis=1)[:, -1])
 
 
-def _token_step_c2(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
-                   losses, norms, slot, ctx, target, scale, shift, in_norms):
-    """``_token_step`` for a two-channel sample on (L, H, B) working weights,
-    with its loss on (B, H, C) ``logits`` (see ``_token_ce_c2``)."""
+def _token_step(wt, token_bias, lr, slots, losses, norms, slot, ctx, target, scale, shift,
+                in_norms):
+    """One token SGD step on (L, H, B) working weights ``wt``, in the buffers of
+    ``slots`` for the sample's channel count, with its logits laid out (B, H, C)
+    (see ``_token_ce_norms``).  The loss and gradient norms land in slot ``slot``."""
+    stack, logits, grad, cells, products = slots[ctx.shape[1]]
     np.add(_token_logits(wt, ctx, stack).T, token_bias.T[:, :, None], out=logits)
-    losses[slot], p = _token_ce_c2(logits, target, cells, grad)
+    losses[slot], p = _token_ce_norms(logits, target, cells, grad)
     p *= in_norms
-    g0, g1 = grad
-    for l0 in range(0, len(wt), _TOKEN_CHUNK):
-        k = min(_TOKEN_CHUNK, len(wt) - l0)
-        # lr * (g0*x0 + g1*x1), rounded in einsum's order
-        a, b = prod0[:k], prod1[:k]
-        np.multiply(ctx[l0:l0 + k, 0, None, None], g0, out=a)
-        np.multiply(ctx[l0:l0 + k, 1, None, None], g1, out=b)
-        a += b
+    chunk = len(stack) - 1
+    for l0 in range(0, len(wt), chunk):
+        k = min(chunk, len(wt) - l0)
+        # lr * (g0*x0 + g1*x1 + ...), the lanes added in order
+        a = np.multiply(ctx[l0:l0 + k, 0, None, None], grad[0], out=products[0, :k])
+        for c in range(1, len(grad)):
+            a += np.multiply(ctx[l0:l0 + k, c, None, None], grad[c], out=products[1, :k])
         a *= lr
         wt[l0:l0 + k] -= a
-    token_bias -= (g0 + g1) * lr
-    norms[slot, :2] = np.sqrt(p * p)
+    token_bias -= np.add.reduce(grad, axis=0) * lr
+    norms[slot, :len(p)] = np.sqrt(p * p)
 
 
 class _TokenKernel:
-    """Token SGD.  A step leaves its loss and gradient norms in slot k: a
-    (H, C, B) gradient is too large to keep per slot.  A pool of two-channel
-    samples only gets the array kernel, with its logits bins-outer, on (L, H, B)
-    weights whose (H, B, L) view becomes the model's ``token_weights``."""
+    """Token SGD on (L, H, B) working weights, whose (H, B, L) view becomes the
+    model's ``token_weights``.  A step leaves its loss and gradient norms in
+    slot k: a (C, H, B) gradient is too large to keep per slot.  Each channel
+    count of the pool has its own step buffers."""
 
     def __init__(self, model: LinearForecaster, lr: float, channels: set):
         self.losses, self.norms = np.empty(STEP_BLOCK), np.zeros((STEP_BLOCK, max(channels)))
-        if channels != {2}:
-            model.token_weights = np.ascontiguousarray(model.token_weights)
-            self.step = partial(_token_step, model.token_weights, model.token_bias, lr,
-                                self.losses, self.norms)
-        else:
-            wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-            model.token_weights = wt.transpose(1, 2, 0)
-            _, horizon, bins = wt.shape
-            stack = np.empty((_TOKEN_CHUNK + 1, 2, horizon, bins))
+        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+        model.token_weights = wt.transpose(1, 2, 0)
+        _, horizon, bins = wt.shape
+        slots = {}
+        for c in channels:
+            stack = _token_stack(c, horizon, bins)
             # the update reuses the forward's product rows, free once it has summed
-            products = stack[1:].reshape(2, _TOKEN_CHUNK, horizon, bins)
-            self.step = partial(_token_step_c2, wt, model.token_bias, lr, stack,
-                                np.empty((bins, horizon, 2)), np.empty((2, horizon, bins)),
-                                np.indices((horizon, 2)), *products, self.losses, self.norms)
+            slots[c] = (stack, np.empty((bins, horizon, c)), np.empty((c, horizon, bins)),
+                        np.indices((horizon, c)), stack[1:].reshape(c, -1, horizon, bins))
+        self.step = partial(_token_step, wt, model.token_bias, lr, slots, self.losses, self.norms)
 
     def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
         losses[:], norms[:] = self.losses[:len(block)], self.norms[:len(block)]

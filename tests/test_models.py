@@ -1,8 +1,11 @@
 import copy
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
+import operator
 import tracemalloc
 import warnings
 from typing import NamedTuple, Optional
@@ -34,7 +37,7 @@ from tsnorm import (
 )
 import tsnorm.data as data
 import tsnorm.models as models
-from tsnorm.core import SCALE_EPS, ShapeMismatchError
+from tsnorm.core import SCALE_EPS, ShapeMismatchError, TsnormError
 from tsnorm.data import InstanceBatch
 from tsnorm.norm import WINDOW_BLOCK, fit_dataset_stats, normalize
 from tsnorm.models import (
@@ -42,11 +45,11 @@ from tsnorm.models import (
     DivergedError,
     NonPositiveSigmaError,
     TrainTrace,
-    _TOKEN_CHUNK,
     _channel_norms,
     _token_ce,
-    _token_ce_c2,
+    _token_ce_norms,
     _token_logits,
+    _token_stack,
     build_rows,
     prepare_training_pool,
     token_point_forecast,
@@ -111,6 +114,16 @@ class TestTokenizer:
     def test_default_range_matches_clip_threshold(self):
         spec = TokenizerSpec()
         assert spec.num_bins == 128 and (spec.lo, spec.hi) == (-10.0, 10.0)
+
+    @pytest.mark.parametrize("fields", [
+        {"num_bins": 0}, {"num_bins": True}, {"num_bins": 2.0}, {"num_bins": "8"},
+        {"lo": "a", "hi": "b"}, {"lo": float("nan")}, {"hi": float("inf")}, {"lo": False},
+        {"lo": 1.0, "hi": 1.0},
+    ], ids=repr)
+    def test_bad_grid_is_refused(self, fields):
+        with pytest.raises(TsnormError):
+            TokenizerSpec(**fields)
+        assert TokenizerSpec(num_bins=np.int64(8), lo=np.float64(-1.0), hi=1).num_bins == 8
 
 
 class TestForecast:
@@ -515,6 +528,24 @@ class TestCheckpoint:
                 models.read_checkpoint(at)
             assert str(info.value).startswith(f"{at}: ")
 
+    @pytest.mark.parametrize("damage", [
+        lambda h: dict(h, arrays=5),
+        lambda h: dict(h, arrays=[1, 2]),
+        lambda h: dict(h, data="x"),
+        lambda h: dict(h, data=dict(h["data"], file=3)),
+        lambda h: dict(h, tokenizer=3),
+        lambda h: dict(h, tokenizer=dict(h["tokenizer"], num_bins="x")),
+        lambda h: dict(h, tokenizer=dict(h["tokenizer"], lo="a", hi="b")),
+    ], ids=["arrays-int", "arrays-of-ints", "data-str", "data-file-int", "tokenizer-int",
+            "num-bins-str", "lo-hi-str"])
+    def test_mistyped_header_fields_are_refused(self, tmp_path, damage):
+        path = tmp_path / "t.json"
+        save_checkpoint(path, LinearForecaster.create(LossKind.TOKEN_CE, 8, 4, seed=1))
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        with pytest.raises(models.CheckpointError, match="bad header field") as info:
+            models.read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 def _csv_writer_bytes(trace) -> bytes:
     """The trace CSV as the ``csv.writer`` formatter it was first written with gives it."""
@@ -652,7 +683,56 @@ def _per_channel_norms(inputs, *output_grads):
     return np.sqrt(total)
 
 
-def _sgd_step(model, sample, lr):
+def _einsum_token_step(model, sample, lr):
+    """The token step as two ``np.einsum`` contractions, with the loss on
+    einsum's layout: at C = 2 the bits of ``_ref_token_step``."""
+    ctx = sample.inputs
+    logits = np.einsum("hbl,lc->hcb", model.token_weights, ctx)
+    logits += model.token_bias[:, None, :]
+    loss, g = _ref_loss_token_ce(logits, sample.target)
+    norms = _per_channel_norms(ctx, g)
+    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
+    model.token_bias -= lr * g.sum(axis=1)
+    return loss, norms
+
+
+def _ref_token_step(model, sample, lr):
+    """The token step's definition, one operation at a time: each logit sums
+    its products over l in order from 0.0, the softmax's max and exp-sum take
+    the bins one after another, each channel's squared-gradient sum runs over
+    (h, b) in order, h-major, and the update adds the channel lanes in order."""
+    w, x, target = model.token_weights, sample.inputs, sample.target
+    channels, bins = x.shape[1], w.shape[1]
+    logits = np.zeros((w.shape[0], channels, bins))
+    for l in range(x.shape[0]):
+        logits = logits + w[:, None, :, l] * x[l, None, :, None]
+    logits = logits + model.token_bias[:, None, :]
+    top = logits[..., 0]
+    for b in range(1, bins):
+        top = np.maximum(top, logits[..., b])
+    shifted = logits - top[..., None]
+    total = np.exp(shifted[..., 0])
+    for b in range(1, bins):
+        total = total + np.exp(shifted[..., b])
+    log_probs = shifted - np.log(total)[..., None]
+    h_idx, c_idx = np.indices(target.shape)
+    loss = float(-log_probs[h_idx, c_idx, target].mean())
+    g = np.exp(log_probs)
+    g[h_idx, c_idx, target] -= 1.0
+    g = g / target.size
+    # left to right in Python floats; sum() compensates from Python 3.12 on
+    g_norms = np.array([math.sqrt(functools.reduce(operator.add, (g[:, c] ** 2).ravel().tolist(),
+                                                   0.0)) for c in range(channels)])
+    norms = np.sqrt((g_norms * np.linalg.norm(x, axis=0)) ** 2)
+    update, bias_update = g[:, 0, :, None] * x[:, 0], g[:, 0]
+    for c in range(1, channels):
+        update, bias_update = update + g[:, c, :, None] * x[:, c], bias_update + g[:, c]
+    model.token_weights -= lr * update
+    model.token_bias -= lr * bias_update
+    return loss, norms
+
+
+def _sgd_step(model, sample, lr, token_step=_ref_token_step):
     ctx = sample.inputs
     kind = model.loss_kind
     if kind.is_point:
@@ -679,13 +759,7 @@ def _sgd_step(model, sample, lr):
         model.sigma_weights -= lr * (d_log_std @ ctx.T)
         model.sigma_bias -= lr * d_log_std.sum(axis=1)
         return loss, norms
-    logits = np.einsum("hbl,lc->hcb", model.token_weights, ctx)
-    logits += model.token_bias[:, None, :]
-    loss, g = _ref_loss_token_ce(logits, sample.target)
-    norms = _per_channel_norms(ctx, g)
-    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
-    model.token_bias -= lr * g.sum(axis=1)
-    return loss, norms
+    return token_step(model, sample, lr)
 
 
 # Reference pool: the per-instance pool preparation that block-wise pools
@@ -752,7 +826,7 @@ def _reference_pool(windows, scheme, model, clip_threshold=10.0):
     return samples, rejected
 
 
-def _reference_train(model, windows, scheme, steps, lr, seed):
+def _reference_train(model, windows, scheme, steps, lr, seed, token_step=_ref_token_step):
     model = copy.deepcopy(model)
     samples, rejected = _reference_pool(windows, scheme, model)
     rng = np.random.default_rng(seed)
@@ -766,7 +840,7 @@ def _reference_train(model, windows, scheme, steps, lr, seed):
         sample = samples[perm[cursor]]
         cursor += 1
         with np.errstate(over="ignore", invalid="ignore"):
-            losses[step], norms = _sgd_step(model, sample, lr)
+            losses[step], norms = _sgd_step(model, sample, lr, token_step)
         grad_norms.append(norms)
     return model, losses, grad_norms, rejected
 
@@ -942,7 +1016,6 @@ class TestStepBlocks:
                                                                   monkeypatch):
         # the two-channel kernel, whose logits overflow once the weights do
         monkeypatch.setattr(models, "STEP_BLOCK", self.BLOCK)
-        monkeypatch.setattr(models, "_token_step", None)
         instances = TestKernelsMatchReference._pool((2,))
         spec = TokenizerSpec(num_bins=16, lo=-10.0, hi=10.0)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 32, 8, seed=8, tokenizer=spec)
@@ -991,30 +1064,27 @@ class TestStepBlocks:
 
 
 class TestTokenKernel:
-    """The einsum-free token kernel at the production head: H=24, B=128, L=96."""
+    """The token kernel at the production head, H=24, B=128, L=96: at C = 2
+    it keeps the bits of the two-einsum token step, and at other channel
+    counts it stays within rounding of them."""
 
     @staticmethod
-    def _windows(length=96):
+    def _windows(length=96, channels=2):
         rng = np.random.default_rng(71)
         return [
-            make_window(rng, length=length, horizon=24, channels=2,
+            make_window(rng, length=length, horizon=24, channels=channels,
                         scale=10.0 ** rng.uniform(-2, 1), offset=rng.normal(0, 3))
             for _ in range(8)
         ]
 
     @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID, Scheme.MEANABS],
                              ids=lambda s: s.value)
-    def test_production_shape_matches_einsum_reference(self, scheme, monkeypatch):
-        import tsnorm.models as models
-
-        def no_einsum_step(*args):
-            raise AssertionError("a two-channel pool must not take the einsum step")
-
-        monkeypatch.setattr(models, "_token_step", no_einsum_step)
+    def test_production_shape_matches_einsum_reference(self, scheme):
         instances = window_batch(self._windows(), 96)
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
         ref_model, ref_losses, ref_norms, _ = _reference_train(
-            model, batch_windows(instances), scheme, steps=60, lr=6e-4, seed=5)
+            model, batch_windows(instances), scheme, steps=60, lr=6e-4, seed=5,
+            token_step=_einsum_token_step)
         trained, trace = train(model, instances, scheme, steps=60, lr=6e-4, seed=5)
         assert np.isfinite(ref_losses).all()
         assert trace.losses.tobytes() == ref_losses.tobytes()
@@ -1026,12 +1096,44 @@ class TestTokenKernel:
         assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
         assert trained.token_bias.tobytes() == ref_model.token_bias.tobytes()
 
-    def test_forecast_of_a_trained_model_copies_no_weights(self):
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.HYBRID], ids=lambda s: s.value)
+    def test_reference_is_the_einsum_reference_at_two_channels(self, scheme):
+        # the definition the kernel is held to, against the two-einsum step
+        windows = batch_windows(window_batch(self._windows(), 96))
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        ref_model, ref_losses, ref_norms, _ = _reference_train(
+            model, windows, scheme, steps=30, lr=6e-4, seed=5)
+        ein_model, ein_losses, ein_norms, _ = _reference_train(
+            model, windows, scheme, steps=30, lr=6e-4, seed=5, token_step=_einsum_token_step)
+        assert np.isfinite(ref_losses).all()
+        assert ref_losses.tobytes() == ein_losses.tobytes()
+        for got, want in zip(ref_norms, ein_norms, strict=True):
+            assert got.tobytes() == want.tobytes()
+        for name in ("token_weights", "token_bias"):
+            assert getattr(ref_model, name).tobytes() == getattr(ein_model, name).tobytes()
+
+    @pytest.mark.parametrize("channels", [1, 3, 8])
+    def test_other_channel_counts_match_einsum_within_rounding(self, channels):
+        instances = window_batch(self._windows(channels=channels), 96)
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        ein_model, ein_losses, ein_norms, _ = _reference_train(
+            model, batch_windows(instances), Scheme.REVIN, steps=30, lr=6e-4, seed=5,
+            token_step=_einsum_token_step)
+        trained, trace = train(model, instances, Scheme.REVIN, steps=30, lr=6e-4, seed=5)
+        np.testing.assert_allclose(trace.losses, ein_losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.array(trace.grad_norms), np.array(ein_norms),
+                                   rtol=1e-12, atol=0)
+        for name in ("token_weights", "token_bias"):
+            np.testing.assert_allclose(getattr(trained, name), getattr(ein_model, name),
+                                       rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_forecast_of_a_trained_model_copies_no_weights(self, channels):
         windows = self._windows()
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
         trained, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=4, lr=6e-4,
                            seed=5)
-        ctx = windows[0][:96]
+        ctx = np.tile(windows[0][:96], 2)[:, :channels]
         forecast(trained, ctx)  # warm-up: first-call allocations are not counted
         tracemalloc.start()
         try:
@@ -1041,37 +1143,7 @@ class TestTokenKernel:
         finally:
             tracemalloc.stop()
         # the summation stack and the logits, not a 2.36 MB copy of the weights
-        assert peak < trained.token_weights.nbytes / 2
-
-    def test_einsum_paths_read_contiguous_weights(self):
-        windows = self._windows()
-        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
-        trained, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=20, lr=6e-4,
-                           seed=5)
-        assert not trained.token_weights.flags.c_contiguous
-        contiguous = copy.deepcopy(trained)
-        contiguous.token_weights = np.ascontiguousarray(trained.token_weights)
-        # a one-channel forecast: einsum on C-contiguous (H, B, L) weights
-        ctx = windows[1][:96, :1]
-        feats = detokenize(tokenize(ctx, trained.tokenizer), trained.tokenizer)
-        logits = np.einsum("hbl,lc->hcb", contiguous.token_weights, feats)
-        logits += trained.token_bias[:, None, :]
-        want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
-                        token_spec=trained.tokenizer).token_logits
-        assert forecast(trained, ctx).token_logits.tobytes() == want.tobytes()
-        # training again on a pool of one- and two-channel samples: the einsum step
-        rng = np.random.default_rng(73)
-        mixed = window_batch(windows[:4] + [make_window(rng, length=96, horizon=24, channels=1)
-                                            for _ in range(4)], 96)
-        again, trace = train(trained, mixed, Scheme.REVIN, steps=20, lr=6e-4, seed=6)
-        want_model, want_trace = train(contiguous, mixed, Scheme.REVIN, steps=20, lr=6e-4,
-                                       seed=6)
-        assert np.isfinite(trace.losses).all()
-        assert trace.losses.tobytes() == want_trace.losses.tobytes()
-        for got, want in zip(trace.grad_norms, want_trace.grad_norms, strict=True):
-            assert got.tobytes() == want.tobytes()
-        for name in ("token_weights", "token_bias"):
-            assert getattr(again, name).tobytes() == getattr(want_model, name).tobytes()
+        assert peak < _token_stack(channels, 24, 128).nbytes + trained.token_weights.nbytes / 2
 
     def test_context_not_a_multiple_of_the_chunk(self):
         instances = window_batch(self._windows(length=37), 37)
@@ -1125,7 +1197,7 @@ class TestTokenKernel:
             want_loss, want_grad = _token_ce(logits, target)
             want_norms = _channel_norms(want_grad, axis=(0, 2))
             grad = np.empty((2, horizon, bins))
-            loss, norms = _token_ce_c2(np.ascontiguousarray(logits.transpose(2, 0, 1)),
+            loss, norms = _token_ce_norms(np.ascontiguousarray(logits.transpose(2, 0, 1)),
                                        target, np.indices((horizon, 2)), grad)
         top = logits.max(axis=-1)
         if case == "ties":
@@ -1146,14 +1218,22 @@ class TestTokenKernel:
         model.token_bias = rng.normal(0.0, 0.1, model.token_bias.shape)
         ctx = rng.normal(0.0, 2.0, (96, channels))
         feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
-        logits = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+        # the definition: each logit sums its products over l in order, from 0.0
+        logits = np.zeros((24, channels, 128))
+        for l in range(96):
+            logits = logits + model.token_weights[:, None, :, l] * feats[l, None, :, None]
+        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+        stack = _token_stack(channels, 24, 128)
+        raw = _token_logits(wt, feats, stack)
+        assert raw.shape == (channels, 24, 128)
+        assert raw.tobytes() == np.ascontiguousarray(logits.transpose(1, 0, 2)).tobytes()
+        # einsum sums in the same order from two channels on; at one it rounds
+        # otherwise, within the error bound of a sum of 96 products
+        ein = np.einsum("hbl,lc->hcb", model.token_weights, feats)
         if channels > 1:
-            # the kernel's (C, H, B) sums hold einsum's bits
-            wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
-            stack = np.empty((_TOKEN_CHUNK + 1, channels, 24, 128))
-            raw = _token_logits(wt, feats, stack)
-            assert raw.shape == (channels, 24, 128)
-            assert raw.tobytes() == logits.transpose(1, 0, 2).tobytes()
+            assert ein.tobytes() == np.ascontiguousarray(logits).tobytes()
+        magnitude = np.einsum("hbl,lc->hcb", np.abs(model.token_weights), np.abs(feats))
+        assert (np.abs(ein - logits) <= 96 * np.finfo(float).eps * magnitude).all()
         logits += model.token_bias[:, None, :]
         want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
                         token_spec=model.tokenizer).token_logits
