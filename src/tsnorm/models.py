@@ -36,8 +36,8 @@ weights whose (H, B, L) view is the model's ``token_weights``:
 * backward: ``lr * (g0*x0 + g1*x1 + ... + g_{C-1}*x_{C-1})``, the lanes added
   in order, and the bias moves by ``np.add.reduce(grad, axis=0) * lr``.
 
-At C = 2 these are the bits of ``einsum("hbl,lc->hcb", W, x)`` forward,
-``_token_ce`` on einsum's layout and ``einsum("hcb,lc->hbl", g, x)`` backward.
+At C = 2 these are the bits of the einsum contractions "hbl,lc->hcb" and
+"hcb,lc->hbl" on C-order weights, with ``_token_ce`` between them.
 """
 
 from __future__ import annotations
@@ -222,8 +222,8 @@ class LinearForecaster:
 
     ``weights`` is (H, L) and ``bias`` is (H,); the Gaussian head adds a
     second (H, L)/(H,) pair producing log-std, and the token head uses
-    (H, B, L)/(H, B) to emit logits over B bins; after training
-    ``token_weights`` is the (H, B, L) view of an (L, H, B) array.
+    (H, B, L)/(H, B) to emit logits over B bins, ``token_weights`` as the
+    (H, B, L) view of a C-order (L, H, B) array (see ``_token_lhb``).
     """
 
     loss_kind: LossKind
@@ -261,11 +261,17 @@ class LinearForecaster:
             model.sigma_bias = np.zeros(horizon)
         if loss_kind is LossKind.TOKEN_CE:
             model.tokenizer = tokenizer or TokenizerSpec()
-            model.token_weights = rng.normal(
+            model.token_weights = _token_lhb(rng.normal(
                 0.0, init_scale, (horizon, model.tokenizer.num_bins, context_len)
-            )
+            )).transpose(1, 2, 0)
             model.token_bias = np.zeros((horizon, model.tokenizer.num_bins))
         return model
+
+
+def _token_lhb(token_weights: np.ndarray) -> np.ndarray:
+    """The C-order (L, H, B) array of (H, B, L) ``token_weights``, which the
+    token kernel trains and ``forecast`` reads: no copy when they are its view."""
+    return np.ascontiguousarray(token_weights.transpose(2, 0, 1))
 
 
 class CheckpointError(TsnormError):
@@ -398,6 +404,8 @@ def read_checkpoint(path) -> LinearForecaster:
     for (name, shape), n in zip(want.items(), sizes):
         arrays[name] = flat[offset:offset + n].reshape(shape)
         offset += n
+    if kind is LossKind.TOKEN_CE:
+        arrays["token_weights"] = _token_lhb(arrays["token_weights"]).transpose(1, 2, 0)
     return LinearForecaster(kind, L, H, tokenizer=tokenizer, **arrays)
 
 
@@ -428,7 +436,7 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
         )
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
-    wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+    wt = _token_lhb(model.token_weights)
     stack = _token_stack(feats.shape[1], *wt.shape[1:])
     logits = _token_logits(wt, feats, stack).transpose(1, 0, 2) + model.token_bias[:, None, :]
     del stack  # freed before Forecast copies the logits: a lower peak RSS
@@ -763,26 +771,20 @@ class _LinearKernel:
 
 
 def _token_stack(channels: int, horizon: int, bins: int) -> np.ndarray:
-    """A (K + 1, max(C, 2), H, B) summation stack for ``_token_logits`` at
-    C = ``channels``.
-
-    K, the l-rows of a chunk, makes its products 32 (H, B) planes: enough to
-    amortize the per-call cost of a ufunc, few enough to stay in cache at the
-    default 24 x 128 head.  A row spans at least two planes: when one-channel
-    products fill contiguous rows, numpy's multiply of the chunk takes about
-    twice as long (numpy 2.4, timeit).
-    """
-    return np.empty((max(1, 32 // channels) + 1, max(channels, 2), horizon, bins))
+    """A (K + 1, P, H, B) summation stack for ``_token_logits`` at C = ``channels``.
+    A row has P = max(C, 2) planes (numpy's multiply of one-channel products
+    in contiguous rows takes about twice as long), and K l-rows a chunk make
+    about 32 product planes: enough to amortize a ufunc call, few enough to
+    stay in cache at the default 24 x 128 head."""
+    return np.empty((max(1, 32 // max(channels, 2)) + 1, max(channels, 2), horizon, bins))
 
 
 def _token_logits(wt, x, stack):
-    """Token logits (C, H, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C).
-
-    Each logit sums its products over ``l`` in order, starting from 0.0: each
-    chunk's products land in the first C planes of ``stack[1:]``, a
-    ``_token_stack``, and one reduction over the leading axis adds them, in
-    order, onto the running sum in ``stack[0]``.  Returns ``stack[0]``.
-    """
+    """Token logits (C, H, B) of (L, H, B) weights ``wt`` on features ``x`` (L, C),
+    each the sum of its products over ``l`` in order from 0.0: a chunk's
+    products land in the first C planes of ``stack[1:]`` (a ``_token_stack``),
+    and one reduction over the leading axis adds them, in order, onto the
+    running sum in ``stack[0]``, which is returned."""
     stack = stack[:, :x.shape[1]]
     stack[0] = 0.0
     for l0 in range(0, len(wt), len(stack) - 1):
@@ -793,17 +795,12 @@ def _token_logits(wt, x, stack):
 
 
 def _token_ce_norms(logits, target, cells, grad) -> tuple[float, np.ndarray]:
-    """``_token_ce`` and the channel norms of its gradient, on logits laid out
-    bins outermost.
-
-    ``logits`` is a (B, H, C) array and becomes the log-probabilities: the max
-    and the exp-sum reduce its leading axis, adding the bins one after
-    another, in long inner loops over the (h, c) cells.  The gradient lands in
-    ``grad``, a (C, H, B) buffer.  Each channel's squared-gradient sum runs
-    over (h, b), h-major and in order, as the last column of a cumulative sum.
-    ``cells`` are the (H, C) index grids.  Returns (loss, gradient norm of
-    each channel).
-    """
+    """``_token_ce`` on (B, H, C) ``logits``, bins outermost, and the gradient
+    norm of each channel.  The logits become the log-probabilities: the max
+    and the exp-sum add the bins one after another, in long inner loops over
+    the (h, c) cells.  The gradient lands in the (C, H, B) ``grad``; each
+    channel's squares sum over (h, b), h-major and in order, as the last
+    column of a cumulative sum.  ``cells`` are the (H, C) index grids."""
     logits -= np.maximum.reduce(logits, axis=0)
     logits -= np.log(np.add.reduce(np.exp(logits), axis=0))
     h_idx, c_idx = cells
@@ -814,22 +811,22 @@ def _token_ce_norms(logits, target, cells, grad) -> tuple[float, np.ndarray]:
     return loss, np.sqrt(np.cumsum((grad * grad).reshape(len(grad), -1), axis=1)[:, -1])
 
 
-def _token_step(wt, token_bias, lr, slots, losses, norms, slot, ctx, target, scale, shift,
-                in_norms):
-    """One token SGD step on (L, H, B) working weights ``wt``, in the buffers of
-    ``slots`` for the sample's channel count, with its logits laid out (B, H, C)
-    (see ``_token_ce_norms``).  The loss and gradient norms land in slot ``slot``."""
-    stack, logits, grad, cells, products = slots[ctx.shape[1]]
+def _token_step(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
+                losses, norms, slot, ctx, target, scale, shift, in_norms):
+    """One token SGD step on (L, H, B) working weights ``wt``, logits laid out
+    (B, H, C); the loss and gradient norms land in slot ``slot``."""
     np.add(_token_logits(wt, ctx, stack).T, token_bias.T[:, :, None], out=logits)
     losses[slot], p = _token_ce_norms(logits, target, cells, grad)
     p *= in_norms
-    chunk = len(stack) - 1
+    chunk, (g0, *lanes) = len(stack) - 1, grad
     for l0 in range(0, len(wt), chunk):
         k = min(chunk, len(wt) - l0)
         # lr * (g0*x0 + g1*x1 + ...), the lanes added in order
-        a = np.multiply(ctx[l0:l0 + k, 0, None, None], grad[0], out=products[0, :k])
-        for c in range(1, len(grad)):
-            a += np.multiply(ctx[l0:l0 + k, c, None, None], grad[c], out=products[1, :k])
+        a, b = prod0[:k], prod1[:k]
+        np.multiply(ctx[l0:l0 + k, 0, None, None], g0, out=a)
+        for c, g in enumerate(lanes, 1):
+            np.multiply(ctx[l0:l0 + k, c, None, None], g, out=b)
+            a += b
         a *= lr
         wt[l0:l0 + k] -= a
     token_bias -= np.add.reduce(grad, axis=0) * lr
@@ -837,26 +834,29 @@ def _token_step(wt, token_bias, lr, slots, losses, norms, slot, ctx, target, sca
 
 
 class _TokenKernel:
-    """Token SGD on (L, H, B) working weights, whose (H, B, L) view becomes the
-    model's ``token_weights``.  A step leaves its loss and gradient norms in
-    slot k: a (C, H, B) gradient is too large to keep per slot.  Each channel
-    count of the pool has its own step buffers."""
+    """Token SGD on the model's (L, H, B) weights (see ``_token_lhb``), one step
+    with its own buffers per channel count of the pool.  A step leaves its loss and
+    gradient norms in slot k of ``out``: a (C, H, B) gradient is too large to keep."""
 
     def __init__(self, model: LinearForecaster, lr: float, channels: set):
-        self.losses, self.norms = np.empty(STEP_BLOCK), np.zeros((STEP_BLOCK, max(channels)))
-        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+        self.out = np.empty(STEP_BLOCK), np.zeros((STEP_BLOCK, max(channels)))
+        wt = _token_lhb(model.token_weights)
         model.token_weights = wt.transpose(1, 2, 0)
         _, horizon, bins = wt.shape
-        slots = {}
+        self.steps = {}
         for c in channels:
             stack = _token_stack(c, horizon, bins)
             # the update reuses the forward's product rows, free once it has summed
-            slots[c] = (stack, np.empty((bins, horizon, c)), np.empty((c, horizon, bins)),
-                        np.indices((horizon, c)), stack[1:].reshape(c, -1, horizon, bins))
-        self.step = partial(_token_step, wt, model.token_bias, lr, slots, self.losses, self.norms)
+            prod0, prod1 = stack[1:].reshape(-1, len(stack) - 1, horizon, bins)[:2]
+            self.steps[c] = partial(_token_step, wt, model.token_bias, lr, stack,
+                                    np.empty((bins, horizon, c)), np.empty((c, horizon, bins)),
+                                    np.indices((horizon, c)), prod0, prod1, *self.out)
+
+    def step(self, k, ctx, *row):
+        self.steps[ctx.shape[1]](k, ctx, *row)
 
     def finish(self, block: list, losses: np.ndarray, norms: np.ndarray):
-        losses[:], norms[:] = self.losses[:len(block)], self.norms[:len(block)]
+        losses[:], norms[:] = (a[:len(block)] for a in self.out)
 
 
 def train(

@@ -684,10 +684,11 @@ def _per_channel_norms(inputs, *output_grads):
 
 
 def _einsum_token_step(model, sample, lr):
-    """The token step as two ``np.einsum`` contractions, with the loss on
-    einsum's layout: at C = 2 the bits of ``_ref_token_step``."""
+    """The token step as two ``np.einsum`` contractions on C-order (H, B, L)
+    weights, with the loss on einsum's layout: at C = 2 the bits of
+    ``_ref_token_step``.  (einsum's sum order follows its operands' layout.)"""
     ctx = sample.inputs
-    logits = np.einsum("hbl,lc->hcb", model.token_weights, ctx)
+    logits = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), ctx)
     logits += model.token_bias[:, None, :]
     loss, g = _ref_loss_token_ce(logits, sample.target)
     norms = _per_channel_norms(ctx, g)
@@ -1134,16 +1135,30 @@ class TestTokenKernel:
         trained, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=4, lr=6e-4,
                            seed=5)
         ctx = np.tile(windows[0][:96], 2)[:, :channels]
-        forecast(trained, ctx)  # warm-up: first-call allocations are not counted
+        assert self._forecast_peak(trained, ctx) < trained.token_weights.nbytes / 2
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("source", ["created", "read back"])
+    def test_forecast_of_an_untrained_model_copies_no_weights(self, source, channels, tmp_path):
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        if source == "read back":
+            save_checkpoint(tmp_path / "model.json", model)
+            model = models.read_checkpoint(tmp_path / "model.json")
+        ctx = self._windows()[0][:96, :channels]
+        assert self._forecast_peak(model, ctx) < model.token_weights.nbytes / 2
+
+    @staticmethod
+    def _forecast_peak(model, ctx):
+        """Bytes allocated at the peak of one ``forecast`` call, after a warm-up
+        call: the summation stack and the logits, not a 2.36 MB weight copy."""
+        forecast(model, ctx)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            forecast(trained, ctx)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            forecast(model, ctx)
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the summation stack and the logits, not a 2.36 MB copy of the weights
-        assert peak < _token_stack(channels, 24, 128).nbytes + trained.token_weights.nbytes / 2
 
     def test_context_not_a_multiple_of_the_chunk(self):
         instances = window_batch(self._windows(length=37), 37)
@@ -1229,7 +1244,7 @@ class TestTokenKernel:
         assert raw.tobytes() == np.ascontiguousarray(logits.transpose(1, 0, 2)).tobytes()
         # einsum sums in the same order from two channels on; at one it rounds
         # otherwise, within the error bound of a sum of 96 products
-        ein = np.einsum("hbl,lc->hcb", model.token_weights, feats)
+        ein = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), feats)
         if channels > 1:
             assert ein.tobytes() == np.ascontiguousarray(logits).tobytes()
         magnitude = np.einsum("hbl,lc->hcb", np.abs(model.token_weights), np.abs(feats))
