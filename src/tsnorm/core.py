@@ -1,9 +1,9 @@
 """Shared domain types: datasets, normalization statistics, forecasts, reports.
 
-All types are immutable after construction and validate their invariants in
-``__post_init__``; nothing partially valid escapes this module.  Matrices are
-row-major ``(time, channel)`` float64 arrays throughout.  ``atomic_open`` is
-the one way an artifact file is written.
+All types are immutable after construction, but for the memo ``Dataset._fits``,
+and validate their invariants in ``__post_init__``; nothing partially valid
+escapes this module.  Matrices are row-major ``(time, channel)`` float64 arrays
+throughout.  ``atomic_open`` is the one way an artifact file is written.
 """
 
 from __future__ import annotations
@@ -141,6 +141,7 @@ class Dataset:
     frequency: str
     seasonal_period: int
     split_index: int
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_readonly(self.values))

@@ -6,8 +6,8 @@ scheme's dataset step fits each dataset's own train statistics, which the
 training pool applies to the windows it builds), then scored zero-shot on the
 withheld dataset's test rows and in-domain on every training dataset's test
 rows.  All data access runs through auditable entry points so leakage
-assertions can be checked after the fact.  Under ``--jobs N`` the corpus
-crosses to each worker process once, as a file, not once per variant.
+assertions can be checked after the fact.  Under ``--jobs N`` the corpus and
+its fitted dataset step cross to each worker once, as a file, not per variant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import pickle
 import re
 import tempfile
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
@@ -164,8 +163,9 @@ class ExperimentPlan:
     ``horizons`` values take Python or numpy integers (not ``bool``), stored
     as ``int``; every horizon is at least 1.  ``steps`` and
     ``instances_per_dataset`` size arrays, so each is at most
-    ``MAX_SYNTHETIC_VALUES``.  ``lr`` is a finite positive real number.  The
-    field defaults are the defaults of a plan file (see ``from_dict``).
+    ``MAX_SYNTHETIC_VALUES``.  ``lr`` is a finite positive real number.  A
+    corpus name holds no ``|``, ``/``, ``\\`` or NUL: variant keys and file names
+    hold it.  The field defaults are the defaults of a plan file (see ``from_dict``).
     """
 
     corpus: tuple
@@ -191,6 +191,10 @@ class ExperimentPlan:
                            ("schemes", self.schemes), ("model_kinds", self.model_kinds)):
             if len(set(seq)) != len(seq):
                 raise TsnormError(f"{label} contains duplicates")
+        for name in self.corpus:
+            if set(str(name)) & set("|/\\\0"):
+                raise TsnormError(f"dataset name {name!r} holds '|', '/', '\\' or NUL, "
+                                  "which variant keys and file names cannot")
         missing = [n for n in self.withheld if n not in self.corpus]
         if missing:
             raise MissingDatasetError(f"withheld {missing} not in corpus")
@@ -327,22 +331,20 @@ def variant_seed(plan_seed: int, model_kind: LossKind, scheme: Scheme, withheld:
     return int.from_bytes(digest[:8], "big")
 
 
-# The model-free fits of each live Dataset, by id(dataset), then key.  A Dataset
-# is frozen with read-only values, so a fit depends on the object alone; its
-# entry goes when the dataset is collected, so no dataset is held.
-_fits: dict = {}
-
-
 def _fitted(dataset: Dataset, key: tuple, fit):
-    """``fit()``, kept per (``dataset`` object, ``key``) while the dataset lives,
-    never per name, which two corpora may share.  A fit that raises stores nothing."""
-    fits = _fits.get(id(dataset), {})
-    if key not in fits:
-        fits[key] = fit()
-        if id(dataset) not in _fits:
-            _fits[id(dataset)] = fits
-            weakref.finalize(dataset, _fits.pop, id(dataset), None)
-    return fits[key]
+    """``fit()``, kept under ``key`` in ``dataset._fits`` and pickled with it,
+    never by name, which two corpora may share: a dataset's values are
+    read-only, so a fit depends on the object alone.  A fit that raises stores nothing."""
+    if key not in dataset._fits:
+        dataset._fits[key] = fit()
+    return dataset._fits[key]
+
+
+def _dataset_stats(dataset: Dataset, method):
+    """The dataset step of ``dataset`` under ``method``; None without one."""
+    if method is None:
+        return None
+    return _fitted(dataset, (method,), lambda: fit_dataset_stats(dataset, method))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -366,7 +368,7 @@ def evaluate(
     view of up to ``WINDOW_BLOCK`` windows at a time, with the same bits as
     window by window; ``forecast`` and ``mase`` run once per window.  The
     statistics and naive MAE depend on no model: they are fitted once per
-    ``dataset`` object and kept while it lives.  Statistics that overflow
+    ``dataset`` object and kept on it (see ``_fitted``).  Statistics that overflow
     raise StatsOverflowError, and a non-finite naive MAE or score, checked
     once per call, raises NonFiniteScoreError; neither lets a numpy warning
     out.
@@ -431,7 +433,7 @@ def run_variant(
     audit: AccessLog | None = None,
 ) -> tuple[LinearForecaster, TrainTrace, list]:
     """Train one variant and produce its ZS and ID report entries; each
-    dataset's statistics are fitted once per dataset object (see ``evaluate``)."""
+    dataset's statistics are kept on it (see ``_fitted``), so each is fitted once."""
     if withheld not in plan.corpus:
         raise MissingDatasetError(f"withheld {withheld!r} not in plan corpus")
     for name in plan.corpus:
@@ -441,16 +443,13 @@ def run_variant(
     seed = variant_seed(plan.seed, model_kind, scheme, withheld)
     train_names = [n for n in plan.corpus if n != withheld]
 
-    ds_method = scheme.dataset_method
     batches = []
     for i, name in enumerate(train_names):
         d = datasets[name]
-        stats = None
-        if ds_method is not None:
-            # fitted on the train rows; the pool normalizes only the rows it builds
-            stats = _fitted(d, (ds_method,), lambda: fit_dataset_stats(d, ds_method))
-            if audit is not None:
-                audit.record(variant, "fit_stats", name, 0, d.split_index)
+        # fitted on the train rows; the pool normalizes only the rows it builds
+        stats = _dataset_stats(d, scheme.dataset_method)
+        if stats is not None and audit is not None:
+            audit.record(variant, "fit_stats", name, 0, d.split_index)
         drawn = sample_instances(
             d, plan.context_len, plan.train_horizon, plan.instances_per_dataset, seed + i,
             stats,
@@ -531,8 +530,8 @@ def assemble_report(rows) -> EvalReport:
 
 @functools.lru_cache(maxsize=1)
 def _load_corpus(path: str) -> dict:
-    """A corpus file's datasets, kept until another corpus file is read: a pool
-    worker loads and fits a corpus once, whatever number of variants it runs."""
+    """A corpus file's datasets, with their fits, kept until another corpus file
+    is read: a pool worker loads a corpus once, whatever number of variants it runs."""
     with open(path, "rb") as fh:
         return pickle.load(fh)
 
@@ -564,7 +563,9 @@ def run_plan(
     """Execute every variant of a plan and assemble the report.
 
     ``completed`` maps variant keys to previously computed row lists; those
-    variants are skipped (resume support).  With jobs > 1 variants run in
+    variants are skipped (resume support).  The pending variants' dataset step
+    is fitted first, once per (training dataset, method), so an overflowing
+    one is refused before any variant trains.  With jobs > 1 variants run in
     parallel processes; results are collected and ordered deterministically,
     so the report is identical to a serial run.  The datasets then cross to
     the workers once: they are written to a file in a private temporary
@@ -575,8 +576,7 @@ def run_plan(
     order as each variant's result arrives, so variants that finished before
     a failure have already been handed on.
     It is the only place a trained model and its trace come out: the result
-    keeps neither, so a caller that wants them collects them there.  The
-    datasets' statistics (see ``evaluate``) are dropped with the datasets.
+    keeps neither, so a caller that wants them collects them there.
     """
     problems = plan.validate_against(datasets)
     if problems:
@@ -587,6 +587,10 @@ def run_plan(
         for mk, sc, wh in plan.variants()
         if variant_key(mk, sc, wh) not in completed
     ]
+    for mk, sc, wh in pending:  # the workers then find these fits in the corpus file
+        for name in plan.corpus:
+            if name != wh:
+                _dataset_stats(datasets[name], sc.dataset_method)
     audit = AccessLog()
     all_rows = []
     for rows in completed.values():

@@ -267,6 +267,19 @@ class LinearForecaster:
             model.token_bias = np.zeros((horizon, model.tokenizer.num_bins))
         return model
 
+    def __getstate__(self) -> dict:
+        # the (L, H, B) array, not its (H, B, L) view, which numpy would pickle
+        # in C order: a model back from a pool worker keeps the layout
+        state = dict(self.__dict__)
+        if self.token_weights is not None:
+            state["token_weights"] = _token_lhb(self.token_weights)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        if state["token_weights"] is not None:
+            state = dict(state, token_weights=state["token_weights"].transpose(1, 2, 0))
+        self.__dict__.update(state)
+
 
 def _token_lhb(token_weights: np.ndarray) -> np.ndarray:
     """The C-order (L, H, B) array of (H, B, L) ``token_weights``, which the

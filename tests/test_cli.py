@@ -514,6 +514,19 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", "--plan", str(path), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("name", ["a/b", "c|d", "e\\f", "g\0h"],
+                             ids=["slash", "bar", "backslash", "nul"])
+    def test_dataset_name_unfit_for_keys_or_paths_exits_2_at_dry_run(self, tmp_path, capsys,
+                                                                     name):
+        plan = csv_plan(tmp_path)
+        plan["datasets"][1]["name"] = name
+        path = write_plan(tmp_path, plan)
+        assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"]) == 2
+        err = capsys.readouterr().err
+        assert f"dataset name {name!r}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field, value, named", [
         ("seasonal_period", "24", "seasonal_period must be an integer"),
         ("frequency", 5, "frequency must be a string"),
@@ -561,19 +574,24 @@ class TestRun:
 
     def test_overflowing_dataset_statistics_exit_2_naming_dataset_and_method(
             self, tmp_path, capsys):
+        # the minmax variants, first in plan order, would train; the dataset
+        # step is fitted before any of them, so none is persisted
         plan = csv_plan(tmp_path)
-        plan["schemes"] = ["standardization"]
+        plan["schemes"] = ["minmax", "standardization"]
         data = Path(plan["datasets"][1]["path"])
         lines = data.read_text().splitlines()
         scaled = [",".join(repr(float(v) * 1e200) for v in line.split(",")) for line in lines[1:]]
         data.write_text("\n".join([lines[0], *scaled]) + "\n")
         path = write_plan(tmp_path, plan)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "dataset 'synth1': standardization statistics of its train rows overflow" in err
-        assert "Traceback" not in err
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", "--plan", str(path), "--out", str(out), "--jobs", jobs]) == 2
+            err = capsys.readouterr().err
+            assert "dataset 'synth1': standardization statistics of its train rows overflow" in err
+            assert "Traceback" not in err
+            assert list(out.glob("variants/*.json")) == []
 
     @pytest.mark.parametrize("scheme, which, cell, want", [
         ("revin", 1, lambda t, c, v: v * 1e200,

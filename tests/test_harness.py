@@ -44,7 +44,7 @@ from tsnorm import (
     train,
 )
 from tsnorm.cli import main
-from tsnorm.core import EvalReport, NonFiniteError, TsnormError
+from tsnorm.core import EvalReport, Method, NonFiniteError, TsnormError
 from tsnorm.data import MAX_SYNTHETIC_VALUES, InstanceBatch
 from tsnorm.harness import (
     AVERAGE_ID,
@@ -812,8 +812,8 @@ def _csv_plan_file(root: Path, datasets: dict) -> Path:
 
 
 class TestStatisticsMemo:
-    """Dataset and window statistics are fitted once per process and corpus,
-    keyed by the Dataset object, and live no longer than the dataset."""
+    """Dataset and window statistics are fitted once per corpus, kept on the
+    Dataset object, and live no longer than the dataset."""
 
     def test_fits_each_dataset_and_method_once_per_run(self, monkeypatch):
         datasets = small_corpus()
@@ -834,6 +834,30 @@ class TestStatisticsMemo:
         assert sorted(fits["window"]) == sorted(3 * ["revin", "standardization", "minmax"])
         events = [e for e in result.audit.events if e[1] in ("fit_stats", "evaluate")]
         assert len(events) == 12 * 3 + 9 * 2  # every variant still records its accesses
+
+    def test_a_parallel_run_fits_the_dataset_step_once_in_the_parent(self, tmp_path,
+                                                                     monkeypatch):
+        datasets = small_corpus()
+        schemes = (Scheme.HYBRID, Scheme.STANDARDIZATION, Scheme.MINMAX, Scheme.REVIN)
+        plan = small_plan(datasets, schemes=schemes, withheld=tuple(datasets), steps=5)
+        log = tmp_path / "fits"
+        fit_dataset_stats = harness.fit_dataset_stats
+
+        def logged(d, m):  # forked workers inherit the patch and append to the log
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {d.name} {m.value}\n")
+            return fit_dataset_stats(d, m)
+
+        monkeypatch.setattr(harness, "fit_dataset_stats", logged)
+        fits = {}
+        for jobs in (1, 2):
+            log.write_text("")
+            run_plan(plan, small_corpus(), jobs=jobs)
+            lines = [line.split() for line in log.read_text().splitlines()]
+            assert {int(pid) for pid, _, _ in lines} == {os.getpid()}
+            fits[jobs] = sorted((name, method) for _, name, method in lines)
+        assert fits[1] == fits[2] == sorted(
+            (n, m) for n in datasets for m in ("standardization", "minmax"))
 
     def test_two_corpora_with_the_same_names_match_fresh_processes(self, tmp_path):
         datasets = small_corpus()
@@ -859,12 +883,11 @@ class TestStatisticsMemo:
         datasets = small_corpus()
         refs = [weakref.ref(d) for d in datasets.values()]
         result = run_plan(small_plan(datasets, schemes=(Scheme.HYBRID,), steps=5), datasets)
-        assert {id(d) for d in datasets.values()} <= set(harness._fits)
-        ids = [id(d) for d in datasets.values()]
+        # hybrid's dataset step, kept on each dataset
+        refs += [weakref.ref(d._fits[(Method.STANDARDIZATION,)]) for d in datasets.values()]
         del datasets
         gc.collect()
-        assert [ref() for ref in refs] == [None, None, None]
-        assert not set(ids) & set(harness._fits)  # each entry went with its dataset
+        assert [ref() for ref in refs] == 6 * [None]  # each fit went with its dataset
         assert result.report.entries
 
     def test_direct_evaluate_gives_the_reference_bits(self):
@@ -891,16 +914,16 @@ class TestStatisticsMemo:
             harness._run_variant_worker((plan, path, sc, mk, wh))
         assert sorted(fits) == ["synth0", "synth1", "synth2"]
         loaded = harness._load_corpus(path)
-        assert {id(d) for d in loaded.values()} <= set(harness._fits)
+        assert all((Method.STANDARDIZATION,) in d._fits for d in loaded.values())
         # another corpus file evicts the first, and its fits go with its datasets
         other = str(tmp_path / "other.pickle")
         with open(other, "wb") as fh:
             pickle.dump(small_corpus(), fh, protocol=pickle.HIGHEST_PROTOCOL)
-        ids = {id(d) for d in loaded.values()}
+        refs = [weakref.ref(d) for d in loaded.values()]
         del loaded
         harness._load_corpus(other)
         gc.collect()
-        assert not ids & set(harness._fits)
+        assert [ref() for ref in refs] == [None, None, None]
         for mk, sc, wh in plan.variants():
             harness._run_variant_worker((plan, other, sc, mk, wh))
         assert sorted(fits[3:]) == ["synth0", "synth1", "synth2"]
@@ -920,7 +943,7 @@ class TestStatisticsOverflow:
             with pytest.raises(StatsOverflowError, match=(
                     "dataset 'synth2': revin statistics of its test-row contexts overflow")):
                 evaluate(model, Scheme.REVIN, d, 48, 24)
-        assert id(d) not in harness._fits
+        assert d._fits == {}
 
     def test_dataset_fit_names_the_dataset_and_method_and_stores_nothing(self):
         datasets = small_corpus()
@@ -932,7 +955,7 @@ class TestStatisticsOverflow:
                     "dataset 'synth1': standardization statistics of its train rows")):
                 run_variant(plan, datasets, Scheme.STANDARDIZATION, LossKind.MSE, "synth2")
         # synth0 was fitted before synth1 failed; nothing of synth1 is kept
-        assert [id(datasets[n]) in harness._fits for n in datasets] == [True, False, False]
+        assert [bool(datasets[n]._fits) for n in datasets] == [True, False, False]
 
     @pytest.mark.parametrize("kind, scheme", [
         (LossKind.MSE, Scheme.REVIN), (LossKind.MSE, Scheme.HYBRID),

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import operator
+import pickle
 import tracemalloc
 import warnings
 from typing import NamedTuple, Optional
@@ -1146,6 +1147,23 @@ class TestTokenKernel:
             model = models.read_checkpoint(tmp_path / "model.json")
         ctx = self._windows()[0][:96, :channels]
         assert self._forecast_peak(model, ctx) < model.token_weights.nbytes / 2
+
+    @pytest.mark.parametrize("source", ["created", "trained", "read back"])
+    def test_an_unpickled_model_keeps_its_weight_layout(self, source, tmp_path):
+        windows = self._windows()
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        if source == "trained":
+            model, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=4, lr=6e-4,
+                             seed=5)
+        elif source == "read back":
+            save_checkpoint(tmp_path / "model.json", model)
+            model = models.read_checkpoint(tmp_path / "model.json")
+        back = pickle.loads(pickle.dumps(model))
+        for name in ("weights", "bias", "token_weights", "token_bias"):
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
+        assert back.tokenizer == model.tokenizer
+        assert back.token_weights.transpose(2, 0, 1).flags.c_contiguous
+        assert self._forecast_peak(back, windows[0][:96]) < back.token_weights.nbytes / 2
 
     @staticmethod
     def _forecast_peak(model, ctx):
