@@ -32,6 +32,8 @@ from .harness import (
 from .models import DivergedError, Scheme, read_checkpoint, write_checkpoint_data
 
 SCHEMA_VERSION = 1
+# The longest file name, in bytes, that common file systems take (NAME_MAX).
+NAME_MAX = 255
 
 
 class SchemaVersionMismatchError(TsnormError):
@@ -168,6 +170,7 @@ class RunStore:
     ``traces/<key>.csv`` and, last, ``variants/<key>.json`` with its rows; the
     run ends with ``report.json`` and ``manifest.json``.  Each variant
     computed or reused prints a progress line ``[i/n] key: ...`` on stderr.
+    Every file is written through ``<name>.tmp`` (see ``atomic_open``).
     """
 
     def __init__(self, out, plan: ExperimentPlan):
@@ -175,8 +178,24 @@ class RunStore:
         for sub in ("variants", "checkpoints", "traces"):
             (self.out / sub).mkdir(parents=True, exist_ok=True)
 
+    @staticmethod
+    def _name(key: str, suffix: str = ".json") -> str:
+        return key.replace("|", "__") + suffix
+
+    @staticmethod
+    def check_names(plan: ExperimentPlan) -> None:
+        """Raise TsnormError naming the first withheld dataset whose variant
+        files would get a name longer than ``NAME_MAX`` bytes, encoded as the
+        file system takes it (UTF-8); the longest is ``<key>.json.tmp``.
+        Nothing is written."""
+        for mk, sc, wh in plan.variants():
+            size = len(os.fsencode(RunStore._name(variant_key(mk, sc, wh), ".json.tmp")))
+            if size > NAME_MAX:
+                raise TsnormError(f"withheld dataset {wh!r} gives {size}-byte file names "
+                                  f"under --out, past the {NAME_MAX}-byte limit")
+
     def _path(self, sub: str, key: str, suffix: str = ".json") -> Path:
-        return self.out / sub / (key.replace("|", "__") + suffix)
+        return self.out / sub / self._name(key, suffix)
 
     def _progress(self, key: str, what: str) -> None:
         self._done += 1
@@ -255,6 +274,7 @@ def cmd_run(args) -> int:
         for p in problems:
             print(f"plan error: {p}", file=sys.stderr)
         return 2
+    RunStore.check_names(plan)
 
     if args.dry_run:
         print(f"{len(plan.variants())} runs:")

@@ -30,6 +30,10 @@ from .norm import WINDOW_BLOCK
 # Largest synthetic corpus, in float64 values (400 MB): a spec beyond it is
 # refused before anything is allocated.
 MAX_SYNTHETIC_VALUES = 50_000_000
+# A level shift adds to up to a whole channel, so a spec's shifts add to at
+# most level_shifts x n_datasets x channels x length values; they are bounded
+# at twice the corpus bound, the default two shifts per channel at its largest.
+MAX_SHIFTED_VALUES = 2 * MAX_SYNTHETIC_VALUES
 
 
 class ParseError(TsnormError):
@@ -134,7 +138,10 @@ class SyntheticSpec:
     ~10^e_i, so the corpus spans the full exponent range.  ``level_shifts``
     is the number of piecewise level changes injected per channel.  The
     corpus holds n_datasets x channels x length float64 values, at most
-    ``MAX_SYNTHETIC_VALUES``.
+    ``MAX_SYNTHETIC_VALUES``.  ``level_shifts`` is at most ``length``, and
+    level_shifts x n_datasets x channels x length at most
+    ``MAX_SHIFTED_VALUES`` (twice ``MAX_SYNTHETIC_VALUES``): each shift adds
+    to up to a whole channel, so this bounds the time generation takes.
     """
 
     n_datasets: int = 4
@@ -175,6 +182,12 @@ class SyntheticSpec:
             raise BadSpecError("scale_exponents must be non-empty")
         if self.level_shifts < 0 or self.noise < 0:
             raise BadSpecError("level_shifts and noise must be non-negative")
+        if self.level_shifts > self.length or cells * self.level_shifts > MAX_SHIFTED_VALUES:
+            raise BadSpecError(
+                f"level_shifts must be at most length ({self.length}) and keep level_shifts "
+                f"x n_datasets x channels x length at most {MAX_SHIFTED_VALUES}, "
+                f"got {self.level_shifts}"
+            )
         if not 0.0 < self.split_fraction < 1.0:
             raise BadSpecError("split_fraction must lie in (0, 1)")
 
@@ -196,29 +209,39 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
-    """Generate the synthetic corpus described by ``spec``, deterministically."""
+    """Generate the synthetic corpus described by ``spec``, deterministically.
+
+    Channel c of a dataset with amplitude a is
+    ``base + a * sin(2π t / P + phase) + slope * t``, plus its level shifts
+    in draw order and its noise.  Each channel is built in place in one row
+    of a (channels, length) buffer, with those operations in that order;
+    ``Dataset`` copies the buffer, so one serves every dataset.
+    """
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.length, dtype=np.float64)
+    angle = 2.0 * np.pi * t / spec.seasonal_period
+    buffer = np.empty((spec.channels, spec.length))
     datasets = []
     for i in range(spec.n_datasets):
         exponent = spec.scale_exponents[i % len(spec.scale_exponents)]
         amplitude = 10.0**exponent
-        channels = []
-        for _ in range(spec.channels):
+        drift = spec.trend * amplitude / spec.length * t
+        for y in buffer:
             phase = rng.uniform(0.0, 2.0 * np.pi)
             base = rng.uniform(0.5, 1.5) * amplitude
-            slope = spec.trend * amplitude / spec.length
-            y = base + amplitude * np.sin(2.0 * np.pi * t / spec.seasonal_period + phase)
-            y += slope * t
+            np.add(angle, phase, out=y)
+            np.sin(y, out=y)
+            y *= amplitude
+            y += base
+            y += drift
             for _ in range(spec.level_shifts):
                 at = rng.integers(spec.seasonal_period, spec.length)
                 y[at:] += rng.uniform(-0.5, 0.5) * amplitude
             y += rng.normal(0.0, spec.noise * amplitude, spec.length)
-            channels.append(y)
         datasets.append(
             Dataset(
                 name=f"{spec.name_prefix}{i}",
-                values=np.column_stack(channels),
+                values=buffer.T,
                 frequency=spec.frequency,
                 seasonal_period=spec.seasonal_period,
                 split_index=int(np.floor(spec.split_fraction * spec.length)),

@@ -7,12 +7,13 @@ training pool applies to the windows it builds), then scored zero-shot on the
 withheld dataset's test rows and in-domain on every training dataset's test
 rows.  All data access runs through auditable entry points so leakage
 assertions can be checked after the fact.  Under ``--jobs N`` the corpus and
-its fitted dataset step cross to each worker once, as a file, not per variant.
+its fitted dataset step cross to each worker once, not per variant: a forked
+worker uses the corpus it inherits from the parent and reads nothing, and a
+spawn or forkserver worker loads it once from a file the parent writes.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -22,7 +23,7 @@ import pickle
 import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -528,12 +529,33 @@ def assemble_report(rows) -> EvalReport:
     return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
 
 
-@functools.lru_cache(maxsize=1)
+# The corpus this process holds for a corpus file, (path, datasets), or None.
+_corpus = None
+
+
 def _load_corpus(path: str) -> dict:
     """A corpus file's datasets, with their fits, kept until another corpus file
-    is read: a pool worker loads a corpus once, whatever number of variants it runs."""
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    is read: a pool worker loads a corpus once, whatever number of variants it
+    runs.  While ``run_plan``'s pool runs, the parent holds the datasets it
+    wrote to ``path``, so a forked worker finds them here and reads nothing;
+    a spawn or forkserver worker starts empty and reads the file."""
+    global _corpus
+    if _corpus is None or _corpus[0] != path:
+        _corpus = None  # the old corpus goes before the new one is read
+        with open(path, "rb") as fh:
+            _corpus = (path, pickle.load(fh))
+    return _corpus[1]
+
+
+@contextmanager
+def _holding_corpus(path: str, datasets: dict):
+    """Hold ``datasets`` as the corpus of ``path`` in this process while the block runs."""
+    global _corpus
+    _corpus = (path, datasets)
+    try:
+        yield
+    finally:
+        _corpus = None
 
 
 def _run_variant_worker(args):
@@ -569,9 +591,12 @@ def run_plan(
     parallel processes; results are collected and ordered deterministically,
     so the report is identical to a serial run.  The datasets then cross to
     the workers once: they are written to a file in a private temporary
-    directory, each task carries only its path, each worker loads it on its
-    first variant, and the directory is removed once the pool has shut down,
-    on failure too.  A serial run writes no file and passes the datasets
+    directory, and each task carries only its path.  While the pool runs,
+    this process also holds them as that file's corpus (see ``_load_corpus``),
+    so a forked worker uses the datasets it inherits and reads nothing, and a
+    spawn or forkserver worker loads the file on its first variant.  Once the
+    pool has shut down, on failure too, the corpus is let go and the
+    directory removed.  A serial run writes no file and passes the datasets
     themselves.  ``on_variant(key, model, trace, rows)`` is called in plan
     order as each variant's result arrives, so variants that finished before
     a failure have already been handed on.
@@ -601,8 +626,11 @@ def run_plan(
             # entered first, so removed after the pool has shut down
             tmp = stack.enter_context(tempfile.TemporaryDirectory(prefix="tsnorm-"))
             corpus = os.path.join(tmp, "corpus.pickle")
+            shipped = dict(datasets)
             with open(corpus, "wb") as fh:
-                pickle.dump(dict(datasets), fh, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(shipped, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            # held before the workers fork, let go after the pool has shut down
+            stack.enter_context(_holding_corpus(corpus, shipped))
             run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
         results = run_all(_run_variant_worker,
                           [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])

@@ -439,6 +439,17 @@ class TestRun:
         assert f"{field} must be at most {MAX_SYNTHETIC_VALUES}" in captured.err
         assert "Traceback" not in captured.err and "runs:" not in captured.out
 
+    @pytest.mark.parametrize("shifts", [10**7, 10**20, 2**63])
+    def test_unbounded_level_shifts_exit_2_at_dry_run(self, tmp_path, capsys, shifts):
+        # refused by the spec: no channel is generated
+        plan = dict(TINY_PLAN, synthetic=dict(TINY_SYNTH, level_shifts=shifts))
+        path = write_plan(tmp_path, plan)
+        assert main(["run", "--plan", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"]) == 2
+        captured = capsys.readouterr()
+        assert "level_shifts must be at most length (600)" in captured.err
+        assert "Traceback" not in captured.err and "runs:" not in captured.out
+
     @pytest.mark.parametrize("plan, named", [
         ([TINY_PLAN], "plan must be a JSON object"),
         (dict(TINY_PLAN, synthetic=[1, 2]), "synthetic spec must be a JSON object"),
@@ -692,6 +703,35 @@ class TestRunStore:
             f"[1/4] {key}: computed, pool 47, rejected 1, loss 2 -> 1\n")
         assert cli.RunStore(tmp_path / "out", plan).completed() == {key: rows}
         assert capsys.readouterr().err == f"[1/4] {key}: resumed\n"
+
+    @staticmethod
+    def _named_plan(tmp_path, prefix):
+        """One variant, ``point_mse|revin|<prefix>0``: its longest file name,
+        ``point_mse__revin__<prefix>0.json.tmp``, is 28 bytes plus the prefix's."""
+        synthetic = dict(TINY_SYNTH, name_prefix=prefix)
+        return write_plan(tmp_path, dict(TINY_PLAN, schemes=["revin"], withheld=[f"{prefix}0"],
+                                         steps=5, synthetic=synthetic))
+
+    def test_a_withheld_name_at_the_file_name_limit_runs(self, tmp_path):
+        prefix = "x" * (cli.NAME_MAX - 28)
+        out = tmp_path / "out"
+        assert main(["run", "--plan", str(self._named_plan(tmp_path, prefix)),
+                     "--out", str(out)]) == 0
+        (variant,) = (out / "variants").iterdir()
+        assert len(variant.name) + len(".tmp") == cli.NAME_MAX
+
+    @pytest.mark.parametrize("prefix", ["x" * (cli.NAME_MAX - 27), "é" * 114, "x" * 239],
+                             ids=["one-byte-past", "two-byte-chars", "240-chars"])
+    def test_a_withheld_name_past_the_file_name_limit_exits_2_at_dry_run(
+            self, tmp_path, capsys, prefix):
+        path, out = self._named_plan(tmp_path, prefix), tmp_path / "out"
+        for extra in (["--dry-run"], []):
+            assert main(["run", "--plan", str(path), "--out", str(out), *extra]) == 2
+            captured = capsys.readouterr()
+            assert f"withheld dataset '{prefix}0'" in captured.err
+            assert f"past the {cli.NAME_MAX}-byte limit" in captured.err
+            assert "runs:" not in captured.out
+        assert not out.exists()
 
 
 class TestReport:

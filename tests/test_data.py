@@ -20,6 +20,7 @@ from tsnorm import (
 )
 from tsnorm.core import ShapeMismatchError, TsnormError
 from tsnorm.data import (
+    MAX_SHIFTED_VALUES,
     MAX_SYNTHETIC_VALUES,
     BadSpecError,
     InstanceBatch,
@@ -109,7 +110,44 @@ class TestLoadCsv:
         assert list(tmp_path.iterdir()) == [path]
 
 
+def _reference_synthetic(spec: SyntheticSpec) -> list:
+    """Each dataset's values as per-channel arrays, column-stacked: the
+    generator's formula written out channel by channel."""
+    rng = np.random.default_rng(spec.seed)
+    t = np.arange(spec.length, dtype=np.float64)
+    corpus = []
+    for i in range(spec.n_datasets):
+        amplitude = 10.0**spec.scale_exponents[i % len(spec.scale_exponents)]
+        channels = []
+        for _ in range(spec.channels):
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            base = rng.uniform(0.5, 1.5) * amplitude
+            slope = spec.trend * amplitude / spec.length
+            y = base + amplitude * np.sin(2.0 * np.pi * t / spec.seasonal_period + phase)
+            y += slope * t
+            for _ in range(spec.level_shifts):
+                at = rng.integers(spec.seasonal_period, spec.length)
+                y[at:] += rng.uniform(-0.5, 0.5) * amplitude
+            y += rng.normal(0.0, spec.noise * amplitude, spec.length)
+            channels.append(y)
+        corpus.append(np.column_stack(channels))
+    return corpus
+
+
 class TestGenerateSynthetic:
+    @pytest.mark.parametrize("channels", [1, 2, 8])
+    @pytest.mark.parametrize("level_shifts", [0, 3])
+    def test_equals_the_per_channel_reference_bitwise(self, channels, level_shifts):
+        spec = SyntheticSpec(n_datasets=3, channels=channels, length=1200,
+                             scale_exponents=(0.5, -3.0, 7.25), level_shifts=level_shifts,
+                             seed=11 + channels)
+        got = generate_synthetic(spec)
+        want = _reference_synthetic(spec)
+        assert len(got) == len(want) == 3
+        for d, values in zip(got, want):
+            assert d.values.shape == values.shape == (1200, channels)
+            assert d.values.tobytes() == values.tobytes()
+
     def test_deterministic(self):
         spec = SyntheticSpec(seed=5)
         a = generate_synthetic(spec)
@@ -160,6 +198,22 @@ class TestGenerateSynthetic:
         # the bound is checked on the spec: nothing is generated here
         spec = SyntheticSpec(n_datasets=1, channels=1, length=MAX_SYNTHETIC_VALUES)
         assert spec.n_datasets * spec.channels * spec.length == MAX_SYNTHETIC_VALUES
+        assert spec.level_shifts * MAX_SYNTHETIC_VALUES == MAX_SHIFTED_VALUES
+
+    @pytest.mark.parametrize("size", [
+        dict(level_shifts=10**7), dict(level_shifts=10**20), dict(level_shifts=2**63),
+        dict(n_datasets=1, channels=1, length=2400, level_shifts=2401),
+        dict(n_datasets=1, channels=1, length=MAX_SYNTHETIC_VALUES, level_shifts=3),
+    ], ids=["1e7", "1e20", "2**63", "one-past-length", "one-past-the-shifted-bound"])
+    def test_level_shifts_are_bounded_before_anything_is_generated(self, size):
+        with pytest.raises(BadSpecError, match=r"level_shifts must be at most length"):
+            SyntheticSpec(**size)
+
+    def test_level_shifts_at_both_bounds_are_accepted(self):
+        assert SyntheticSpec(n_datasets=1, channels=1, length=2400, level_shifts=2400)
+        spec = SyntheticSpec(n_datasets=1, channels=2, length=MAX_SHIFTED_VALUES // 8,
+                             level_shifts=4)
+        assert spec.n_datasets * spec.channels * spec.length * 4 == MAX_SHIFTED_VALUES
 
 
 class TestSampleInstances:

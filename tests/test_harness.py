@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import multiprocessing
 import os
 import json
 import pickle
@@ -714,6 +715,20 @@ def recording_pool(monkeypatch, tmp_path):
     return tmp, pools
 
 
+@pytest.fixture
+def no_held_corpus(monkeypatch):
+    """This process starts with no corpus held, like a spawned worker; the
+    corpus a test loads is let go when it ends."""
+    monkeypatch.setattr(harness, "_corpus", None)
+
+
+def _pool_starting_workers_by(monkeypatch, method: str):
+    """``harness.ProcessPoolExecutor`` replaced by a pool whose workers start by ``method``."""
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: ProcessPoolExecutor(
+        max_workers=max_workers, mp_context=context))
+
+
 class TestCorpusByReference:
     def test_tasks_carry_the_corpus_by_reference(self, recording_pool):
         tmp, pools = recording_pool
@@ -756,8 +771,7 @@ class TestCorpusByReference:
             pickle.dump(datasets, fh, protocol=pickle.HIGHEST_PROTOCOL)
         return path
 
-    def test_a_path_task_gives_the_rows_of_a_dataset_task(self, tmp_path):
-        harness._load_corpus.cache_clear()
+    def test_a_path_task_gives_the_rows_of_a_dataset_task(self, tmp_path, no_held_corpus):
         datasets = small_corpus()
         path = self._corpus_file(datasets, tmp_path)
         plan = small_plan(datasets, steps=40)
@@ -768,10 +782,8 @@ class TestCorpusByReference:
             assert key == want_key
             assert rows == want_rows
             assert audit.events == want_audit.events
-        harness._load_corpus.cache_clear()
 
-    def test_two_path_tasks_load_the_file_once(self, tmp_path, monkeypatch):
-        harness._load_corpus.cache_clear()
+    def test_two_path_tasks_load_the_file_once(self, tmp_path, monkeypatch, no_held_corpus):
         datasets = small_corpus()
         path = self._corpus_file(datasets, tmp_path)
         loads = []
@@ -781,7 +793,41 @@ class TestCorpusByReference:
         for mk, sc, wh in plan.variants()[:2]:
             harness._run_variant_worker((plan, path, sc, mk, wh))
         assert loads == [path]
-        harness._load_corpus.cache_clear()
+
+    def test_a_forked_worker_reads_no_corpus_file(self, monkeypatch):
+        _pool_starting_workers_by(monkeypatch, "fork")
+
+        def refuse(fh):  # forked workers inherit the patch
+            raise AssertionError(f"{os.getpid()} unpickled {fh.name}")
+
+        monkeypatch.setattr(pickle, "load", refuse)
+        plan = small_plan(small_corpus(), schemes=(Scheme.STANDARDIZATION, Scheme.REVIN), steps=40)
+        parallel = run_plan(plan, small_corpus(), jobs=2)
+        serial = run_plan(plan, small_corpus())
+        assert parallel.report.entries == serial.report.entries
+        assert parallel.audit.events == serial.audit.events
+
+    def test_a_spawned_worker_loads_the_corpus_file(self, monkeypatch):
+        _pool_starting_workers_by(monkeypatch, "spawn")
+        plan = small_plan(small_corpus(), schemes=(Scheme.STANDARDIZATION, Scheme.REVIN), steps=40)
+        parallel = run_plan(plan, small_corpus(), jobs=2)
+        serial = run_plan(plan, small_corpus())
+        assert parallel.report.entries == serial.report.entries
+        assert parallel.audit.events == serial.audit.events
+
+    @pytest.mark.parametrize("lr", [1e-4, 100.0], ids=["returns", "diverges"])
+    def test_a_parallel_run_keeps_no_dataset_once_it_ends(self, lr):
+        datasets = small_corpus()
+        plan = dataclasses.replace(small_plan(datasets, schemes=(Scheme.RAW,)), lr=lr)
+        refs = [weakref.ref(d) for d in datasets.values()]
+        try:
+            diverged = run_plan(plan, datasets, jobs=2) is None
+        except DivergedError:
+            diverged = True
+        assert diverged == (lr == 100.0)
+        del datasets
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None, None]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -899,8 +945,7 @@ class TestStatisticsMemo:
                 want = _reference_evaluate(model, scheme, corpus["synth1"], 48, 24)
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
-    def test_a_worker_fits_once_per_loaded_corpus(self, tmp_path, monkeypatch):
-        harness._load_corpus.cache_clear()
+    def test_a_worker_fits_once_per_loaded_corpus(self, tmp_path, monkeypatch, no_held_corpus):
         datasets = small_corpus()
         path = str(tmp_path / "corpus.pickle")
         with open(path, "wb") as fh:
@@ -927,7 +972,6 @@ class TestStatisticsMemo:
         for mk, sc, wh in plan.variants():
             harness._run_variant_worker((plan, other, sc, mk, wh))
         assert sorted(fits[3:]) == ["synth0", "synth1", "synth2"]
-        harness._load_corpus.cache_clear()
 
 
 class TestStatisticsOverflow:
