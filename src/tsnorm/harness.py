@@ -22,7 +22,6 @@ import os
 import pickle
 import re
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -434,7 +433,13 @@ def run_variant(
     audit: AccessLog | None = None,
 ) -> tuple[LinearForecaster, TrainTrace, list]:
     """Train one variant and produce its ZS and ID report entries; each
-    dataset's statistics are kept on it (see ``_fitted``), so each is fitted once."""
+    dataset's statistics are kept on it (see ``_fitted``), so each is fitted once.
+
+    The untrained model is made in the call to ``train`` and referenced
+    nowhere else: once ``train`` has copied it (CPython 3.11 and later hand
+    call arguments to the callee), the copy is the only model left, and
+    ``evaluate`` runs on the trained one alone.  A token variant so holds its
+    weights at most twice, while ``train`` copies them."""
     if withheld not in plan.corpus:
         raise MissingDatasetError(f"withheld {withheld!r} not in plan corpus")
     for name in plan.corpus:
@@ -462,11 +467,10 @@ def run_variant(
             audit.record(variant, "sample", name, drawn.starts.min(), drawn.starts.max() + span)
         batches.append(drawn)
 
-    model = LinearForecaster.create(
-        model_kind, plan.context_len, plan.train_horizon, seed=seed
-    )
+    # created in the call, so ``train``'s copy is the only reference left to it
     trained, trace = train(
-        model, InstanceBatch.concat(batches), scheme, plan.steps, plan.lr, seed
+        LinearForecaster.create(model_kind, plan.context_len, plan.train_horizon, seed=seed),
+        InstanceBatch.concat(batches), scheme, plan.steps, plan.lr, seed,
     )
 
     rows = []
@@ -529,6 +533,17 @@ def assemble_report(rows) -> EvalReport:
     return EvalReport(entries=entries, aggregates=aggregates, improvements=improvements)
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """The process pool ``run_plan`` runs ``--jobs N`` variants in, with at
+    most one worker per pending variant: a
+    ``concurrent.futures.ProcessPoolExecutor``, imported on the first call, so
+    a serial run or a ``--dry-run`` never loads ``multiprocessing``.  A test or
+    a tracer replaces this name with a pool of its own."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 # The corpus this process holds for a corpus file, (path, datasets), or None.
 _corpus = None
 
@@ -589,7 +604,9 @@ def run_plan(
     is fitted first, once per (training dataset, method), so an overflowing
     one is refused before any variant trains.  With jobs > 1 variants run in
     parallel processes; results are collected and ordered deterministically,
-    so the report is identical to a serial run.  The datasets then cross to
+    so the report is identical to a serial run.  The pool starts at most one
+    worker per pending variant, and only a run with more than one loads it
+    (see ``ProcessPoolExecutor``).  The datasets then cross to
     the workers once: they are written to a file in a private temporary
     directory, and each task carries only its path.  While the pool runs,
     this process also holds them as that file's corpus (see ``_load_corpus``),
@@ -631,7 +648,9 @@ def run_plan(
                 pickle.dump(shipped, fh, protocol=pickle.HIGHEST_PROTOCOL)
             # held before the workers fork, let go after the pool has shut down
             stack.enter_context(_holding_corpus(corpus, shipped))
-            run_all = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            # fork starts every worker up front: no more than there are variants
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+            run_all = stack.enter_context(pool).map
         results = run_all(_run_variant_worker,
                           [(plan, corpus, sc, mk, wh) for mk, sc, wh in pending])
         # each variant is handed on as it finishes, so a later failure keeps it

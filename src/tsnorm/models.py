@@ -247,6 +247,12 @@ class LinearForecaster:
         init_scale: float = 0.01,
         tokenizer: Optional[TokenizerSpec] = None,
     ) -> "LinearForecaster":
+        """A model of ``loss_kind`` with weights drawn from N(0, ``init_scale``)
+        by a generator seeded with ``seed`` (``weights`` first, then a token
+        head's ``token_weights``), zero biases and, for the Gaussian head,
+        zero log-std weights.  The token weights are drawn one horizon row at
+        a time straight into their (L, H, B) array, so creating them holds
+        one copy of them plus a row."""
         rng = np.random.default_rng(seed)
         model = cls(
             loss_kind=loss_kind,
@@ -261,10 +267,13 @@ class LinearForecaster:
             model.sigma_bias = np.zeros(horizon)
         if loss_kind is LossKind.TOKEN_CE:
             model.tokenizer = tokenizer or TokenizerSpec()
-            model.token_weights = _token_lhb(rng.normal(
-                0.0, init_scale, (horizon, model.tokenizer.num_bins, context_len)
-            )).transpose(1, 2, 0)
-            model.token_bias = np.zeros((horizon, model.tokenizer.num_bins))
+            # row h of one (H, B, L) draw at a time: the same bits, no second copy
+            bins = model.tokenizer.num_bins
+            wt = np.empty((context_len, horizon, bins))
+            for h in range(horizon):
+                wt[:, h] = rng.normal(0.0, init_scale, (bins, context_len)).T
+            model.token_weights = wt.transpose(1, 2, 0)
+            model.token_bias = np.zeros((horizon, bins))
         return model
 
     def __getstate__(self) -> dict:
@@ -317,16 +326,20 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
     ``atomic_open``); the caller writes the returned header to
     ``header_path`` as JSON afterwards, so a header never names data that is
     not there.  The bytes depend on the arrays alone, so identical weights
-    give identical files.
+    give identical files.  Each array is converted, hashed and written one
+    leading-axis slice at a time, so writing copies no whole array, such as
+    the C-order bytes of the (H, B, L) view ``token_weights``.
     """
     data_path = Path(header_path).with_suffix(".f64")
     digest = hashlib.sha256()
     arrays = []
     with atomic_open(data_path, "wb") as fh:
         for name in _checkpoint_arrays(model.loss_kind):
-            a = np.ascontiguousarray(getattr(model, name), dtype="<f8")
-            digest.update(a)
-            fh.write(a)
+            a = getattr(model, name)
+            for part in np.atleast_2d(a):
+                part = np.ascontiguousarray(part, dtype="<f8")
+                digest.update(part)
+                fh.write(part)
             arrays.append({"name": name, "shape": list(a.shape)})
     header = {
         "format": CHECKPOINT_FORMAT,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,18 @@ def central_difference(fn, x, step=1e-5):
         bump = bump.reshape(x.shape)
         flat[i] = (fn(x + bump) - fn(x - bump)) / (2.0 * step)
     return grad
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the most bytes tracemalloc saw allocated during the
+    call above what was allocated as it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def window_batch(windows, context_len):

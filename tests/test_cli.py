@@ -3,6 +3,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,6 +19,8 @@ from tsnorm.core import EvalEntry, Setting
 from tsnorm.cli import _write_json, main
 from tsnorm.data import MAX_SYNTHETIC_VALUES
 from tsnorm.models import TrainTrace, write_checkpoint_data
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TINY_SYNTH = {
     "n_datasets": 3,
@@ -109,6 +114,21 @@ class TestSynth:
 
 
 class TestRun:
+    @pytest.mark.parametrize("extra", [[], ["--dry-run"], ["--dry-run", "--jobs", "2"]],
+                             ids=["serial", "dry-run", "dry-run-jobs-2"])
+    def test_a_run_without_a_pool_loads_no_multiprocessing(self, tmp_path, extra):
+        # in a fresh interpreter: this one has loaded a pool for other tests
+        script = ("import json, sys; from tsnorm.cli import main; code = main(sys.argv[1:]); "
+                  "print(json.dumps([code, sorted(set(sys.modules) & "
+                  "{'multiprocessing', 'concurrent.futures.process'})]))")
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+        argv = ["run", "--plan", str(write_plan(tmp_path)), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-c", script, *argv, *extra], cwd=ROOT, env=env,
+                              capture_output=True, timeout=300, check=True)
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+        assert (tmp_path / "out" / "report.json").exists() == (not extra)
+
     def test_dry_run_prints_matrix_trains_nothing(self, tmp_path, capsys):
         plan = dict(TINY_PLAN)
         plan["schemes"] = ["revin", "meanabs", "hybrid", "standardization",

@@ -61,6 +61,8 @@ from tsnorm.metrics import improvement
 from tsnorm.models import DivergedError, token_point_forecast
 from tsnorm.norm import StatsOverflowError
 
+from conftest import traced_peak
+
 
 def small_corpus(seed=13):
     spec = SyntheticSpec(
@@ -296,6 +298,20 @@ class TestRunVariant:
         assert [e.dataset for e in zs] == ["synth2"]
         assert sorted(e.dataset for e in id_) == ["synth0", "synth1"]
         assert all(e.withheld == "synth2" for e in rows)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=(
+        "the bound rests on CPython 3.11 and later handing call arguments to the callee; "
+        "an older caller's frame keeps the untrained model alive through train"))
+    def test_a_token_variant_holds_its_weights_at_most_twice(self):
+        datasets = small_corpus()
+        plan = dataclasses.replace(small_plan(datasets, models=(LossKind.TOKEN_CE,)),
+                                   context_len=96, steps=20)
+        args = (plan, datasets, Scheme.REVIN, LossKind.TOKEN_CE, "synth2")
+        run_variant(*args)  # the datasets' statistics, kept on them, and first-call imports
+        (trained, _, _), peak = traced_peak(run_variant, *args)
+        # the untrained model and train's copy of it; then the copy alone, as
+        # it trains and is evaluated
+        assert peak <= 2.3 * trained.token_weights.nbytes
 
     def test_leakage_audit_clean(self):
         datasets = small_corpus()
@@ -685,8 +701,9 @@ def _worker_dying_at_synth2(args):
 @pytest.fixture
 def recording_pool(monkeypatch, tmp_path):
     """``harness.ProcessPoolExecutor`` replaced by a real pool that records the
-    pickled size of each task and what the temporary directory, pointed at
-    ``tmp``, holds as the pool starts.  Returns (tmp, pools made)."""
+    pickled size of each task, the workers asked for and what the temporary
+    directory, pointed at ``tmp``, holds as the pool starts.  Returns (tmp,
+    pools made)."""
     tmp = tmp_path / "tmp"
     tmp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp))
@@ -695,6 +712,7 @@ def recording_pool(monkeypatch, tmp_path):
     class RecordingPool:
         def __init__(self, max_workers):
             self._pool = ProcessPoolExecutor(max_workers=max_workers)
+            self.max_workers = max_workers
             self.files = sorted(p.relative_to(tmp).parts[1:] for p in tmp.rglob("*"))
             self.task_bytes = []
             pools.append(self)
@@ -744,6 +762,23 @@ class TestCorpusByReference:
         serial = run_plan(plan, datasets, jobs=1)
         assert len(pools) == 1  # a serial run starts no pool and writes no file
         assert serial.report.entries == parallel.report.entries
+
+    def test_a_pool_starts_at_most_one_worker_per_pending_variant(self, recording_pool):
+        # fork starts every worker up front; small counts only, each is a process
+        _, pools = recording_pool
+        datasets = small_corpus()
+        plan = small_plan(datasets, schemes=(Scheme.RAW,), steps=5)
+        run_plan(plan, datasets, jobs=4)
+        assert len(plan.variants()) == 2 and [p.max_workers for p in pools] == [2]
+        three = small_plan(datasets, schemes=(Scheme.RAW,),
+                           withheld=("synth0", "synth1", "synth2"), steps=5)
+        done = {}
+        serial = run_plan(three, datasets,
+                          on_variant=lambda key, model, trace, rows: done.update({key: rows}))
+        first = harness.variant_key(LossKind.MSE, Scheme.RAW, "synth0")
+        resumed = run_plan(three, datasets, jobs=4, completed={first: done[first]})
+        assert [p.max_workers for p in pools] == [2, 2]
+        assert resumed.report.entries == serial.report.entries
 
     def test_directory_removed_when_a_variant_diverges(self, recording_pool):
         tmp, pools = recording_pool

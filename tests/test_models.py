@@ -56,7 +56,7 @@ from tsnorm.models import (
     token_point_forecast,
 )
 
-from conftest import batch_windows, central_difference, col, window_batch
+from conftest import batch_windows, central_difference, col, traced_peak, window_batch
 
 HALF_LOG_2PI = 0.9189385332046727
 
@@ -436,14 +436,17 @@ CHECKPOINT_ARRAYS = ("weights", "bias", "sigma_weights", "sigma_bias",
 
 
 class TestCheckpoint:
-    def test_data_file_is_raw_little_endian_float64(self, tmp_path):
-        model = LinearForecaster.create(LossKind.GAUSSIAN_NLL, 6, 3, seed=2)
+    @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+    def test_data_file_is_raw_little_endian_float64(self, tmp_path, kind):
+        # an odd-sized head, and a token model's (H, B, L) view of its (L, H, B) array
+        model = LinearForecaster.create(kind, 37, 5, seed=4, tokenizer=TokenizerSpec(num_bins=13))
         path = tmp_path / "m.json"
         save_checkpoint(path, model)
         header = json.loads(path.read_text())
         assert header["format"] == models.CHECKPOINT_FORMAT
-        assert [a["name"] for a in header["arrays"]] == list(CHECKPOINT_ARRAYS[:4])
-        want = b"".join(getattr(model, n).astype("<f8").tobytes() for n in CHECKPOINT_ARRAYS[:4])
+        names = [a["name"] for a in header["arrays"]]
+        assert names == [n for n in CHECKPOINT_ARRAYS if getattr(model, n) is not None]
+        want = b"".join(np.ascontiguousarray(getattr(model, n), "<f8").tobytes() for n in names)
         data = (tmp_path / header["data"]["file"]).read_bytes()
         assert data == want
         assert header["data"]["sha256"] == hashlib.sha256(want).hexdigest()
@@ -546,6 +549,40 @@ class TestCheckpoint:
         with pytest.raises(models.CheckpointError, match="bad header field") as info:
             models.read_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_writing_a_token_checkpoint_copies_no_whole_array(self, tmp_path):
+        # at the production head, H=24, B=128, L=96: a slice of the weights at a time
+        model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
+        _, peak = traced_peak(models.write_checkpoint_data, tmp_path / "m.json", model)
+        assert peak <= 0.1 * model.token_weights.nbytes
+
+
+def _reference_token_create(seed, context_len, horizon, bins, init_scale=0.01):
+    """The weights and (L, H, B) token weights of one whole (H, B, L) draw,
+    as ``LinearForecaster.create`` first drew them."""
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(0.0, init_scale, (horizon, context_len))
+    return weights, models._token_lhb(rng.normal(0.0, init_scale, (horizon, bins, context_len)))
+
+
+class TestCreate:
+    @pytest.mark.parametrize("head", [(96, 24, 128), (37, 5, 13)], ids=["default", "odd"])
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+    def test_token_weights_are_the_bits_of_one_whole_draw(self, head, seed):
+        L, H, B = head
+        model = LinearForecaster.create(LossKind.TOKEN_CE, L, H, seed=seed,
+                                        tokenizer=TokenizerSpec(num_bins=B))
+        weights, lhb = _reference_token_create(seed, L, H, B)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.token_weights.shape == (H, B, L)
+        assert model.token_weights.transpose(2, 0, 1).flags.c_contiguous
+        assert model.token_weights.transpose(2, 0, 1).tobytes() == lhb.tobytes()
+
+    def test_creating_a_token_model_holds_one_copy_of_its_weights(self):
+        LinearForecaster.create(LossKind.TOKEN_CE, 96, 24)  # the first call imports modules
+        model, peak = traced_peak(LinearForecaster.create, LossKind.TOKEN_CE, 96, 24)
+        # the (L, H, B) array and one (B, L) row of the draw
+        assert peak <= 1.2 * model.token_weights.nbytes
 
 
 def _csv_writer_bytes(trace) -> bytes:
@@ -1170,13 +1207,7 @@ class TestTokenKernel:
         """Bytes allocated at the peak of one ``forecast`` call, after a warm-up
         call: the summation stack and the logits, not a 2.36 MB weight copy."""
         forecast(model, ctx)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            forecast(model, ctx)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        return traced_peak(forecast, model, ctx)[1]
 
     def test_context_not_a_multiple_of_the_chunk(self):
         instances = window_batch(self._windows(length=37), 37)
@@ -1414,25 +1445,13 @@ class TestPoolMemory:
         starts = rng.integers(0, 6000 - length - horizon, count)
         batch = InstanceBatch([(values, starts)], length, horizon)
         model = LinearForecaster.create(LossKind.MAE, length, horizon)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            pool, _ = prepare_training_pool(batch, scheme, model)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (pool, _), peak = traced_peak(prepare_training_pool, batch, scheme, model)
         window_bytes = (length + horizon) * channels * 8
         # preparing makes the clip decisions only
         assert len(pool) == count
         assert peak <= 4 * WINDOW_BLOCK * window_bytes + 512 * count
         every = np.arange(len(pool))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            rows = build_rows(pool, every, scheme, model)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(build_rows, pool, every, scheme, model)
         # RevIN's normalized contexts and horizons are new arrays; raw's rows
         # are rows of its fancy-indexed blocks, which the rows keep alive
         output = count * window_bytes
