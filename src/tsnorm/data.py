@@ -180,8 +180,9 @@ class SyntheticSpec:
             raise BadSpecError("length must cover at least four seasonal periods")
         if not self.scale_exponents:
             raise BadSpecError("scale_exponents must be non-empty")
-        if self.level_shifts < 0 or self.noise < 0:
-            raise BadSpecError("level_shifts and noise must be non-negative")
+        for name in ("level_shifts", "noise", "seed"):
+            if getattr(self, name) < 0:
+                raise BadSpecError(f"{name} must be non-negative, got {getattr(self, name)!r}")
         if self.level_shifts > self.length or cells * self.level_shifts > MAX_SHIFTED_VALUES:
             raise BadSpecError(
                 f"level_shifts must be at most length ({self.length}) and keep level_shifts "

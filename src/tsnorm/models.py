@@ -25,8 +25,9 @@ computing statistics and input norms in a few array operations, with the bits
 each instance alone would give.  A row, (inputs, target, scale, shift, input
 norms), is the one form of a training sample.
 
-The token head is one array kernel for every channel count C, on (L, H, B)
-weights whose (H, B, L) view is the model's ``token_weights``:
+The token head is one array kernel for every channel count C, on the model's
+C-order (L, H, B) ``token_weights`` (a checkpoint's data file holds them in
+(H, B, L) order, see ``write_checkpoint_data``):
 
 * forward: each logit sums its products over ``l`` in order, starting from 0.0
   (``_token_logits``);
@@ -37,7 +38,7 @@ weights whose (H, B, L) view is the model's ``token_weights``:
   in order, and the bias moves by ``np.add.reduce(grad, axis=0) * lr``.
 
 At C = 2 these are the bits of the einsum contractions "hbl,lc->hcb" and
-"hcb,lc->hbl" on C-order weights, with ``_token_ce`` between them.
+"hcb,lc->hbl" on C-order (H, B, L) weights, with ``_token_ce`` between them.
 """
 
 from __future__ import annotations
@@ -221,9 +222,10 @@ class LinearForecaster:
     """Linear context-to-horizon map, shared across channels.
 
     ``weights`` is (H, L) and ``bias`` is (H,); the Gaussian head adds a
-    second (H, L)/(H,) pair producing log-std, and the token head uses
-    (H, B, L)/(H, B) to emit logits over B bins, ``token_weights`` as the
-    (H, B, L) view of a C-order (L, H, B) array (see ``_token_lhb``).
+    second (H, L)/(H,) pair producing log-std, and the token head uses a
+    C-order (L, H, B) ``token_weights`` and an (H, B) ``token_bias`` to emit
+    logits over B bins.  Only the checkpoint files order the token weights
+    (H, B, L).
     """
 
     loss_kind: LossKind
@@ -251,8 +253,8 @@ class LinearForecaster:
         by a generator seeded with ``seed`` (``weights`` first, then a token
         head's ``token_weights``), zero biases and, for the Gaussian head,
         zero log-std weights.  The token weights are drawn one horizon row at
-        a time straight into their (L, H, B) array, so creating them holds
-        one copy of them plus a row."""
+        a time straight into the C-order (L, H, B) ``token_weights``, so
+        creating them holds one copy of them plus a row."""
         rng = np.random.default_rng(seed)
         model = cls(
             loss_kind=loss_kind,
@@ -269,31 +271,11 @@ class LinearForecaster:
             model.tokenizer = tokenizer or TokenizerSpec()
             # row h of one (H, B, L) draw at a time: the same bits, no second copy
             bins = model.tokenizer.num_bins
-            wt = np.empty((context_len, horizon, bins))
+            model.token_weights = np.empty((context_len, horizon, bins))
             for h in range(horizon):
-                wt[:, h] = rng.normal(0.0, init_scale, (bins, context_len)).T
-            model.token_weights = wt.transpose(1, 2, 0)
+                model.token_weights[:, h] = rng.normal(0.0, init_scale, (bins, context_len)).T
             model.token_bias = np.zeros((horizon, bins))
         return model
-
-    def __getstate__(self) -> dict:
-        # the (L, H, B) array, not its (H, B, L) view, which numpy would pickle
-        # in C order: a model back from a pool worker keeps the layout
-        state = dict(self.__dict__)
-        if self.token_weights is not None:
-            state["token_weights"] = _token_lhb(self.token_weights)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        if state["token_weights"] is not None:
-            state = dict(state, token_weights=state["token_weights"].transpose(1, 2, 0))
-        self.__dict__.update(state)
-
-
-def _token_lhb(token_weights: np.ndarray) -> np.ndarray:
-    """The C-order (L, H, B) array of (H, B, L) ``token_weights``, which the
-    token kernel trains and ``forecast`` reads: no copy when they are its view."""
-    return np.ascontiguousarray(token_weights.transpose(2, 0, 1))
 
 
 class CheckpointError(TsnormError):
@@ -308,7 +290,8 @@ CHECKPOINT_FORMAT = 1
 
 def _checkpoint_arrays(kind: LossKind, L=None, H=None, B=None) -> dict:
     """The ``LinearForecaster`` arrays a checkpoint of ``kind`` holds, in file
-    order, and their shapes at context length L, horizon H and B token bins."""
+    order, and their shapes in the file at context length L, horizon H and B
+    token bins: the (L, H, B) ``token_weights`` are stored (H, B, L)."""
     arrays = {"weights": [H, L], "bias": [H]}
     if kind is LossKind.GAUSSIAN_NLL:
         arrays.update(sigma_weights=[H, L], sigma_bias=[H])
@@ -326,9 +309,10 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
     ``atomic_open``); the caller writes the returned header to
     ``header_path`` as JSON afterwards, so a header never names data that is
     not there.  The bytes depend on the arrays alone, so identical weights
-    give identical files.  Each array is converted, hashed and written one
+    give identical files.  The (L, H, B) ``token_weights`` go to the file in
+    (H, B, L) order.  Each array is converted, hashed and written one
     leading-axis slice at a time, so writing copies no whole array, such as
-    the C-order bytes of the (H, B, L) view ``token_weights``.
+    the C-order bytes of the token weights' (H, B, L) view.
     """
     data_path = Path(header_path).with_suffix(".f64")
     digest = hashlib.sha256()
@@ -336,6 +320,8 @@ def write_checkpoint_data(header_path, model: LinearForecaster) -> dict:
     with atomic_open(data_path, "wb") as fh:
         for name in _checkpoint_arrays(model.loss_kind):
             a = getattr(model, name)
+            if name == "token_weights":
+                a = a.transpose(1, 2, 0)
             for part in np.atleast_2d(a):
                 part = np.ascontiguousarray(part, dtype="<f8")
                 digest.update(part)
@@ -366,13 +352,14 @@ def _field(obj, key: str, kind: type):
 def read_checkpoint(path) -> LinearForecaster:
     """Load the model of the checkpoint header at ``path`` and its data file.
 
-    The arrays are writable and bitwise equal to the ones written.  Raises
+    The arrays are writable and bitwise equal to the ones written; the file's
+    (H, B, L) token weights become a fresh C-order (L, H, B) array.  Raises
     CheckpointError naming the file when the header is not a JSON object, a
     field is missing, of the wrong JSON type or invalid (the format must be
-    known, the tokenizer a valid ``TokenizerSpec``, the data file a plain
-    file name), an array's shape does not fit the header's dimensions
-    (naming the array), or the data file is missing or its size or sha256
-    differs from what the header records.
+    known, the dimensions positive, the tokenizer a valid ``TokenizerSpec``,
+    the data file a plain file name), an array's shape does not fit the
+    header's dimensions (naming the array), or the data file is missing,
+    cannot be read, or its size or sha256 differs from what the header records.
     """
     path = Path(path)
     try:
@@ -392,6 +379,9 @@ def read_checkpoint(path) -> LinearForecaster:
     try:
         kind = LossKind(header["loss_kind"])
         L, H = _field(header, "context_len", int), _field(header, "horizon", int)
+        for key, n in (("context_len", L), ("horizon", H)):
+            if n < 1:
+                raise ValueError(f"{key!r} is {n}, not a positive integer")
         tokenizer = (TokenizerSpec.from_dict(_field(header, "tokenizer", dict))
                      if kind is LossKind.TOKEN_CE else None)
         arrays, data = _field(header, "arrays", list), _field(header, "data", dict)
@@ -417,6 +407,9 @@ def read_checkpoint(path) -> LinearForecaster:
             data = bytearray(fh.read())
     except FileNotFoundError:
         raise CheckpointError(f"{path}: data file {data_path} is missing") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise CheckpointError(f"{path}: data file {data_path} cannot be read: "
+                              f"{exc.strerror}") from None
     sizes = [math.prod(shape) for shape in want.values()]
     if len(data) != 8 * sum(sizes):
         raise CheckpointError(
@@ -431,7 +424,7 @@ def read_checkpoint(path) -> LinearForecaster:
         arrays[name] = flat[offset:offset + n].reshape(shape)
         offset += n
     if kind is LossKind.TOKEN_CE:
-        arrays["token_weights"] = _token_lhb(arrays["token_weights"]).transpose(1, 2, 0)
+        arrays["token_weights"] = np.ascontiguousarray(arrays["token_weights"].transpose(2, 0, 1))
     return LinearForecaster(kind, L, H, tokenizer=tokenizer, **arrays)
 
 
@@ -462,7 +455,7 @@ def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
         )
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
-    wt = _token_lhb(model.token_weights)
+    wt = model.token_weights
     stack = _token_stack(feats.shape[1], *wt.shape[1:])
     logits = _token_logits(wt, feats, stack).transpose(1, 0, 2) + model.token_bias[:, None, :]
     del stack  # freed before Forecast copies the logits: a lower peak RSS
@@ -860,14 +853,13 @@ def _token_step(wt, token_bias, lr, stack, logits, grad, cells, prod0, prod1,
 
 
 class _TokenKernel:
-    """Token SGD on the model's (L, H, B) weights (see ``_token_lhb``), one step
+    """Token SGD on the model's (L, H, B) ``token_weights``, in place, one step
     with its own buffers per channel count of the pool.  A step leaves its loss and
     gradient norms in slot k of ``out``: a (C, H, B) gradient is too large to keep."""
 
     def __init__(self, model: LinearForecaster, lr: float, channels: set):
         self.out = np.empty(STEP_BLOCK), np.zeros((STEP_BLOCK, max(channels)))
-        wt = _token_lhb(model.token_weights)
-        model.token_weights = wt.transpose(1, 2, 0)
+        wt = model.token_weights
         _, horizon, bins = wt.shape
         self.steps = {}
         for c in channels:

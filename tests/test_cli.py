@@ -470,6 +470,23 @@ class TestRun:
         assert "level_shifts must be at most length (600)" in captured.err
         assert "Traceback" not in captured.err and "runs:" not in captured.out
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_a_negative_synthetic_seed_exits_2_naming_it(self, tmp_path, capsys, command):
+        # refused by the spec, not by the generator it would seed
+        synth = dict(TINY_SYNTH, seed=-1)
+        if command == "run":
+            argv = ["run", "--plan", str(write_plan(tmp_path, dict(TINY_PLAN, synthetic=synth))),
+                    "--out", str(tmp_path / "out"), "--dry-run"]
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(synth))
+            argv = ["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "seed must be non-negative, got -1" in captured.err
+        assert "Traceback" not in captured.err and "runs:" not in captured.out
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("plan, named", [
         ([TINY_PLAN], "plan must be a JSON object"),
         (dict(TINY_PLAN, synthetic=[1, 2]), "synthetic spec must be a JSON object"),

@@ -185,6 +185,11 @@ class TestGenerateSynthetic:
         with pytest.raises(BadSpecError):
             SyntheticSpec.from_dict({"bogus_field": 1})
 
+    @pytest.mark.parametrize("field", ["seed", "level_shifts", "noise"])
+    def test_a_negative_field_is_refused_by_name(self, field):
+        with pytest.raises(BadSpecError, match=rf"^{field} must be non-negative, got -1$"):
+            SyntheticSpec(**{field: -1})
+
     @pytest.mark.parametrize("size", [
         dict(channels=10**20),
         dict(n_datasets=1, channels=1, length=MAX_SYNTHETIC_VALUES + 1),

@@ -13,6 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from tsnorm import (
     Dataset,
@@ -435,10 +437,45 @@ CHECKPOINT_ARRAYS = ("weights", "bias", "sigma_weights", "sigma_bias",
                      "token_weights", "token_bias")
 
 
+# Fields of a checkpoint header a mutation replaces, as paths into it, and
+# the values it puts there; MISSING deletes the field.
+HEADER_FIELDS = [("format",), ("loss_kind",), ("context_len",), ("horizon",), ("arrays",),
+                 ("data",), ("tokenizer",), ("data", "file"), ("data", "sha256"),
+                 ("tokenizer", "num_bins"), ("tokenizer", "lo"), ("tokenizer", "hi"),
+                 *((("arrays", i, key) for i in range(4) for key in ("name", "shape")))]
+MISSING = object()
+HEADER_VALUES = st.sampled_from([
+    MISSING, None, True, False, 0, 1, -1, 3.5, "", "x", "m.json", "sub", "weights", [], [1, 2],
+    [[3]],
+    ["weights"], {}, {"name": "weights", "shape": [3, 5]}, {"file": "m.f64"}, 10**20, -10**20,
+])
+
+
+def _mutate(header, field, value):
+    """Put ``value`` at path ``field`` of a header, if its parents are there."""
+    *parents, last = field
+    for key in parents:
+        try:
+            header = header[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    if isinstance(header, dict):
+        if value is MISSING:
+            header.pop(last, None)
+        else:
+            header[last] = copy.deepcopy(value)
+
+
+def _in_file_order(model, name):
+    """A model array as a checkpoint's data file orders it: (H, B, L) token weights."""
+    a = getattr(model, name)
+    return a.transpose(1, 2, 0) if name == "token_weights" else a
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
     def test_data_file_is_raw_little_endian_float64(self, tmp_path, kind):
-        # an odd-sized head, and a token model's (H, B, L) view of its (L, H, B) array
+        # an odd-sized head, and a token model's (L, H, B) array in (H, B, L) order
         model = LinearForecaster.create(kind, 37, 5, seed=4, tokenizer=TokenizerSpec(num_bins=13))
         path = tmp_path / "m.json"
         save_checkpoint(path, model)
@@ -446,12 +483,14 @@ class TestCheckpoint:
         assert header["format"] == models.CHECKPOINT_FORMAT
         names = [a["name"] for a in header["arrays"]]
         assert names == [n for n in CHECKPOINT_ARRAYS if getattr(model, n) is not None]
-        want = b"".join(np.ascontiguousarray(getattr(model, n), "<f8").tobytes() for n in names)
+        want = b"".join(np.ascontiguousarray(_in_file_order(model, n), "<f8").tobytes()
+                        for n in names)
         data = (tmp_path / header["data"]["file"]).read_bytes()
         assert data == want
         assert header["data"]["sha256"] == hashlib.sha256(want).hexdigest()
 
-    @pytest.mark.parametrize("damage", ["tampered", "truncated", "extended", "missing"])
+    @pytest.mark.parametrize("damage", ["tampered", "truncated", "extended", "missing",
+                                        "directory"])
     def test_damaged_data_file_is_named(self, tmp_path, damage):
         path = tmp_path / "m.json"
         save_checkpoint(path, LinearForecaster.create(LossKind.TOKEN_CE, 8, 4, seed=1))
@@ -466,8 +505,10 @@ class TestCheckpoint:
             data.write_bytes(raw + bytes(8))
         else:
             data.unlink()
+            if damage == "directory":
+                data.mkdir()
         want = {"tampered": "sha256", "truncated": "bytes", "extended": "bytes",
-                "missing": "missing"}[damage]
+                "missing": "missing", "directory": "cannot be read"}[damage]
         with pytest.raises(models.CheckpointError, match=want) as info:
             models.read_checkpoint(path)
         assert str(data) in str(info.value)
@@ -550,6 +591,67 @@ class TestCheckpoint:
             models.read_checkpoint(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("field, dims, shapes", [
+        ("context_len", (-1, 2), ([2, -1], [2])),
+        ("horizon", (3, 0), ([0, 3], [0])),
+        ("context_len", (0, 0), ([0, 0], [0])),
+    ], ids=["context_len-1", "horizon0", "both0"])
+    def test_a_dimension_below_one_is_refused_by_name(self, tmp_path, field, dims, shapes):
+        # the shapes fit the dimensions and an empty data file holds their
+        # 0 values: only the dimensions are wrong
+        path = tmp_path / "m.json"
+        save_checkpoint(path, LinearForecaster.create(LossKind.MSE, 8, 4, seed=1))
+        (tmp_path / "m.f64").write_bytes(b"")
+        header = json.loads(path.read_text())
+        header.update(context_len=dims[0], horizon=dims[1],
+                      arrays=[dict(a, shape=s) for a, s in zip(header["arrays"], shapes)],
+                      data=dict(header["data"], sha256=hashlib.sha256(b"").hexdigest()))
+        path.write_text(json.dumps(header))
+        with pytest.raises(models.CheckpointError, match=f"bad header field: '{field}' is") as info:
+            models.read_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(list(LossKind)),
+           mutations=st.lists(st.tuples(st.sampled_from(HEADER_FIELDS), HEADER_VALUES),
+                              min_size=1, max_size=2, unique_by=lambda m: m[0]))
+    # the dimensions below one that the shape checks alone let through
+    @example(kind=LossKind.MSE, mutations=[
+        (("context_len",), -1), (("horizon",), 2),
+        (("arrays",), [{"name": "weights", "shape": [2, -1]}, {"name": "bias", "shape": [2]}]),
+        (("data",), {"file": "empty.f64", "sha256": hashlib.sha256(b"").hexdigest()})])
+    @example(kind=LossKind.MSE, mutations=[
+        (("horizon",), 0),
+        (("arrays",), [{"name": "weights", "shape": [0, 5]}, {"name": "bias", "shape": [0]}]),
+        (("data",), {"file": "empty.f64", "sha256": hashlib.sha256(b"").hexdigest()})])
+    # a data file that is a directory
+    @example(kind=LossKind.GAUSSIAN_NLL, mutations=[(("data", "file"), "sub")])
+    def test_a_mutated_header_is_read_or_refused_by_name(self, tmp_path, kind, mutations):
+        # a small head, H=3, B=4, L=5, and an empty file and a directory a
+        # header may name
+        model = LinearForecaster.create(kind, 5, 3, seed=2, tokenizer=TokenizerSpec(num_bins=4))
+        path = tmp_path / kind.value / "m.json"
+        (path.parent / "sub").mkdir(parents=True, exist_ok=True)
+        save_checkpoint(path, model)
+        (path.parent / "empty.f64").write_bytes(b"")
+        header = json.loads(path.read_text())
+        for field, value in mutations:
+            _mutate(header, field, value)
+        path.write_text(json.dumps(header))
+        try:
+            back = models.read_checkpoint(path)
+        except models.CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        # what is read back is the model that was written
+        assert (back.loss_kind, back.context_len, back.horizon) == (kind, 5, 3)
+        for name in CHECKPOINT_ARRAYS:
+            want, got = getattr(model, name), getattr(back, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), name
+
     def test_writing_a_token_checkpoint_copies_no_whole_array(self, tmp_path):
         # at the production head, H=24, B=128, L=96: a slice of the weights at a time
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
@@ -562,7 +664,8 @@ def _reference_token_create(seed, context_len, horizon, bins, init_scale=0.01):
     as ``LinearForecaster.create`` first drew them."""
     rng = np.random.default_rng(seed)
     weights = rng.normal(0.0, init_scale, (horizon, context_len))
-    return weights, models._token_lhb(rng.normal(0.0, init_scale, (horizon, bins, context_len)))
+    hbl = rng.normal(0.0, init_scale, (horizon, bins, context_len))
+    return weights, np.ascontiguousarray(hbl.transpose(2, 0, 1))
 
 
 class TestCreate:
@@ -574,9 +677,9 @@ class TestCreate:
                                         tokenizer=TokenizerSpec(num_bins=B))
         weights, lhb = _reference_token_create(seed, L, H, B)
         assert model.weights.tobytes() == weights.tobytes()
-        assert model.token_weights.shape == (H, B, L)
-        assert model.token_weights.transpose(2, 0, 1).flags.c_contiguous
-        assert model.token_weights.transpose(2, 0, 1).tobytes() == lhb.tobytes()
+        assert model.token_weights.shape == (L, H, B)
+        assert model.token_weights.flags.c_contiguous
+        assert model.token_weights.tobytes() == lhb.tobytes()
 
     def test_creating_a_token_model_holds_one_copy_of_its_weights(self):
         LinearForecaster.create(LossKind.TOKEN_CE, 96, 24)  # the first call imports modules
@@ -721,16 +824,22 @@ def _per_channel_norms(inputs, *output_grads):
     return np.sqrt(total)
 
 
+def _hbl(token_weights):
+    """A C-order (H, B, L) copy of (L, H, B) token weights."""
+    return np.ascontiguousarray(token_weights.transpose(1, 2, 0))
+
+
 def _einsum_token_step(model, sample, lr):
-    """The token step as two ``np.einsum`` contractions on C-order (H, B, L)
-    weights, with the loss on einsum's layout: at C = 2 the bits of
-    ``_ref_token_step``.  (einsum's sum order follows its operands' layout.)"""
+    """The token step as two ``np.einsum`` contractions on a C-order (H, B, L)
+    copy of the (L, H, B) weights, with the loss on einsum's layout: at C = 2
+    the bits of ``_ref_token_step``.  (einsum's sum order follows its
+    operands' layout.)"""
     ctx = sample.inputs
-    logits = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), ctx)
+    logits = np.einsum("hbl,lc->hcb", _hbl(model.token_weights), ctx)
     logits += model.token_bias[:, None, :]
     loss, g = _ref_loss_token_ce(logits, sample.target)
     norms = _per_channel_norms(ctx, g)
-    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx)
+    model.token_weights -= lr * np.einsum("hcb,lc->hbl", g, ctx).transpose(2, 0, 1)
     model.token_bias -= lr * g.sum(axis=1)
     return loss, norms
 
@@ -741,10 +850,10 @@ def _ref_token_step(model, sample, lr):
     the bins one after another, each channel's squared-gradient sum runs over
     (h, b) in order, h-major, and the update adds the channel lanes in order."""
     w, x, target = model.token_weights, sample.inputs, sample.target
-    channels, bins = x.shape[1], w.shape[1]
-    logits = np.zeros((w.shape[0], channels, bins))
+    channels, bins = x.shape[1], w.shape[2]
+    logits = np.zeros((w.shape[1], channels, bins))
     for l in range(x.shape[0]):
-        logits = logits + w[:, None, :, l] * x[l, None, :, None]
+        logits = logits + w[l, :, None, :] * x[l, None, :, None]
     logits = logits + model.token_bias[:, None, :]
     top = logits[..., 0]
     for b in range(1, bins):
@@ -763,9 +872,10 @@ def _ref_token_step(model, sample, lr):
     g_norms = np.array([math.sqrt(functools.reduce(operator.add, (g[:, c] ** 2).ravel().tolist(),
                                                    0.0)) for c in range(channels)])
     norms = np.sqrt((g_norms * np.linalg.norm(x, axis=0)) ** 2)
-    update, bias_update = g[:, 0, :, None] * x[:, 0], g[:, 0]
+    update, bias_update = g[None, :, 0] * x[:, 0, None, None], g[:, 0]
     for c in range(1, channels):
-        update, bias_update = update + g[:, c, :, None] * x[:, c], bias_update + g[:, c]
+        update = update + g[None, :, c] * x[:, c, None, None]
+        bias_update = bias_update + g[:, c]
     model.token_weights -= lr * update
     model.token_bias -= lr * bias_update
     return loss, norms
@@ -1131,7 +1241,7 @@ class TestTokenKernel:
             assert got.tobytes() == want.tobytes()
         assert not np.array_equal(trained.token_weights, model.token_weights)
         # the model keeps the (L, H, B) weights the kernel trained
-        assert trained.token_weights.transpose(2, 0, 1).flags.c_contiguous
+        assert trained.token_weights.flags.c_contiguous
         assert trained.token_weights.tobytes() == ref_model.token_weights.tobytes()
         assert trained.token_bias.tobytes() == ref_model.token_bias.tobytes()
 
@@ -1185,22 +1295,36 @@ class TestTokenKernel:
         ctx = self._windows()[0][:96, :channels]
         assert self._forecast_peak(model, ctx) < model.token_weights.nbytes / 2
 
-    @pytest.mark.parametrize("source", ["created", "trained", "read back"])
-    def test_an_unpickled_model_keeps_its_weight_layout(self, source, tmp_path):
-        windows = self._windows()
+    def _model(self, source, tmp_path):
+        """A production-head token model, created, trained or read back."""
         model = LinearForecaster.create(LossKind.TOKEN_CE, 96, 24, seed=9)
         if source == "trained":
-            model, _ = train(model, window_batch(windows, 96), Scheme.REVIN, steps=4, lr=6e-4,
-                             seed=5)
+            model, _ = train(model, window_batch(self._windows(), 96), Scheme.REVIN, steps=4,
+                             lr=6e-4, seed=5)
         elif source == "read back":
             save_checkpoint(tmp_path / "model.json", model)
             model = models.read_checkpoint(tmp_path / "model.json")
+        return model
+
+    @pytest.mark.parametrize("source", ["created", "trained", "read back"])
+    def test_an_unpickled_model_keeps_its_weight_layout(self, source, tmp_path):
+        model = self._model(source, tmp_path)
         back = pickle.loads(pickle.dumps(model))
         for name in ("weights", "bias", "token_weights", "token_bias"):
             assert getattr(back, name).tobytes() == getattr(model, name).tobytes()
         assert back.tokenizer == model.tokenizer
-        assert back.token_weights.transpose(2, 0, 1).flags.c_contiguous
-        assert self._forecast_peak(back, windows[0][:96]) < back.token_weights.nbytes / 2
+        assert back.token_weights.flags.c_contiguous
+        assert self._forecast_peak(back, self._windows()[0][:96]) < back.token_weights.nbytes / 2
+
+    @pytest.mark.parametrize("source", ["created", "trained", "read back"])
+    def test_a_deep_copied_model_keeps_its_weight_layout(self, source, tmp_path):
+        model = self._model(source, tmp_path)
+        back = copy.deepcopy(model)
+        assert back.token_weights is not model.token_weights
+        assert back.token_weights.shape == (96, 24, 128)
+        assert back.token_weights.flags.c_contiguous
+        assert back.token_weights.tobytes() == model.token_weights.tobytes()
+        assert self._forecast_peak(back, self._windows()[0][:96]) < back.token_weights.nbytes / 2
 
     @staticmethod
     def _forecast_peak(model, ctx):
@@ -1285,18 +1409,17 @@ class TestTokenKernel:
         # the definition: each logit sums its products over l in order, from 0.0
         logits = np.zeros((24, channels, 128))
         for l in range(96):
-            logits = logits + model.token_weights[:, None, :, l] * feats[l, None, :, None]
-        wt = np.ascontiguousarray(model.token_weights.transpose(2, 0, 1))
+            logits = logits + model.token_weights[l, :, None, :] * feats[l, None, :, None]
         stack = _token_stack(channels, 24, 128)
-        raw = _token_logits(wt, feats, stack)
+        raw = _token_logits(model.token_weights, feats, stack)
         assert raw.shape == (channels, 24, 128)
         assert raw.tobytes() == np.ascontiguousarray(logits.transpose(1, 0, 2)).tobytes()
         # einsum sums in the same order from two channels on; at one it rounds
         # otherwise, within the error bound of a sum of 96 products
-        ein = np.einsum("hbl,lc->hcb", np.ascontiguousarray(model.token_weights), feats)
+        ein = np.einsum("hbl,lc->hcb", _hbl(model.token_weights), feats)
         if channels > 1:
             assert ein.tobytes() == np.ascontiguousarray(logits).tobytes()
-        magnitude = np.einsum("hbl,lc->hcb", np.abs(model.token_weights), np.abs(feats))
+        magnitude = np.einsum("hbl,lc->hcb", _hbl(np.abs(model.token_weights)), np.abs(feats))
         assert (np.abs(ein - logits) <= 96 * np.finfo(float).eps * magnitude).all()
         logits += model.token_bias[:, None, :]
         want = Forecast(kind=ForecastKind.TOKEN, token_logits=logits,
