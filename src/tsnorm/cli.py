@@ -328,7 +328,7 @@ def _render_markdown(doc: dict) -> str:
                 row += ["", _mark(cells, ranked, "raw")]
             lines.append("| " + " | ".join(row) + " |")
 
-    improvements = doc.get("improvements") or {}
+    improvements = doc["improvements"]
     for setting in ("zs", "id"):
         if setting not in improvements:
             continue
@@ -372,10 +372,15 @@ def _render_csv(doc: dict) -> str:
 
 def cmd_report(args) -> int:
     doc = _read_json(Path(args.infile))
+    if not isinstance(doc, dict):
+        raise TsnormError(f"report must be a JSON object, got {type(doc).__name__}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaVersionMismatchError(
             f"report schema {doc.get('schema_version')!r} != supported {SCHEMA_VERSION}"
         )
+    for key in ("aggregates", "improvements"):
+        if not isinstance(doc.get(key), dict):
+            raise TsnormError(f"report {key!r} must be an object, got {doc.get(key)!r}")
     rendered = _render_markdown(doc) if args.format == "md" else _render_csv(doc)
     if args.out:
         with atomic_open(args.out) as fh:

@@ -122,6 +122,12 @@ class Setting(enum.Enum):
 
 
 def _as_readonly(a, dtype=np.float64) -> np.ndarray:
+    """``a`` as a read-only C-order array of ``dtype``: ``a`` itself when it is
+    one already and owns its memory (no view of a writable array), else a copy."""
+    if type(a) is np.ndarray and a.dtype == dtype:
+        flags = a.flags
+        if flags.owndata and flags.c_contiguous and not flags.writeable:
+            return a
     out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
@@ -288,7 +294,8 @@ class Forecast:
                 raise KindMismatchError("kind=gaussian requires gauss_mean and gauss_std")
             if self.gauss_mean.shape != self.gauss_std.shape:
                 raise ShapeMismatchError("gauss_mean and gauss_std shapes differ")
-            if (self.gauss_std <= 0).any():
+            # fmin skips NaN, so this decides as (gauss_std <= 0).any() does
+            if self.gauss_std.size and np.fmin.reduce(self.gauss_std, axis=None) <= 0:
                 raise TsnormError("gauss_std must be positive elementwise")
         if self.kind is ForecastKind.TOKEN:
             if not has_token:

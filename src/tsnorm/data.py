@@ -261,9 +261,10 @@ class InstanceBatch:
     ``Dataset`` that holds them.  A part may carry a third item, statistics
     fitted on its dataset (a scheme's dataset step): the batch then
     normalizes each block of rows it stacks with them, with the bits
-    ``normalize`` gives on the whole matrix.  The training pool reads a
-    batch through ``blocks``, which stacks the windows of many draws of one
-    part at a time, and ``select`` keeps the draws it admits.
+    ``normalize`` gives on the whole matrix.  The training pool walks a
+    batch through ``blocks``, many draws of one part at a time, stacks their
+    windows with ``windows`` or ``rows``, and ``select`` keeps the draws it
+    admits.
     """
 
     def __init__(self, parts, context_len: int, horizon: int):
@@ -323,9 +324,9 @@ class InstanceBatch:
         return InstanceBatch(parts, self.context_len, self.horizon_len)
 
     def blocks(self, ids):
-        """Yield (dataset, positions in ``ids``, stacked windows) for the draws
-        ``ids``, part by part in order, up to ``WINDOW_BLOCK`` draws at a time,
-        positions ascending; the windows are those ``windows`` gives."""
+        """Yield (dataset, positions in ``ids``, draws) for the draws ``ids``,
+        part by part in order, up to ``WINDOW_BLOCK`` draws at a time,
+        positions ascending; the draws are ``ids`` at those positions."""
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self)):
             raise IndexError(f"draws {ids.min()}..{ids.max()} are not all in the batch")
@@ -334,25 +335,39 @@ class InstanceBatch:
             at = np.flatnonzero(part_of == p)
             for lo in range(0, len(at), WINDOW_BLOCK):
                 block = at[lo:lo + WINDOW_BLOCK]
-                yield d, block, self.windows(ids[block])
+                yield d, block, ids[block]
 
     def windows(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Stacked contexts (k, L, C) and horizons (k, H, C) of the draws
         ``ids``, which must all come from one part: one fancy index each
         into its dataset's rows, normalized in place with its statistics."""
-        ids = np.asarray(ids)
-        if ids.min() < 0:  # a negative id would index another part's start row
-            raise IndexError(f"draw {ids.min()} is not in the batch")
-        d, _, hi, stats = self._spans[bisect_right(self._ends, int(ids.min()))]
-        if ids.max() >= hi:
-            raise TsnormError("windows are stacked from one dataset's draws at a time")
-        rows = self.starts[ids][:, None] + np.arange(self.context_len + self.horizon_len)
+        d, starts, stats = self._part(ids)
+        rows = starts[:, None] + np.arange(self.context_len + self.horizon_len)
         contexts = d.values[rows[:, : self.context_len]]
         horizons = d.values[rows[:, self.context_len :]]
         if stats is not None:
             _normalize_rows(contexts, stats)
             _normalize_rows(horizons, stats)
         return contexts, horizons
+
+    def rows(self, ids) -> np.ndarray:
+        """The whole windows of the draws ``ids``, which must all come from one
+        part, rows outermost: an (L + H, k, C) array whose row t holds each
+        draw's context row t, or horizon row t - L, from one fancy index into
+        its dataset's rows, normalized in place with its statistics."""
+        d, starts, stats = self._part(ids)
+        rows = d.values[starts + np.arange(self.context_len + self.horizon_len)[:, None]]
+        return rows if stats is None else _normalize_rows(rows, stats)
+
+    def _part(self, ids) -> tuple:
+        """(dataset, start rows, statistics) of the draws ``ids`` of one part."""
+        ids = np.asarray(ids)
+        if ids.min() < 0:  # a negative id would index another part's start row
+            raise IndexError(f"draw {ids.min()} is not in the batch")
+        d, _, hi, stats = self._spans[bisect_right(self._ends, int(ids.min()))]
+        if ids.max() >= hi:
+            raise TsnormError("windows are stacked from one dataset's draws at a time")
+        return d, self.starts[ids], stats
 
 
 def _normalize_rows(rows: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -221,8 +221,9 @@ class ExperimentPlan:
             raise TsnormError(f"lr must be a finite real number, got {lr!r}")
         if lr <= 0:
             raise TsnormError(f"lr must be positive, got {lr!r}")
-        if self.context_len < 1 or self.steps < 0 or self.instances_per_dataset < 1:
-            raise TsnormError("context_len, steps, instances_per_dataset out of range")
+        for name, least in (("context_len", 1), ("steps", 0), ("instances_per_dataset", 1)):
+            if getattr(self, name) < least:
+                raise TsnormError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("steps", "instances_per_dataset"):
             if getattr(self, name) > MAX_SYNTHETIC_VALUES:
                 raise TsnormError(f"{name} must be at most {MAX_SYNTHETIC_VALUES}, "
@@ -403,19 +404,18 @@ def evaluate(
     for lo, (stats, naive) in zip(starts, fits):
         block = windows[lo : lo + WINDOW_BLOCK]
         offsets = range(lo * horizon, (lo + len(block)) * horizon, horizon)
-        preds = []
-        for ctx in normalize(block[:, :context_len], stats):
+        contexts = normalize(block[:, :context_len], stats)
+        preds = np.empty((len(block), horizon, contexts.shape[-1]))
+        for i, ctx in enumerate(contexts):
             f = forecast(model, ctx)
             if f.kind is ForecastKind.POINT:
-                pred = f.point
+                preds[i] = f.point[:horizon]
             elif f.kind is ForecastKind.GAUSSIAN:
-                pred = f.gauss_mean
+                preds[i] = f.gauss_mean[:horizon]
             else:
-                pred = token_point_forecast(f)
-            preds.append(pred[:horizon])
-        preds = denormalize(np.stack(preds), stats)
-        for i, offset in enumerate(offsets):
-            scores.append((offset, mase(preds[i], block[i, context_len:], naive[i])))
+                preds[i] = token_point_forecast(f)[:horizon]
+        preds = denormalize(preds, stats)
+        scores.extend(zip(offsets, map(mase, preds, block[:, context_len:], naive)))
     if not (np.isfinite([s for _, s in scores]).all()
             and all(np.isfinite(naive).all() for _, naive in fits)):
         raise NonFiniteScoreError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ShapeMismatchError, TsnormError
+from .norm import window_rows
 
 # Floor for the naive MAE denominator; keeps MASE finite on degenerate contexts.
 NAIVE_EPS = 1e-8
@@ -29,7 +30,8 @@ def naive_mae(context: np.ndarray, seasonal_period: int) -> np.ndarray:
     For each channel: mean over t in [m, L) of |context[t] - context[t-m]|,
     floored at NAIVE_EPS.  Returns a length-C vector for one (L, C) window,
     or an (N, C) matrix for an (N, L, C) block, row n bitwise equal to
-    window n's own vector.
+    window n's own vector; a block's rows are reduced as ``window_rows``
+    lays them out.
     """
     context = np.asarray(context, dtype=np.float64)
     if context.ndim not in (2, 3):
@@ -42,8 +44,9 @@ def naive_mae(context: np.ndarray, seasonal_period: int) -> np.ndarray:
         raise WindowTooShortError(
             f"context length {length} must exceed naive lag {m} >= 1"
         )
-    diffs = np.abs(context[..., m:, :] - context[..., :-m, :])
-    return np.maximum(diffs.mean(axis=-2), NAIVE_EPS)
+    rows = window_rows(context)
+    diffs = rows[m:] - rows[:-m]
+    return np.maximum(np.abs(diffs, out=diffs).mean(axis=0), NAIVE_EPS)
 
 
 def mase(forecast: np.ndarray, actual: np.ndarray, naive: np.ndarray) -> float:
@@ -64,11 +67,15 @@ def mase(forecast: np.ndarray, actual: np.ndarray, naive: np.ndarray) -> float:
         raise ShapeMismatchError(
             f"naive must be a length-{forecast.shape[1]} vector, got {naive.shape}"
         )
-    if (naive <= 0).any():
+    # fmin skips NaN, so this decides as (naive <= 0).any() does
+    if naive.size and np.fmin.reduce(naive) <= 0:
         raise ZeroReferenceError("naive MAE must be positive (apply the eps floor)")
     # np.add.reduce over the count: np.mean's float64 bits, without its dispatch
-    per_channel = np.add.reduce(np.abs(forecast - actual), axis=0) / forecast.shape[0] / naive
-    return float(np.add.reduce(per_channel) / per_channel.shape[0])
+    error = np.subtract(forecast, actual)
+    per_channel = np.add.reduce(np.abs(error, out=error), axis=0)
+    per_channel /= forecast.shape[0]
+    per_channel /= naive
+    return float(np.add.reduce(per_channel)) / per_channel.shape[0]
 
 
 def improvement(mase_r: float, mase_m: float) -> float:

@@ -74,8 +74,8 @@ from .norm import (
     CLIP_THRESHOLD,
     StatsOverflowError,
     fit_inference_stats,
-    instance_max_abs,
     normalize,
+    window_rows,
 )
 
 HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
@@ -373,7 +373,7 @@ def read_checkpoint(path) -> LinearForecaster:
     if fmt is None:
         raise CheckpointError(f"{path}: no checkpoint format field; nested-list JSON "
                               "checkpoints are no longer read, rerun the variant to rewrite it")
-    if fmt != CHECKPOINT_FORMAT:
+    if not _is_a(fmt, int) or fmt != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: unknown checkpoint format {fmt!r} "
                               f"(this version reads {CHECKPOINT_FORMAT})")
     try:
@@ -437,21 +437,33 @@ def _check_context(model: LinearForecaster, context: np.ndarray) -> np.ndarray:
     return context
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A fresh array made read-only, so that ``Forecast`` keeps it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
+def _affine(weights: np.ndarray, bias: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+    """``weights @ ctx + bias[:, None]``, the bias added in place."""
+    out = weights @ ctx
+    out += bias[:, None]
+    return out
+
+
 def forecast(model: LinearForecaster, context_norm: np.ndarray) -> Forecast:
     """Run the model on an already-normalized context window (L, C)."""
     ctx = _check_context(model, context_norm)
     if model.loss_kind.is_point:
         return Forecast(
             kind=ForecastKind.POINT,
-            point=model.weights @ ctx + model.bias[:, None],
+            point=_frozen(_affine(model.weights, model.bias, ctx)),
         )
     if model.loss_kind is LossKind.GAUSSIAN_NLL:
-        mean = model.weights @ ctx + model.bias[:, None]
-        log_std = model.sigma_weights @ ctx + model.sigma_bias[:, None]
+        std = _affine(model.sigma_weights, model.sigma_bias, ctx)
         return Forecast(
             kind=ForecastKind.GAUSSIAN,
-            gauss_mean=mean,
-            gauss_std=np.exp(log_std),
+            gauss_mean=_frozen(_affine(model.weights, model.bias, ctx)),
+            gauss_std=_frozen(np.exp(std, out=std)),
         )
     # token head: quantize the context, feed bin-center features
     feats = detokenize(tokenize(ctx, model.tokenizer), model.tokenizer)
@@ -630,10 +642,14 @@ def prepare_training_pool(
 
     The pool is lazy: only the clip decisions are made here, for every
     instance, a block of ``batch.blocks`` at a time, and when nothing clips
-    the pool is ``batch`` itself.  Each block's statistics and clip
-    decisions take a few array operations.  Raises TypeError for anything
-    but an ``InstanceBatch``, and StatsOverflowError naming the dataset and
-    method when the instance statistics of its windows overflow float64.
+    the pool is ``batch`` itself.  Each block's rows are stacked once,
+    outermost (``batch.rows``); its statistics are fitted on the context
+    rows, and an instance's largest |x - shift| of each channel is divided
+    by the channel's scale once.  Division by a positive scale is monotone,
+    so this decides as normalizing every value first would, bit for bit.
+    Raises TypeError for anything but an ``InstanceBatch``, and
+    StatsOverflowError naming the dataset and method when the instance
+    statistics of its windows overflow float64.
     """
     if not isinstance(batch, InstanceBatch):
         raise TypeError(f"training input must be an InstanceBatch, got {type(batch).__name__}")
@@ -645,10 +661,14 @@ def prepare_training_pool(
     if not (model.loss_kind.is_point and scheme.clips):
         return batch, 0
     admitted = np.empty(len(batch), dtype=bool)
-    for d, at, (contexts, horizons) in batch.blocks(np.arange(len(batch))):
-        stats = _window_stats(contexts, scheme.instance_method, d.name)
-        admitted[at] = ~(instance_max_abs(normalize(contexts, stats), normalize(horizons, stats))
-                         > CLIP_THRESHOLD)
+    for d, at, ids in batch.blocks(np.arange(len(batch))):
+        rows = batch.rows(ids)
+        stats = _window_stats(rows[:batch.context_len].transpose(1, 0, 2),
+                              scheme.instance_method, d.name)
+        rows -= stats.shift  # finite values and shifts: no NaN, at worst an infinity
+        peak = np.abs(rows, out=rows).max(axis=0)
+        peak /= stats.scale
+        admitted[at] = ~(peak.max(axis=1) > CLIP_THRESHOLD)
     return batch.select(admitted), len(batch) - int(np.count_nonzero(admitted))
 
 
@@ -660,8 +680,8 @@ def build_rows(pool: InstanceBatch, ids, scheme: Scheme, model: LinearForecaster
     Every row is bitwise equal to what the same steps give on its instance
     alone, whichever draws share its block; its arrays are rows of its block's."""
     rows = [None] * len(ids)
-    for d, at, windows in pool.blocks(ids):
-        for i, row in zip(at.tolist(), _pool_rows(*windows, scheme, model, d.name)):
+    for d, at, drawn in pool.blocks(ids):
+        for i, row in zip(at.tolist(), _pool_rows(*pool.windows(drawn), scheme, model, d.name)):
             rows[i] = row
     return rows
 
@@ -783,9 +803,10 @@ class _LinearKernel:
             at = np.flatnonzero(counts == c)
             cells = _LOSS_CELLS[self.kind](*self.cells[:, at, :h * c])
             losses[at] = np.add.reduce(cells, axis=1) / (h * c)
-            g = self.grads[at, :len(self.w) * c].reshape(len(at), -1, h, c)
+            # each (step, head)'s rows as one window of H rows and c channels
+            g = window_rows(self.grads[at, :len(self.w) * c].reshape(-1, h, c))
             in_norms = np.array([block[i][-1] for i in at.tolist()])
-            p = _channel_norms(g, axis=2) * in_norms[:, None]
+            p = _channel_norms(g).reshape(len(at), -1, c) * in_norms[:, None]
             norms[at, :c] = np.sqrt(np.add.reduce(p * p, axis=1))
 
 

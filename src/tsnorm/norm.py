@@ -9,12 +9,13 @@ transforms invertible even on constant channels.
 The scheme table of ``tsnorm.models`` says where each step runs, the clip
 decision and the hybrid dataset-then-instance pipeline included.
 
-Window statistics are block-wise: every reduction runs over axis -2, so the
-same code fits one (L, C) window or an (N, L, C) block of windows, and
+Window statistics are block-wise: every reduction runs over a window's rows,
+so the same code fits one (L, C) window or an (N, L, C) block of windows, and
 ``normalize``/``denormalize`` apply (N, C) block statistics row by row.  Row n
 of a block's statistics and normalized windows is bitwise equal to what
 window n alone gives, because each channel's rows are still summed in the
-same order.  A block is validated once, as one ``NormStats``.
+same order.  A block is reduced as ``window_rows`` lays it out, rows
+outermost, and validated once, as one ``NormStats``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,25 @@ class DegenerateChannelWarning(UserWarning):
     """A channel's pre-guard scale was zero and was replaced by epsilon."""
 
 
+def window_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x``, an (N, L, C) block of windows or one (L, C) window,
+    as an (L, N, C) or (L, C) array whose reductions over axis 0 give the bits
+    of reducing a C-order ``x`` over axis -2.
+
+    For C >= 2 numpy reduces axis -2 of an (N, L, C) block in N*L inner loops
+    of only C elements, adding each window's rows one after another.  A
+    C-order (L, N, C) array reduced over axis 0 adds them in the same order,
+    in L loops of N*C elements, so that is what a block becomes: a copy, or
+    ``x``'s own memory when ``x`` is a view of such an array.  At C = 1 numpy
+    adds a window's rows pairwise, which needs them contiguous, so the rows
+    stay in the memory of a C-order ``x`` (copied if ``x`` is not one), as an
+    (L, N, 1) view.  One window is its own rows.
+    """
+    if x.ndim == 3 and x.shape[-1] > 1:
+        return np.ascontiguousarray(np.moveaxis(x, 1, 0))
+    return np.moveaxis(np.ascontiguousarray(x), -2, 0)
+
+
 def _guard_scale(scale: np.ndarray, where: str) -> np.ndarray:
     degenerate = np.flatnonzero(scale < SCALE_EPS)
     if degenerate.size:
@@ -81,19 +101,28 @@ def _channel_stats(x: np.ndarray, method: Method) -> tuple[np.ndarray, np.ndarra
     """Per-channel (shift, scale) of one statistic family over the rows of ``x``.
 
     Rows are axis -2: a (T, C) matrix gives (C,) vectors, an (N, L, C) block
-    of windows gives (N, C) matrices.  A statistic that overflows comes back
-    non-finite, without a warning; its caller refuses it.
+    of windows gives (N, C) matrices, reduced as ``window_rows`` lays them
+    out.  A statistic that overflows comes back non-finite, without a
+    warning; its caller refuses it.
     """
+    rows = window_rows(x)
     if method is Method.STANDARDIZATION or method is Method.REVIN:
-        return x.mean(axis=-2), x.std(axis=-2)  # population std
+        # numpy's mean and population std, the deviations taken in place in
+        # a private copy of the rows: one block of temporaries fewer
+        mean = np.add.reduce(rows, axis=0)
+        mean /= len(rows)
+        dev = np.subtract(rows, mean, out=None if np.may_share_memory(rows, x) else rows)
+        var = np.add.reduce(np.square(dev, out=dev), axis=0)
+        var /= len(rows)
+        return mean, np.sqrt(var, out=var)
     if method is Method.MINMAX:
-        lo = x.min(axis=-2)
-        return lo, x.max(axis=-2) - lo
+        lo = rows.min(axis=0)
+        return lo, rows.max(axis=0) - lo
     width = x.shape[:-2] + x.shape[-1:]
     if method is Method.MAXABS:
-        return np.zeros(width), np.abs(x).max(axis=-2)
+        return np.zeros(width), np.abs(rows).max(axis=0)
     if method is Method.MEANABS:
-        return np.zeros(width), np.abs(x).mean(axis=-2)
+        return np.zeros(width), np.abs(rows).mean(axis=0)
     if method is Method.RAW:
         return np.zeros(width), np.ones(width)
     raise WrongMethodError(f"unknown method {method}")
@@ -160,13 +189,17 @@ def _check_width(x: np.ndarray, stats: NormStats, op: str) -> np.ndarray:
 def normalize(x: np.ndarray, stats: NormStats) -> np.ndarray:
     """Apply (x - shift) / scale per channel (and per window, for block stats)."""
     x = _check_width(x, stats, "normalize")
-    return (x - stats.shift[..., None, :]) / stats.scale[..., None, :]
+    out = x - stats.shift[..., None, :]
+    out /= stats.scale[..., None, :]
+    return out
 
 
 def denormalize(x_norm: np.ndarray, stats: NormStats) -> np.ndarray:
     """Invert ``normalize``: x_norm * scale + shift per channel."""
     x_norm = _check_width(x_norm, stats, "denormalize")
-    return x_norm * stats.scale[..., None, :] + stats.shift[..., None, :]
+    out = x_norm * stats.scale[..., None, :]
+    out += stats.shift[..., None, :]
+    return out
 
 
 def instance_max_abs(ctx_norm: np.ndarray, hor_norm: np.ndarray) -> np.ndarray:

@@ -514,11 +514,16 @@ class TestRun:
         (dict(TINY_PLAN, synthetic={"noise": None}), "noise must be a real number, got None"),
         (dict(TINY_PLAN, synthetic={"split_fraction": "0.5"}),
          "split_fraction must be a real number, got '0.5'"),
+        *(({k: v for k, v in TINY_PLAN.items() if k != "synthetic"} | {"datasets": entries},
+           f"plan 'datasets' must be a list of objects, got {entries!r}")
+          for entries in ({"a": {}}, [1], ["a.csv"], "a.csv", None)),
     ], ids=["top-level-array", "synthetic-list", "scale-exponents-int", "n-datasets-float",
             "synthetic-seed-string", "frequency-int", "overrides-list",
             "withheld-string", "schemes-string", "models-string", "unknown-scheme",
             "unknown-model", "dataset-without-path", "dataset-misspelt-key",
-            "trend-string", "trend-bool", "noise-null", "split-fraction-string"])
+            "trend-string", "trend-bool", "noise-null", "split-fraction-string",
+            "datasets-object", "datasets-of-ints", "datasets-of-strings", "datasets-string",
+            "datasets-null"])
     def test_malformed_plan_file_exits_2_naming_the_field(self, tmp_path, capsys, plan, named):
         path = write_plan(tmp_path, plan)
         argv = ["run", "--plan", str(path), "--out", str(tmp_path / "out"), "--dry-run"]
@@ -805,10 +810,36 @@ class TestReport:
         }
         assert parsed == expected
 
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    @pytest.mark.parametrize("key", ["aggregates", "improvements"])
+    @pytest.mark.parametrize("value", [None, 1, "x", [], "missing"])
+    def test_a_mistyped_table_exits_2_naming_its_key(self, tmp_path, capsys, fmt, key, value):
+        doc = {"schema_version": cli.SCHEMA_VERSION, "aggregates": {}, "improvements": {}}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(good), "--format", fmt]) == 0
+        capsys.readouterr()
+        if value == "missing":
+            del doc[key]
+        else:
+            doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(bad), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert f"report {key!r} must be an object" in captured.err
+        assert captured.out == ""
+
     def test_schema_version_mismatch(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema_version": 99, "aggregates": {}}))
         assert main(["report", "--in", str(bad)]) == 2
+
+    def test_a_report_that_is_no_object_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps([{"schema_version": 1}]))
+        assert main(["report", "--in", str(bad)]) == 2
+        assert "report must be a JSON object, got list" in capsys.readouterr().err
 
     def test_write_to_file(self, report_path, tmp_path):
         out = tmp_path / "table.md"

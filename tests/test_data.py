@@ -339,17 +339,21 @@ class TestBlocksAndSelect:
         batch = self._batch(tiny_dataset)
         ids = np.concatenate([np.random.default_rng(5).permutation(26), [3, 25]])
         seen, parts = [], []
-        for d, at, (contexts, horizons) in batch.blocks(ids):
+        for d, at, drawn in batch.blocks(ids):
             assert 1 <= len(at) <= block and np.all(np.diff(at) > 0)
+            assert drawn.tolist() == ids[at].tolist()
             seen.extend(at.tolist())
             part = int(np.searchsorted([11, 20, 26], ids[at[0]], side="right"))
             assert d is batch.groups()[part][0]
             assert all(int(np.searchsorted([11, 20, 26], i, side="right")) == part
                        for i in ids[at].tolist())
             parts.append(part)
-            want_contexts, want_horizons = batch.windows(ids[at])
-            assert contexts.tobytes() == want_contexts.tobytes()
-            assert horizons.tobytes() == want_horizons.tobytes()
+            # ``rows`` stacks the same windows, rows outermost
+            contexts, horizons = batch.windows(drawn)
+            rows = batch.rows(drawn)
+            assert rows.flags.c_contiguous and rows.shape == (36, len(at), d.channels)
+            assert rows[:30].transpose(1, 0, 2).tobytes() == contexts.tobytes()
+            assert rows[30:].transpose(1, 0, 2).tobytes() == horizons.tobytes()
         assert sorted(seen) == list(range(len(ids)))
         assert parts == sorted(parts) and set(parts) == {0, 1, 2}
         assert list(batch.blocks([])) == []

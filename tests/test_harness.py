@@ -164,6 +164,15 @@ class TestPlan:
         with pytest.raises(TsnormError, match="horizons"):
             raw_plan(datasets, horizon_overrides={"synth1": horizon})
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("context_len", 0, 1), ("steps", -1, 0), ("instances_per_dataset", 0, 1)])
+    def test_a_range_error_names_only_its_key(self, field, value, least):
+        datasets = small_corpus()
+        with pytest.raises(TsnormError) as info:
+            raw_plan(datasets, **{field: value})
+        assert str(info.value) == f"{field} must be at least {least}, got {value}"
+        assert getattr(raw_plan(datasets, **{field: least}), field) == least
+
     @pytest.mark.parametrize("lr", [0.0, -1e-4, -0.0])
     def test_lr_must_be_positive(self, lr):
         datasets = small_corpus()

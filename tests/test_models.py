@@ -42,7 +42,8 @@ import tsnorm.data as data
 import tsnorm.models as models
 from tsnorm.core import SCALE_EPS, ShapeMismatchError, TsnormError
 from tsnorm.data import InstanceBatch
-from tsnorm.norm import WINDOW_BLOCK, fit_dataset_stats, normalize
+from tsnorm.norm import (CLIP_THRESHOLD, WINDOW_BLOCK, fit_dataset_stats,
+                         fit_inference_stats, instance_max_abs, normalize)
 from tsnorm.models import (
     BadBinIndexError,
     DivergedError,
@@ -532,6 +533,13 @@ class TestCheckpoint:
         path.write_text(json.dumps(dict(header, format=99)))
         with pytest.raises(models.CheckpointError, match="unknown checkpoint format 99"):
             models.read_checkpoint(path)
+        # equal to 1 in Python, but not the integer 1 a header records
+        for fmt in (True, 1.0):
+            path.write_text(json.dumps(dict(header, format=fmt)))
+            with pytest.raises(models.CheckpointError,
+                               match=f"unknown checkpoint format {fmt!r}") as info:
+                models.read_checkpoint(path)
+            assert str(info.value).startswith(f"{path}: ")
         path.write_text(json.dumps(dict(header, loss_kind="gaussian_nll")))
         with pytest.raises(models.CheckpointError, match="do not fit a gaussian_nll model"):
             models.read_checkpoint(path)
@@ -1492,6 +1500,27 @@ class TestPoolMatchesReference:
             _assert_rows_equal_reference(
                 [build_rows(pool, [i], scheme, model)[0] for i in range(len(pool))], ref)
             _assert_rows_equal_reference(rows, ref)
+
+    @pytest.mark.parametrize("channels", [1, 3], ids=["C1", "C3"])
+    @pytest.mark.parametrize("scheme", [Scheme.REVIN, Scheme.MEANABS], ids=lambda s: s.value)
+    def test_clip_decisions_equal_the_normalized_peak(self, scheme, channels):
+        # acceptance criterion 6's plateau series, with scaled copies as more
+        # channels: tiny context scales ahead of level jumps
+        rng = np.random.default_rng(1006)
+        levels = np.repeat([5.0, 50.0, 5.0, 50.0], 300)
+        noisy = levels + rng.normal(0, 1e-3, levels.size)
+        d = Dataset("plateau", noisy[:, None] * [1.0, 1e-3, 1e3][:channels], "1h", 24, 960)
+        batch = sample_instances(d, 96, 24, 400, seed=3)
+        pool, rejected = prepare_training_pool(batch, scheme,
+                                               LinearForecaster.create(LossKind.MSE, 96, 24))
+        # every value normalized first, then its instance's largest |value|
+        contexts, horizons = batch.windows(np.arange(len(batch)))
+        stats = fit_inference_stats(contexts, scheme.instance_method)
+        peak = instance_max_abs(normalize(contexts, stats), normalize(horizons, stats))
+        admitted = ~(peak > CLIP_THRESHOLD)
+        assert 0 < rejected < len(batch)
+        assert rejected == len(batch) - admitted.sum()
+        assert pool.starts.tolist() == batch.starts[admitted].tolist()
 
     def test_shape_mismatch_rejected_before_any_work(self):
         rng = np.random.default_rng(75)

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tsnorm import (
@@ -27,9 +29,14 @@ from tsnorm.core import (
     NonFiniteError,
     ShapeMismatchError,
 )
-from tsnorm.metrics import naive_mae
-from tsnorm.models import build_rows, prepare_training_pool
-from tsnorm.norm import DegenerateChannelWarning, StatsOverflowError, WrongMethodError
+from tsnorm.metrics import NAIVE_EPS, naive_mae
+from tsnorm.models import _channel_norms, build_rows, prepare_training_pool
+from tsnorm.norm import (
+    DegenerateChannelWarning,
+    StatsOverflowError,
+    WrongMethodError,
+    window_rows,
+)
 
 from conftest import col, window_batch
 
@@ -390,6 +397,54 @@ class TestBlockWindowStats:
         assert naive.shape == (len(block), channels)
         for i, window in enumerate(block):
             assert naive[i].tobytes() == naive_mae(window, 24).tobytes()
+
+    @staticmethod
+    def _numpy_stats(block, method):
+        """(shift, scale) as numpy gives them reducing a C-order block over axis -2."""
+        if method in (Method.STANDARDIZATION, Method.REVIN):
+            return block.mean(axis=-2), block.std(axis=-2)
+        if method is Method.MINMAX:
+            return block.min(axis=-2), block.max(axis=-2) - block.min(axis=-2)
+        zeros = np.zeros(block.shape[:-2] + block.shape[-1:])
+        if method is Method.MAXABS:
+            return zeros, np.abs(block).max(axis=-2)
+        if method is Method.MEANABS:
+            return zeros, np.abs(block).mean(axis=-2)
+        return zeros, zeros + 1.0
+
+    @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+    @given(n=st.integers(1, 40), length=st.integers(2, 50), channels=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), layout=st.sampled_from(["c", "strided", "rows-outer"]))
+    def test_rows_outermost_reductions_equal_numpy_on_the_block(self, n, length, channels,
+                                                                seed, layout):
+        rng = np.random.default_rng(seed)
+        amplitude = 10.0 ** rng.uniform(-3, 3, channels)
+        series = (rng.normal(0.0, 1.0, (3 * n + length, channels)) * amplitude
+                  + rng.normal(0, 50, channels))
+        # the same windows in each layout a caller hands over
+        block = np.ascontiguousarray(sliding_window_view(series, length, axis=0)[::3][:n]
+                                     .transpose(0, 2, 1))
+        if layout == "strided":
+            x = sliding_window_view(series, length, axis=0)[::3][:n].transpose(0, 2, 1)
+        elif layout == "rows-outer":
+            x = np.ascontiguousarray(block.transpose(1, 0, 2)).transpose(1, 0, 2)
+        else:
+            x = block
+        rows = window_rows(x)
+        assert rows.shape == (length, n, channels)
+        if channels > 1:  # rows outermost in memory, and no copy of a block laid out so
+            assert rows.flags.c_contiguous
+            assert layout != "rows-outer" or np.shares_memory(rows, x)
+        for method in Method:
+            stats = fit_inference_stats(x, method)
+            shift, scale = self._numpy_stats(block, method)
+            assert stats.shift.tobytes() == shift.tobytes(), method
+            assert stats.scale.tobytes() == np.maximum(scale, SCALE_EPS).tobytes(), method
+        for lag in {1, length // 2, length - 1} - {0}:
+            want = np.maximum(np.abs(block[:, lag:] - block[:, :-lag]).mean(axis=-2), NAIVE_EPS)
+            assert naive_mae(x, lag).tobytes() == want.tobytes(), lag
+        want = np.sqrt(np.add.reduce(block * block, axis=-2))
+        assert _channel_norms(rows).tobytes() == want.tobytes()
 
     def test_block_is_validated_with_the_per_window_errors(self):
         block = self._windows(2).copy()
